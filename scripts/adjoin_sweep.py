@@ -12,25 +12,24 @@ Usage: python scripts/adjoin_sweep.py --n 9
 import argparse
 from collections import Counter
 
-from fenceinj import enumerate_FI, r_class
-from fenceinj.analysis import _domain_key, _top_layer_fixpoint
+from fenceinj import GeneratorSet, close, decode, enumerate_FI, r_class
 
 
 def sweep(n: int) -> None:
     universe = enumerate_FI(n, workers=2)
-    top_rows = [tuple(int(v) for v in row)
-                for row in universe.images_matrix[universe.ranks >= n - 1]]
-    print(f"n = {n}: rank-≥(n−1) layer has {len(top_rows)} elements")
+    top = [int(c) for c in universe.codes_array[universe.ranks >= n - 1]]
+    print(f"n = {n}: rank-≥(n−1) layer has {len(top)} elements")
     for i in range(1, (n + 1) // 2 + 1):
         cls = r_class(n, i, universe)
-        doms = {frozenset(range(1, n + 1)) - {i},
-                frozenset(range(1, n + 1)) - {n - i + 1}}
-        in_class = [r for r in top_rows if _domain_key(r) in doms]
-        outside = {r for r in top_rows if _domain_key(r) not in doms}
+        in_class = set(cls.codes)
+        outside = [c for c in top if c not in in_class]
         counts = Counter()
-        for a in in_class:
-            reached = _top_layer_fixpoint(outside | {a}, n - 1)
-            counts[sum(1 for r in reached if _domain_key(r) in doms)] += 1
+        for a in cls.codes:
+            gens = GeneratorSet(n, tuple((str(c), decode(n, c))
+                                         for c in outside + [a]))
+            # products landing in R_i never pass below rank n−1
+            reached = close(gens, min_rank=n - 1).members
+            counts[len(reached & in_class)] += 1
         profile = ", ".join(f"{k} reachable ×{v}"
                             for k, v in sorted(counts.items()))
         print(f"  R_{i} (|R_{i}| = {len(cls)}): {profile}")

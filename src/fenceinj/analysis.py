@@ -25,15 +25,16 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .cache import load_universe
 from .fence import (
     CapacityError,
     PartialInjection,
     check_fence_size,
-    code_powers,
     decode,
     encode,
 )
 from .generators import (
+    GeneratorSet,
     alpha,
     alpha_pair,
     beta_even,
@@ -110,45 +111,17 @@ def r_class(n: int, i: int, universe: ElementUniverse) -> RClass:
     return RClass(n, i, tuple(int(c) for c in np.sort(codes)))
 
 
-# --- top-layer fixpoint -----------------------------------------------------
-#
-# Products that land in the rank-(n−1) layer factor entirely through that
-# layer: rank(fg) <= min(rank f, rank g), so every factor and every prefix of
-# such a product has rank >= n−1.  The closure's top layer can therefore be
-# computed as a fixpoint over the rank-(>= n−1) elements alone, discarding any
-# product that falls below; the result agrees with the full closure's top
-# layer exactly (cross-checked against full complement closures in tests).
+def _top_layer_closure(n: int, codes) -> frozenset[int]:
+    """Rank-≥(n−1) members of the closure of the elements with these codes.
 
+    Products that land at rank ≥ n−1 factor entirely through rank ≥ n−1,
+    since rank(fg) ≤ min(rank f, rank g), so the engine's rank floor gives
+    exactly the top layer of the full closure.
+    """
+    from .closure import close
 
-def _compose_row(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(0 if v == 0 else g[v - 1] for v in f)
-
-
-def _row_rank(row: tuple[int, ...]) -> int:
-    return sum(1 for v in row if v)
-
-
-def _top_layer_fixpoint(
-    seeds: set[tuple[int, ...]], min_rank: int
-) -> set[tuple[int, ...]]:
-    seen = {t for t in seeds if _row_rank(t) >= min_rank}
-    frontier = list(seen)
-    members = list(seen)
-    while frontier:
-        fresh = []
-        for f in frontier:
-            for g in members:
-                for p in (_compose_row(f, g), _compose_row(g, f)):
-                    if _row_rank(p) >= min_rank and p not in seen:
-                        seen.add(p)
-                        fresh.append(p)
-        members.extend(fresh)
-        frontier = fresh
-    return seen
-
-
-def _domain_key(row: tuple[int, ...]) -> frozenset[int]:
-    return frozenset(k + 1 for k, v in enumerate(row) if v)
+    gens = GeneratorSet(n, tuple((str(c), decode(n, c)) for c in codes))
+    return close(gens, min_rank=n - 1).members
 
 
 @dataclass(frozen=True)
@@ -238,32 +211,25 @@ def verify_prop7_claims(n: int, universe: ElementUniverse) -> Prop7Result:
     For every α ∈ R_i (even i in {4,…,(n−1)/2}), the R_i elements reachable
     from {α} ∪ (FI_n ∖ R_i) are exactly the words in α and γ_n that stay in
     R_i — at most 8 of the 16 members, so a single α cannot regenerate its
-    class.  The reachable set is computed by the top-layer fixpoint above.
+    class.  The reachable set is a closure floored at rank n−1.
     Below n = 9 the index range is empty and the result is vacuous.
     """
     check_fence_size(n)
     if universe.n != n:
         raise ValueError(f"universe is for n={universe.n}, expected {n}")
-    gam = gamma(n).images
-    mat = universe.images_matrix
-    top_rows = [tuple(int(v) for v in row)
-                for row in mat[universe.ranks >= n - 1]]
+    gam = encode(gamma(n))
+    top = [int(c) for c in universe.codes_array[universe.ranks >= n - 1]]
     classes = []
     for i in range(4, (n - 1) // 2 + 1, 2):
         cls = r_class(n, i, universe)
-        doms = {frozenset(range(1, n + 1)) - {i},
-                frozenset(range(1, n + 1)) - {n - i + 1}}
-        in_class = [row for row in top_rows if _domain_key(row) in doms]
-        outside = {row for row in top_rows if _domain_key(row) not in doms}
-        powers = code_powers(n)
+        in_class = set(cls.codes)
+        outside = [c for c in top if c not in in_class]
         alphas = []
-        for a in sorted(in_class):
-            reached = _top_layer_fixpoint(outside | {a}, n - 1)
-            meet = {row for row in reached if _domain_key(row) in doms}
-            pair = _top_layer_fixpoint({a, gam}, n - 1)
-            pair_meet = {row for row in pair if _domain_key(row) in doms}
+        for a in cls.codes:
+            meet = _top_layer_closure(n, outside + [a]) & in_class
+            pair_meet = _top_layer_closure(n, (a, gam)) & in_class
             alphas.append(Prop7AlphaCheck(
-                alpha_code=sum(v * p for v, p in zip(a, powers)),
+                alpha_code=a,
                 intersection_size=len(meet),
                 within_bound=len(meet) <= 8,
                 matches_pair_closure=meet == pair_meet,
@@ -308,25 +274,6 @@ def verify_lemma_bf4(n: int, universe: ElementUniverse) -> Bf4Check:
     return Bf4Check(n, checked, tuple(failures))
 
 
-def _tuple_closure_generates(
-    gens: tuple[tuple[int, ...], ...], full: frozenset[tuple[int, ...]]
-) -> bool:
-    seen = set(gens)
-    members = list(seen)
-    frontier = members[:]
-    while frontier:
-        fresh = []
-        for f in frontier:
-            for g in members:
-                for p in (_compose_row(f, g), _compose_row(g, f)):
-                    if p not in seen:
-                        seen.add(p)
-                        fresh.append(p)
-        members.extend(fresh)
-        frontier = fresh
-    return seen == full
-
-
 def minimal_rank_exhaustive(universe: ElementUniverse) -> int:
     """Smallest k such that some k-subset of FI_3 generates FI_3.
 
@@ -339,13 +286,14 @@ def minimal_rank_exhaustive(universe: ElementUniverse) -> int:
         raise CapacityError(
             f"exhaustive minimal-rank search is offered at n = 3 only, "
             f"got n = {universe.n}")
-    rows = [tuple(int(v) for v in row) for row in universe.images_matrix]
-    full = frozenset(rows)
-    gam = gamma(3).images
-    others = [r for r in rows if r != gam]
+    from .closure import close_excluding
+
+    gam = encode(gamma(3))
+    others = [c for c in universe.codes if c != gam]
     for size in range(1, 6):
         for extra in combinations(others, size - 1):
-            if _tuple_closure_generates((gam, *extra), full):
+            rest = universe.code_set.difference(extra, (gam,))
+            if close_excluding(universe, rest).members == universe.code_set:
                 return size
     raise RuntimeError("no generating subset of size <= 5 found")
 
@@ -365,26 +313,14 @@ class VerifyContext:
 
     def universe(self, n: int) -> ElementUniverse:
         if n not in self._universes:
-            self._universes[n] = self._load_or_enumerate(n)
+            if self.cache_dir is None:
+                self._universes[n] = enumerate_FI(n, workers=self.workers)
+            else:
+                self._universes[n] = load_universe(self.cache_dir, n, self.workers)
         return self._universes[n]
 
     def put_universe(self, universe: ElementUniverse) -> None:
         self._universes[universe.n] = universe
-
-    def _load_or_enumerate(self, n: int) -> ElementUniverse:
-        if self.cache_dir is not None:
-            from pathlib import Path
-
-            path = Path(self.cache_dir) / f"universe_n{n}.bin"
-            if path.exists():
-                universe = ElementUniverse.load(path)
-                if universe.n == n:
-                    return universe
-            universe = enumerate_FI(n, workers=self.workers)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            universe.save(path)
-            return universe
-        return enumerate_FI(n, workers=self.workers)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)

@@ -12,10 +12,10 @@ Exit codes: 0 on success (including a clean "not generated" answer from
 ``factor``), 1 when ``verify`` finds a failing machine-verified claim, and
 2 on usage errors (bad flags, malformed maps, out-of-range n).
 
-Cache files live under ``--cache-dir`` (default: ``$FENCEINJ_CACHE_DIR`` or
-``./.fenceinj-cache``): ``universe_n{n}.bin`` for element censuses and
-``closure_n{n}_{key}.bin``/``.wit`` for closures, keyed by a digest of the
-generating set so distinct sets never collide.
+Censuses and closures are cached under ``--cache-dir`` (default:
+``$FENCEINJ_CACHE_DIR`` or ``./.fenceinj-cache``); the ``cache`` module names
+the files, writes them atomically and rebuilds any entry it cannot trust.
+``--workers`` must be at least 1.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .analysis import (
     rank_grade,
     run_verification,
 )
-from .closure import ClosureResult, close, evaluate_word, generator_cache_key
+from .cache import closure_paths, load_closure, load_universe, universe_path
+from .closure import evaluate_word
 from .fence import (
     CapacityError,
     MapFormatError,
@@ -46,7 +47,7 @@ from .fence import (
     parse_map,
 )
 from .generators import GeneratorSet, build_G, build_J
-from .oracle import ENUMERATION_CAP, ElementUniverse, enumerate_FI
+from .oracle import ENUMERATION_CAP
 
 USAGE_ERROR = 2
 VERIFY_FAILED = 1
@@ -54,6 +55,13 @@ VERIFY_FAILED = 1
 
 def _default_cache_dir() -> str:
     return os.environ.get("FENCEINJ_CACHE_DIR") or ".fenceinj-cache"
+
+
+def worker_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser, *, workers: bool = True) -> None:
@@ -64,7 +72,7 @@ def _add_common(parser: argparse.ArgumentParser, *, workers: bool = True) -> Non
     parser.add_argument("--cache-dir", default=_default_cache_dir(),
                         help="directory for cached censuses and closures")
     if workers:
-        parser.add_argument("--workers", type=int,
+        parser.add_argument("--workers", type=worker_count,
                             default=os.cpu_count() or 1,
                             help="parallel workers")
 
@@ -117,23 +125,11 @@ def _emit(fmt: str, doc: dict, table_lines: list[str],
         print("\n".join(table_lines))
 
 
-def _load_universe(n: int, cache_dir: Path, workers: int) -> ElementUniverse:
-    path = cache_dir / f"universe_n{n}.bin"
-    if path.exists():
-        universe = ElementUniverse.load(path)
-        if universe.n == n:
-            return universe
-    universe = enumerate_FI(n, workers=workers)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    universe.save(path)
-    return universe
-
-
 def _resolve_gens(spec: str, n: int, cache_dir: Path, workers: int) -> GeneratorSet:
     if spec == "G":
         return build_G(n)
     if spec == "J":
-        return build_J(n, _load_universe(n, cache_dir, workers))
+        return build_J(n, load_universe(cache_dir, n, workers))
     if spec.startswith("file:"):
         path = Path(spec[len("file:"):])
         if not path.exists():
@@ -146,26 +142,11 @@ def _resolve_gens(spec: str, n: int, cache_dir: Path, workers: int) -> Generator
     raise ValueError(f"unknown generator spec {spec!r}: use G, J, or file:PATH")
 
 
-def _closure_cached(gens: GeneratorSet, cache_dir: Path,
-                    workers: int) -> tuple[ClosureResult, Path, Path]:
-    key = generator_cache_key(gens)
-    code_path = cache_dir / f"closure_n{gens.n}_{key}.bin"
-    wit_path = cache_dir / f"closure_n{gens.n}_{key}.wit"
-    if code_path.exists() and wit_path.exists():
-        result = ClosureResult.load(code_path, wit_path)
-        if result.n == gens.n and set(result.labels) == set(gens.labels):
-            return result, code_path, wit_path
-    result = close(gens, workers=workers)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    result.save(code_path, wit_path)
-    return result, code_path, wit_path
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
     check_fence_size(args.n)
     cache_dir = Path(args.cache_dir)
-    universe = _load_universe(args.n, cache_dir, args.workers)
-    path = cache_dir / f"universe_n{args.n}.bin"
+    universe = load_universe(cache_dir, args.n, args.workers)
+    path = universe_path(cache_dir, args.n)
     doc = {
         "n": universe.n,
         "count": len(universe),
@@ -188,7 +169,8 @@ def cmd_closure(args: argparse.Namespace) -> int:
     check_fence_size(args.n)
     cache_dir = Path(args.cache_dir)
     gens = _resolve_gens(args.gens, args.n, cache_dir, args.workers)
-    result, code_path, wit_path = _closure_cached(gens, cache_dir, args.workers)
+    result = load_closure(cache_dir, gens, args.workers)
+    code_path, tree_path = closure_paths(cache_dir, gens)
     doc = {
         "n": result.n,
         "generators": list(result.labels),
@@ -198,7 +180,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
         "products": result.stats.products,
         "seconds": round(result.stats.seconds, 3),
         "code_cache": str(code_path),
-        "witness_cache": str(wit_path),
+        "witness_cache": str(tree_path),
     }
     lines = [
         f"closure of {len(gens)} generators over the {result.n}-fence: "
@@ -208,7 +190,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
         f"{result.stats.products} products examined in "
         f"{result.stats.seconds:.3f}s",
         f"codes cached at {code_path}",
-        f"witnesses cached at {wit_path}",
+        f"witnesses cached at {tree_path}",
     ]
     rows: list[Sequence[str]] = [("word_length", "new_elements")]
     rows += [(str(k + 1), str(c))
@@ -228,7 +210,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
         raise MapFormatError(
             f"map is not a partial automorphism: points {a} and {b} "
             f"break the order relation")
-    result, _, _ = _closure_cached(gens, cache_dir, args.workers)
+    result = load_closure(cache_dir, gens, args.workers)
     code = encode(target)
     if code not in result:
         doc = {"n": args.n, "map": format_map(target), "code": code,

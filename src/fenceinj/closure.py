@@ -17,6 +17,12 @@ tie-break) before consulting the visited table.
 Worker threads split each candidate block by generator columns and write
 disjoint slices of one preallocated matrix; deduplication happens after the
 join, in block order, so results are identical for every worker count.
+
+Witnesses are kept as the BFS tree itself (Froidure & Pin, 1997): each node
+stores its parent node and last generator, and a word is read off by walking
+to the root.  ``ClosureResult.save`` persists the sorted codes and that tree
+as two binary files; ``load`` replays the tree over the generators and
+accepts it only if it rebuilds exactly the saved codes.
 """
 
 from __future__ import annotations
@@ -32,17 +38,24 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .fence import PartialInjection, code_powers, compose, decode, encode
+from .fence import PartialInjection, code_powers, compose, encode
 from .generators import GeneratorSet
 from .oracle import (
     ElementUniverse,
+    read_binary_file,
     read_code_file,
-    sidecar_path,
+    read_sidecar,
+    sidecar_ints,
+    write_binary_file,
     write_code_file,
+    write_sidecar,
 )
 
 # cap on entries of one frontier-by-generators candidate block (int64)
 _BLOCK_ENTRIES = 1 << 24
+
+# magic of the witness-tree file: parent indices, then generator indices
+TREE_MAGIC = b"FTRE"
 
 
 class NotGeneratedError(Exception):
@@ -105,31 +118,31 @@ class ClosureStats:
 
 @dataclass(eq=False)
 class ClosureResult:
-    """The closure's member codes plus witness bookkeeping.
+    """The closure's members as a BFS tree of witnesses.
 
-    Fresh results carry the BFS parent/generator arrays and reconstruct
-    witnesses on demand; cache-loaded results carry the words directly.
+    Node k (in BFS order) is the element with code ``_order_codes[k]``; its
+    witness is the witness of node ``_parents[k]`` followed by generator
+    ``_genidx[k]``, or that generator alone when ``_parents[k]`` is -1.
+    Levels are contiguous in BFS order, with ``stats.level_sizes`` nodes each.
     """
 
     n: int
     labels: tuple[str, ...]
     stats: ClosureStats
-    _codes_sorted: np.ndarray
-    _order_codes: np.ndarray | None = None
-    _parents: np.ndarray | None = None
-    _genidx: np.ndarray | None = None
-    _words: dict[int, Word] | None = None
+    _order_codes: np.ndarray
+    _parents: np.ndarray
+    _genidx: np.ndarray
 
     def __len__(self) -> int:
-        return len(self._codes_sorted)
+        return len(self._order_codes)
 
-    @property
+    @cached_property
     def member_codes(self) -> np.ndarray:
-        return self._codes_sorted
+        return np.sort(self._order_codes)
 
     @cached_property
     def members(self) -> frozenset[int]:
-        return frozenset(int(c) for c in self._codes_sorted)
+        return frozenset(int(c) for c in self.member_codes)
 
     def __contains__(self, target: int | PartialInjection) -> bool:
         code = encode(target) if isinstance(target, PartialInjection) else int(target)
@@ -141,16 +154,12 @@ class ClosureResult:
 
     @cached_property
     def _position(self) -> dict[int, int]:
-        assert self._order_codes is not None
         return {int(c): k for k, c in enumerate(self._order_codes)}
 
     def witness(self, target: int | PartialInjection) -> Word:
         code = encode(target) if isinstance(target, PartialInjection) else int(target)
         if code not in self.members:
             raise NotGeneratedError(self.n, code)
-        if self._words is not None:
-            return self._words[code]
-        assert self._parents is not None and self._genidx is not None
         labels = []
         k = self._position[code]
         while k >= 0:
@@ -160,39 +169,79 @@ class ClosureResult:
 
     def witness_items(self) -> Iterator[tuple[int, Word]]:
         """(code, word) pairs in ascending code order."""
-        for code in self._codes_sorted:
+        for code in self.member_codes:
             yield int(code), self.witness(int(code))
 
-    def save(self, code_path: str | Path, witness_path: str | Path | None = None) -> None:
-        code_path = Path(code_path)
-        write_code_file(code_path, self.n, self._codes_sorted)
-        meta = {
+    def save(self, code_path: str | Path, tree_path: str | Path) -> None:
+        """Sorted member codes (with a JSON sidecar) and the BFS tree."""
+        write_code_file(code_path, self.n, self.member_codes)
+        write_sidecar(code_path, {
             "n": self.n,
             "count": len(self),
             "labels": list(self.labels),
             "level_sizes": list(self.stats.level_sizes),
-            "products": self.stats.products,
-        }
-        sidecar_path(code_path).write_text(json.dumps(meta, indent=2) + "\n")
-        if witness_path is not None:
-            lines = [f"{code}\t{word}" for code, word in self.witness_items()]
-            Path(witness_path).write_text("\n".join(lines) + "\n")
+        })
+        tree = np.concatenate([self._parents, self._genidx]).astype("<i4")
+        write_binary_file(tree_path, TREE_MAGIC, self.n, len(self), tree.tobytes())
 
     @classmethod
-    def load(cls, code_path: str | Path, witness_path: str | Path) -> ClosureResult:
-        code_path = Path(code_path)
+    def load(cls, code_path: str | Path, tree_path: str | Path,
+             gens: GeneratorSet) -> ClosureResult:
+        """Read a saved closure of ``gens``, replaying its tree.
+
+        Raises ValueError unless the codes the tree yields over ``gens`` are
+        exactly the saved member codes, level by level as the sidecar says.
+        """
         n, codes = read_code_file(code_path)
-        meta = json.loads(sidecar_path(code_path).read_text())
-        if meta["n"] != n or meta["count"] != len(codes):
-            raise ValueError(f"sidecar of {code_path} disagrees with the binary header")
-        words: dict[int, Word] = {}
-        for line in Path(witness_path).read_text().splitlines():
-            code_text, _, word_text = line.partition("\t")
-            words[int(code_text)] = Word.parse(word_text)
-        if set(words) != {int(c) for c in codes}:
-            raise ValueError(f"{witness_path} does not cover the member codes exactly")
-        stats = ClosureStats(tuple(meta["level_sizes"]), meta["products"], 0.0)
-        return cls(n, tuple(meta["labels"]), stats, codes, _words=words)
+        meta = read_sidecar(code_path, ("n", "count", "labels", "level_sizes"))
+        tree_n, count, payload = read_binary_file(tree_path, TREE_MAGIC, 8)
+        labels, rows = _sorted_rows(gens)
+        if (meta["n"] != n or tree_n != n or gens.n != n
+                or meta["count"] != len(codes) or count != len(codes)
+                or meta["labels"] != list(labels)):
+            raise ValueError(
+                f"{code_path}, its sidecar and {tree_path} do not describe "
+                f"one closure of the given generators")
+        tree = np.frombuffer(payload, dtype="<i4").astype(np.int64)
+        parents, genidx = tree[:count], tree[count:]
+        level_sizes = sidecar_ints(meta, "level_sizes")
+        order = _replay_tree(n, rows, parents, genidx, level_sizes)
+        if np.any(np.diff(codes) <= 0) or not np.array_equal(np.sort(order), codes):
+            raise ValueError(f"{tree_path} does not rebuild the codes of {code_path}")
+        # every member is multiplied by every generator exactly once
+        stats = ClosureStats(level_sizes, len(labels) * count, 0.0)
+        return cls(n, labels, stats, order, parents, genidx)
+
+
+def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
+                 genidx: np.ndarray, level_sizes: tuple[int, ...]) -> np.ndarray:
+    """BFS-order codes of a witness tree over generator image rows.
+
+    Each level's parents must lie in the level before; seeds have parent -1.
+    """
+    if any(size < 1 for size in level_sizes) or sum(level_sizes) != len(parents):
+        raise ValueError(f"level sizes {level_sizes} do not cover the tree")
+    if len(genidx) and (genidx.min() < 0 or genidx.max() >= len(rows)):
+        raise ValueError("tree names a generator index out of range")
+    powers = np.asarray(code_powers(n), dtype=np.int64)
+    pad = _pad_rows(n, rows)
+    order = np.empty(len(parents), dtype=np.int64)
+    start, prev_start, prev = 0, -1, None
+    for size in level_sizes:
+        stop = start + size
+        parent, gen = parents[start:stop], genidx[start:stop]
+        if prev is None:
+            if np.any(parent != -1):
+                raise ValueError("a first-level node has a parent")
+            level = rows[gen]
+        else:
+            local = parent - prev_start
+            if np.any((local < 0) | (local >= len(prev))):
+                raise ValueError("a node's parent is not in the level before")
+            level = pad[gen[:, None], prev[local]]
+        order[start:stop] = level @ powers
+        prev, prev_start, start = level, start, stop
+    return order
 
 
 def _pad_rows(n: int, rows: np.ndarray) -> np.ndarray:
@@ -202,17 +251,33 @@ def _pad_rows(n: int, rows: np.ndarray) -> np.ndarray:
     return pad
 
 
+def _sorted_rows(gens: GeneratorSet) -> tuple[tuple[str, ...], np.ndarray]:
+    """Labels in sorted order and the matching image-row matrix."""
+    entries = sorted(gens, key=lambda e: e[0])
+    labels = tuple(label for label, _ in entries)
+    rows = np.array([element.images for _, element in entries], dtype=np.int64)
+    return labels, rows
+
+
 def _close_rows(
     n: int,
     labels: tuple[str, ...],
     rows: np.ndarray,
     workers: int,
+    min_rank: int = 0,
 ) -> ClosureResult:
-    """BFS closure over image-row matrices.  ``labels`` must be sorted."""
+    """BFS closure over image-row matrices.  ``labels`` must be sorted.
+
+    Seeds and products of rank below ``min_rank`` are dropped, and so are the
+    generators below it, whose products always are.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     started = time.perf_counter()
-    g = len(labels)
     powers = np.asarray(code_powers(n), dtype=np.int64)
-    pad = _pad_rows(n, rows)
+    kept = np.flatnonzero(np.count_nonzero(rows, axis=1) >= min_rank)
+    g = len(kept)
+    pad = _pad_rows(n, rows[kept])
 
     visited: dict[int, int] = {}
     order_codes: list[int] = []
@@ -220,18 +285,18 @@ def _close_rows(
     genidx: list[int] = []
     seed_rows: list[np.ndarray] = []
     seed_codes = rows @ powers
-    for k in range(g):
+    for k in kept:
         code = int(seed_codes[k])
         if code not in visited:
             visited[code] = len(order_codes)
             order_codes.append(code)
             parents.append(-1)
-            genidx.append(k)
+            genidx.append(int(k))
             seed_rows.append(rows[k])
 
-    level_sizes = [len(order_codes)]
+    level_sizes = [len(order_codes)] if order_codes else []
     products = 0
-    frontier = np.array(seed_rows, dtype=np.int64)
+    frontier = np.array(seed_rows, dtype=np.int64).reshape(-1, n)
     frontier_start = 0
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
@@ -246,7 +311,11 @@ def _close_rows(
 
                 def fill(k0: int, k1: int, chunk=chunk, codes=codes) -> None:
                     for k in range(k0, k1):
-                        codes[:, k] = pad[k][chunk] @ powers
+                        images = pad[k][chunk]
+                        codes[:, k] = images @ powers
+                        if min_rank > 0:
+                            low = np.count_nonzero(images, axis=1) < min_rank
+                            codes[low, k] = -1
 
                 if pool is None or g < 2:
                     fill(0, g)
@@ -256,7 +325,9 @@ def _close_rows(
                     list(pool.map(lambda k0: fill(k0, min(k0 + step, g)), bounds))
                 products += codes.size
                 flat = codes.ravel()
-                _, first = np.unique(flat, return_index=True)
+                unique, first = np.unique(flat, return_index=True)
+                if len(unique) and unique[0] < 0:
+                    first = first[1:]
                 for idx in np.sort(first):
                     code = int(flat[idx])
                     if code in visited:
@@ -269,38 +340,40 @@ def _close_rows(
             if not new_codes:
                 break
             parents.extend(new_parents)
-            genidx.extend(new_genidx)
+            gsel = np.asarray(new_genidx, dtype=np.int64)
+            genidx.extend(kept[gsel].tolist())
             level_sizes.append(len(new_codes))
             parent_imgs = frontier[np.asarray(new_parents) - frontier_start]
-            gsel = np.asarray(new_genidx, dtype=np.int64)
             frontier_start += len(frontier)
             frontier = pad[gsel[:, None], parent_imgs]
     finally:
         if pool is not None:
             pool.shutdown()
 
-    order = np.asarray(order_codes, dtype=np.int64)
     stats = ClosureStats(tuple(level_sizes), products,
                          time.perf_counter() - started)
     return ClosureResult(
         n,
         labels,
         stats,
-        np.sort(order),
-        _order_codes=order,
-        _parents=np.asarray(parents, dtype=np.int64),
-        _genidx=np.asarray(genidx, dtype=np.int64),
+        np.asarray(order_codes, dtype=np.int64),
+        np.asarray(parents, dtype=np.int64),
+        np.asarray(genidx, dtype=np.int64),
     )
 
 
-def close(gens: GeneratorSet, workers: int = 1) -> ClosureResult:
-    """Semigroup closure ⟨gens⟩ with shortest, lexicographically least witnesses."""
+def close(gens: GeneratorSet, workers: int = 1, min_rank: int = 0) -> ClosureResult:
+    """Semigroup closure ⟨gens⟩ with shortest, lexicographically least witnesses.
+
+    With ``min_rank`` > 0 only the members of rank ≥ ``min_rank`` are kept.
+    This is exact, witnesses included: rank(fg) ≤ min(rank f, rank g), so
+    every prefix of a word landing at rank ≥ ``min_rank`` stays there too,
+    and dropping the other nodes leaves the BFS order of the kept ones.
+    """
     if len(gens) == 0:
         raise ValueError("closure needs a non-empty generator set")
-    entries = sorted(gens, key=lambda e: e[0])
-    labels = tuple(label for label, _ in entries)
-    rows = np.array([element.images for _, element in entries], dtype=np.int64)
-    return _close_rows(gens.n, labels, rows, workers)
+    labels, rows = _sorted_rows(gens)
+    return _close_rows(gens.n, labels, rows, workers, min_rank)
 
 
 def close_excluding(

@@ -15,6 +15,7 @@ and marked "closure-derived".
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from concurrent.futures import ProcessPoolExecutor
@@ -37,8 +38,9 @@ from .fence import (
 ENUMERATION_CAP = 9
 
 CACHE_MAGIC = b"FENC"
-CACHE_VERSION = 1
-_HEADER = struct.Struct("<4sIIQ")
+CACHE_VERSION = 2
+# magic, version, n, item count, SHA-256 of the payload
+_HEADER = struct.Struct("<4sIIQ32s")
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_CLOSURE_DERIVED = "closure-derived"
@@ -171,25 +173,27 @@ class ElementUniverse:
             yield decode(self.n, code)
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
         write_code_file(path, self.n, self.codes_array)
-        sidecar = {
+        write_sidecar(path, {
             "n": self.n,
             "count": len(self.codes),
             "rank_histogram": list(self.rank_histogram),
             "mode": self.mode,
-        }
-        sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n")
+        })
 
     @classmethod
     def load(cls, path: str | Path) -> ElementUniverse:
-        path = Path(path)
+        """Read a saved universe; ValueError unless every field agrees."""
         n, codes = read_code_file(path)
-        meta = json.loads(sidecar_path(path).read_text())
-        if meta["n"] != n or meta["count"] != len(codes):
+        meta = read_sidecar(path, ("n", "count", "rank_histogram", "mode"))
+        if meta["n"] != n or meta["count"] != len(codes) or meta["mode"] not in (
+                MODE_EXHAUSTIVE, MODE_CLOSURE_DERIVED):
             raise ValueError(f"sidecar of {path} disagrees with the binary header")
-        return cls(n, tuple(int(c) for c in codes),
-                   tuple(meta["rank_histogram"]), meta["mode"])
+        universe = cls(n, tuple(int(c) for c in codes),
+                       sidecar_ints(meta, "rank_histogram"), meta["mode"])
+        if count_by_rank(universe) != universe.rank_histogram:
+            raise ValueError(f"sidecar of {path} has the wrong rank histogram")
+        return universe
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -197,39 +201,89 @@ def sidecar_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".json")
 
 
-def write_code_file(path: str | Path, n: int, codes: np.ndarray) -> None:
-    """Binary code list: magic, version, n, count header + sorted u64 codes."""
-    arr = np.asarray(codes, dtype="<u8")
+def _sidecar_text(meta: dict) -> str:
+    return json.dumps(meta, indent=2) + "\n"
+
+
+def write_sidecar(path: str | Path, meta: dict) -> None:
+    """JSON metadata next to the binary file ``path``."""
+    sidecar_path(path).write_text(_sidecar_text(meta))
+
+
+def read_sidecar(path: str | Path, keys: tuple[str, ...]) -> dict:
+    """The sidecar of ``path``; ValueError unless it holds exactly ``keys``
+    in the canonical layout ``write_sidecar`` produces."""
+    side = sidecar_path(path)
+    text = side.read_text()
+    meta = json.loads(text)
+    if not isinstance(meta, dict) or tuple(meta) != keys or text != _sidecar_text(meta):
+        raise ValueError(f"{side}: not a sidecar in the expected layout")
+    return meta
+
+
+def sidecar_ints(meta: dict, key: str) -> tuple[int, ...]:
+    """``meta[key]`` as a tuple; ValueError unless it is a list of ints."""
+    value = meta[key]
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
+        raise ValueError(f"sidecar field {key!r} is not a list of integers")
+    return tuple(value)
+
+
+def write_binary_file(path: str | Path, magic: bytes, n: int, count: int,
+                      payload: bytes) -> None:
+    """Header (magic, version, n, count, SHA-256 of the payload) + payload."""
+    digest = hashlib.sha256(payload).digest()
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, n, len(arr)))
-        fh.write(arr.tobytes())
+        fh.write(_HEADER.pack(magic, CACHE_VERSION, n, count, digest))
+        fh.write(payload)
+
+
+def read_binary_file(path: str | Path, magic: bytes,
+                     item_bytes: int) -> tuple[int, int, bytes]:
+    """(n, count, payload) of a file written by ``write_binary_file``.
+
+    Raises ValueError unless the header is intact, the payload holds exactly
+    ``count`` items of ``item_bytes`` bytes and its digest matches.
+    """
+    data = Path(path).read_bytes()
+    if len(data) < _HEADER.size:
+        raise ValueError(f"{path}: truncated header")
+    found, version, n, count, digest = _HEADER.unpack_from(data)
+    if found != magic:
+        raise ValueError(f"{path}: bad magic {found!r}")
+    if version != CACHE_VERSION:
+        raise ValueError(f"{path}: unsupported version {version}")
+    payload = data[_HEADER.size:]
+    if len(payload) != item_bytes * count:
+        raise ValueError(f"{path}: payload of {len(payload)} bytes, "
+                         f"expected {item_bytes * count}")
+    if hashlib.sha256(payload).digest() != digest:
+        raise ValueError(f"{path}: payload digest mismatch")
+    return n, count, payload
+
+
+def write_code_file(path: str | Path, n: int, codes: np.ndarray) -> None:
+    """Binary code list: the sorted codes as u64 after the common header."""
+    arr = np.asarray(codes, dtype="<u8")
+    write_binary_file(path, CACHE_MAGIC, n, len(arr), arr.tobytes())
 
 
 def read_code_file(path: str | Path) -> tuple[int, np.ndarray]:
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
-        magic, version, n, count = _HEADER.unpack(header)
-        if magic != CACHE_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != CACHE_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        data = fh.read(8 * count)
-    if len(data) != 8 * count:
-        raise ValueError(f"{path}: truncated code list")
-    return n, np.frombuffer(data, dtype="<u8").astype(np.int64)
+    n, _, payload = read_binary_file(path, CACHE_MAGIC, 8)
+    return n, np.frombuffer(payload, dtype="<u8").astype(np.int64)
 
 
 def enumerate_FI(n: int, workers: int = 1) -> ElementUniverse:
     """Enumerate FI_n exhaustively (n ≤ 9), returning sorted codes."""
     check_fence_size(n)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if n > ENUMERATION_CAP:
         raise CapacityError(
             f"exhaustive enumeration is capped at n = {ENUMERATION_CAP}; "
             f"obtain FI_{n} as the closure of build_G({n}) instead")
     total = 1 << n
-    if workers <= 1 or total < 64:
+    if workers == 1 or total < 64:
         parts = [_enumerate_mask_range(n, 0, total)]
     else:
         bounds = np.linspace(0, total, workers * 4 + 1).astype(int)

@@ -230,9 +230,9 @@ def test_criterion_11_witness_soundness_and_determinism(
     pairs = {}
     for tag, result in (("lone", lone), ("many", many)):
         code_path = tmp_path / f"{tag}.bin"
-        wit_path = tmp_path / f"{tag}.wit"
-        result.save(code_path, wit_path)
-        pairs[tag] = (code_path.read_bytes(), wit_path.read_bytes())
+        tree_path = tmp_path / f"{tag}.tree"
+        result.save(code_path, tree_path)
+        pairs[tag] = (code_path.read_bytes(), tree_path.read_bytes())
     assert pairs["lone"] == pairs["many"]
     with capsys.disabled():
         print("criterion 11: PASS — all witnesses re-evaluate to their elements; "

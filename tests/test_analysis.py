@@ -6,9 +6,12 @@ import pytest
 
 from fenceinj import (
     CapacityError,
+    GeneratorSet,
     VerifyContext,
     claim_registry,
+    close,
     close_excluding,
+    decode,
     minimal_rank_exhaustive,
     r_class,
     rank_formula,
@@ -24,8 +27,6 @@ from fenceinj.analysis import (
     GRADE_PROVED,
     ClaimCheck,
     VerificationReport,
-    _domain_key,
-    _top_layer_fixpoint,
 )
 
 EXPECTED_IDS = [
@@ -124,26 +125,21 @@ def test_prop7_at_nine(u9):
 
 
 def test_top_layer_fixpoint_matches_honest_closure(u5):
-    """The rank-restricted fixpoint must agree with a genuine closure of
+    """The engine floored at rank n−1 must agree with a genuine closure of
     {α} ∪ (FI_n ∖ R_i) for every class and every adjoined element."""
     n = 5
-    top_rows = [tuple(int(v) for v in row)
-                for row in u5.images_matrix[u5.ranks >= n - 1]]
+    top = [int(c) for c in u5.codes_array[u5.ranks >= n - 1]]
     for i in (1, 2, 3):
         cls = r_class(n, i, u5)
-        doms = {frozenset(range(1, n + 1)) - {i},
-                frozenset(range(1, n + 1)) - {n - i + 1}}
-        in_class = [r for r in top_rows if _domain_key(r) in doms]
-        outside = {r for r in top_rows if _domain_key(r) not in doms}
-        for a in in_class:
-            reached = _top_layer_fixpoint(outside | {a}, n - 1)
-            meet = {r for r in reached if _domain_key(r) in doms}
-            code_of = {tuple(int(v) for v in row): int(c)
-                       for row, c in zip(u5.images_matrix, u5.codes)}
+        in_class = set(cls.codes)
+        outside = [c for c in top if c not in in_class]
+        for a in cls.codes:
+            gens = GeneratorSet(n, tuple((str(c), decode(n, c))
+                                         for c in outside + [a]))
+            meet = close(gens, min_rank=n - 1).members & in_class
             honest = close_excluding(
-                u5, tuple(c for c in cls.codes if c != code_of[a]))
-            honest_meet = honest.members & set(cls.codes)
-            assert {code_of[r] for r in meet} == honest_meet, (i, code_of[a])
+                u5, tuple(c for c in cls.codes if c != a))
+            assert meet == honest.members & in_class, (i, a)
 
 
 def test_minimal_rank(u3, u5):

@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from fenceinj import build_G
+from fenceinj import ClosureResult, build_G
+from fenceinj.cache import load_closure
 from fenceinj.cli import main
 
 
@@ -206,3 +208,67 @@ def test_usage_errors(tmp_path, capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["rank"])  # missing --n
+    for workers in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["closure", "--n", "5", "--gens", "G", "--workers", workers,
+                  "--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+
+# every cache artifact, by name suffix, with the commands that read it
+CACHE_ARTIFACTS = [
+    ("universe_n5.bin", ("enumerate", "verify")),
+    ("universe_n5.bin.json", ("enumerate", "verify")),
+    (".bin", ("closure", "factor")),
+    (".bin.json", ("closure", "factor")),
+    (".tree", ("closure", "factor")),
+]
+CACHE_COMMANDS = {
+    "enumerate": ("enumerate", "--n", "5"),
+    "verify": ("verify", "--n", "5", "--claims", "lemma-bf4"),
+    "closure": ("closure", "--n", "5", "--gens", "G"),
+    "factor": ("factor", "--n", "5", "--gens", "G", "--map", "2,_,_,4,5"),
+}
+
+
+def _snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("damage", ["truncate", "flip", "delete"])
+def test_bad_cache_file_is_rebuilt(tmp_path, capsys, damage):
+    for suffix, commands in CACHE_ARTIFACTS:
+        for command in commands:
+            cache = tmp_path / f"{command}{suffix}"
+            argv = (*CACHE_COMMANDS[command], "--format", "json",
+                    "--workers", "1", "--cache-dir", str(cache))
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0 and err == ""
+            clean = _snapshot(cache)
+            (name,) = [name for name in clean if name.endswith(suffix)]
+            raw = clean[name]
+            if damage == "truncate":
+                (cache / name).write_bytes(raw[:len(raw) // 2])
+            elif damage == "delete":
+                (cache / name).unlink()
+            else:
+                flipped = bytearray(raw)
+                flipped[len(raw) // 2] ^= 0xFF
+                (cache / name).write_bytes(bytes(flipped))
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, (name, command)
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("warning:"), err
+            assert _snapshot(cache) == clean, (name, command)
+
+
+def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    def broken_save(self, code_path, tree_path):
+        Path(code_path).write_bytes(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ClosureResult, "save", broken_save)
+    with pytest.raises(OSError):
+        load_closure(tmp_path, build_G(5))
+    assert list(tmp_path.iterdir()) == []

@@ -1,13 +1,16 @@
 """Closure BFS: membership, witnesses, determinism, persistence."""
 
+import json
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fenceinj import (
     ClosureResult,
+    ElementUniverse,
     GeneratorSet,
     NotGeneratedError,
     PartialInjection,
@@ -26,6 +29,8 @@ from fenceinj import (
     verify_generates,
 )
 from fenceinj.analysis import r_class
+from fenceinj.closure import TREE_MAGIC
+from fenceinj.oracle import read_binary_file, write_binary_file, write_sidecar
 
 
 def brute_force_words(gens):
@@ -196,25 +201,126 @@ def test_witnesses_reproduce_members_n7(g7_closure):
 
 def test_save_load_roundtrip(tmp_path, g5_closure):
     code_path = tmp_path / "c.bin"
-    wit_path = tmp_path / "c.wit"
-    g5_closure.save(code_path, wit_path)
-    loaded = ClosureResult.load(code_path, wit_path)
+    tree_path = tmp_path / "c.tree"
+    g5_closure.save(code_path, tree_path)
+    loaded = ClosureResult.load(code_path, tree_path, build_G(5))
     assert loaded.n == 5
     assert loaded.members == g5_closure.members
     assert loaded.labels == g5_closure.labels
     assert loaded.stats.level_sizes == g5_closure.stats.level_sizes
+    assert loaded.stats.products == g5_closure.stats.products
     for code in sorted(g5_closure.members):
         assert loaded.witness(code) == g5_closure.witness(code)
+    # saving the loaded closure reproduces the files byte for byte
+    loaded.save(tmp_path / "d.bin", tmp_path / "d.tree")
+    for a, b in (("c.bin", "d.bin"), ("c.bin.json", "d.bin.json"),
+                 ("c.tree", "d.tree")):
+        assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
+
+
+def _rewrite_tree(tree_path, edit):
+    """Apply ``edit(parents, genidx)`` and write a well-formed tree file."""
+    n, count, payload = read_binary_file(tree_path, TREE_MAGIC, 8)
+    tree = np.frombuffer(payload, dtype="<i4").copy()
+    edit(tree[:count], tree[count:])
+    write_binary_file(tree_path, TREE_MAGIC, n, count, tree.tobytes())
 
 
 def test_load_rejects_mismatched_witnesses(tmp_path, g5_closure):
+    gens = build_G(5)
     code_path = tmp_path / "c.bin"
-    wit_path = tmp_path / "c.wit"
-    g5_closure.save(code_path, wit_path)
-    lines = wit_path.read_text().splitlines()
-    wit_path.write_text("\n".join(lines[:-1]) + "\n")
+    tree_path = tmp_path / "c.tree"
+    g5_closure.save(code_path, tree_path)
+    raw = tree_path.read_bytes()
+    seeds = g5_closure.stats.level_sizes[0]
+
+    def relabel_seed(parents, genidx):
+        genidx[0] = genidx[1]  # two seeds now name the same generator
+
+    def reparent(parents, genidx):
+        parents[seeds] = -1  # a second-level node posing as a seed
+
+    def last_letter(parents, genidx):
+        genidx[-1] = (genidx[-1] + 1) % len(gens)
+
+    for edit in (relabel_seed, reparent, last_letter):
+        tree_path.write_bytes(raw)
+        _rewrite_tree(tree_path, edit)
+        with pytest.raises(ValueError):
+            ClosureResult.load(code_path, tree_path, gens)
+    tree_path.write_bytes(raw[:-4])
     with pytest.raises(ValueError):
-        ClosureResult.load(code_path, wit_path)
+        ClosureResult.load(code_path, tree_path, gens)
+    # an intact tree is still refused for a different generating set
+    tree_path.write_bytes(raw)
+    with pytest.raises(ValueError):
+        ClosureResult.load(code_path, tree_path, gens.without("gamma"))
+    swapped = GeneratorSet(5, tuple(
+        (label, gens["alpha_1"] if label == "alpha_3" else
+         gens["alpha_3"] if label == "alpha_1" else element)
+        for label, element in gens))
+    with pytest.raises(ValueError):
+        ClosureResult.load(code_path, tree_path, swapped)
+    assert ClosureResult.load(code_path, tree_path, gens).members == g5_closure.members
+
+
+def test_load_rejects_every_flipped_byte(tmp_path):
+    gens = build_G(3)
+    code_path = tmp_path / "c.bin"
+    tree_path = tmp_path / "c.tree"
+    close(gens).save(code_path, tree_path)
+    for path in (code_path, tmp_path / "c.bin.json", tree_path):
+        raw = path.read_bytes()
+        for pos in range(len(raw)):
+            for mask in (0x01, 0xFF):
+                damaged = bytearray(raw)
+                damaged[pos] ^= mask
+                path.write_bytes(bytes(damaged))
+                with pytest.raises(ValueError):
+                    ClosureResult.load(code_path, tree_path, gens)
+        path.write_bytes(raw)
+    assert len(ClosureResult.load(code_path, tree_path, gens)) == 18
+
+
+def test_load_rejects_wrongly_typed_sidecars(tmp_path, g5_closure, u5):
+    """Hand-edited sidecars in the canonical layout, with values of the
+    wrong JSON type, are refused like any other mismatch."""
+    code_path, tree_path = tmp_path / "c.bin", tmp_path / "c.tree"
+    g5_closure.save(code_path, tree_path)
+    u5.save(tmp_path / "u.bin")
+    cases = [(code_path, "level_sizes", 7), (code_path, "level_sizes", ["7"]),
+             (code_path, "labels", 5), (tmp_path / "u.bin", "rank_histogram", 2)]
+    for path, key, value in cases:
+        side = path.with_name(path.name + ".json")
+        raw = side.read_text()
+        meta = json.loads(raw)
+        meta[key] = value
+        write_sidecar(path, meta)
+        with pytest.raises(ValueError):
+            if path == code_path:
+                ClosureResult.load(code_path, tree_path, build_G(5))
+            else:
+                ElementUniverse.load(path)
+        side.write_text(raw)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_min_rank_floor_keeps_rank_layers(n):
+    gens = build_G(n)
+    full = close(gens)
+    for r in range(n + 1):
+        floored = close(gens, min_rank=r)
+        expected = {c for c in full.members if decode(n, c).rank >= r}
+        assert floored.members == expected, r
+        for code in expected:
+            assert floored.witness(code) == full.witness(code), (r, code)
+    assert len(close(gens, min_rank=n + 1)) == 0
+
+
+def test_workers_must_be_positive():
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            close(build_G(5), workers=workers)
 
 
 def test_generator_cache_key_canonical():

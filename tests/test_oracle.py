@@ -176,6 +176,28 @@ def test_load_rejects_corruption(tmp_path, u3):
         ElementUniverse.load(path)
 
 
+def test_load_rejects_every_flipped_byte(tmp_path, u3):
+    path = tmp_path / "u3.bin"
+    u3.save(path)
+    for target in (path, tmp_path / "u3.bin.json"):
+        raw = target.read_bytes()
+        for pos in range(len(raw)):
+            for mask in (0x01, 0xFF):
+                damaged = bytearray(raw)
+                damaged[pos] ^= mask
+                target.write_bytes(bytes(damaged))
+                with pytest.raises(ValueError):
+                    ElementUniverse.load(path)
+        target.write_bytes(raw)
+    assert ElementUniverse.load(path).codes == u3.codes
+
+
+def test_workers_must_be_positive():
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            enumerate_FI(5, workers=workers)
+
+
 def test_universe_from_codes(u3):
     u = universe_from_codes(3, u3.codes)
     assert u.codes == u3.codes
