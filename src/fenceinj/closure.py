@@ -10,9 +10,12 @@ closure and keeps witness words shortest.
 The hot path works on integer code vectors: a generator is a padded lookup
 row ``pad[v] = image of v`` (0 sticky), so composing a batch of elements
 with one generator is a fancy-index gather followed by a dot product with
-the positional weights.  Frontier × generator candidate blocks are deduped
-with ``np.unique`` (first occurrence wins, preserving the lexicographic
-tie-break) before consulting the visited table.
+the positional weights.  Each frontier × generator candidate block is deduped
+by array operations alone: an argsort groups equal codes, and the least flat
+index of each group is its first occurrence, which keeps the lexicographic
+tie-break.  The unique codes are looked up in a sorted ``visited`` array with
+``searchsorted``, and the new ones are merged into it before the next block,
+so a later block of the same level sees them.
 
 Worker threads split each candidate block by generator columns and write
 disjoint slices of one preallocated matrix; deduplication happens after the
@@ -20,7 +23,8 @@ join, in block order, so results are identical for every worker count.
 
 Witnesses are kept as the BFS tree itself (Froidure & Pin, 1997): each node
 stores its parent node and last generator, and a word is read off by walking
-to the root.  ``ClosureResult.save`` persists the sorted codes and that tree
+to the root.  ``witness_items`` walks a block of nodes at a time, one vector
+gather per letter.  ``ClosureResult.save`` persists the sorted codes and that tree
 as two binary files; ``load`` replays the tree over the generators and
 accepts it only if it rebuilds exactly the saved codes.
 """
@@ -137,40 +141,70 @@ class ClosureResult:
         return len(self._order_codes)
 
     @cached_property
+    def _code_order(self) -> np.ndarray:
+        """Node indices in ascending code order."""
+        return np.argsort(self._order_codes)
+
+    @cached_property
     def member_codes(self) -> np.ndarray:
-        return np.sort(self._order_codes)
+        return self._order_codes[self._code_order]
 
     @cached_property
     def members(self) -> frozenset[int]:
-        return frozenset(int(c) for c in self.member_codes)
+        return frozenset(self.member_codes.tolist())
+
+    def _node(self, target: int | PartialInjection) -> tuple[int, int]:
+        """The target's code and its node index, or -1 if not a member."""
+        code = encode(target) if isinstance(target, PartialInjection) else int(target)
+        codes = self.member_codes
+        pos = int(np.searchsorted(codes, code))
+        if pos < len(codes) and codes[pos] == code:
+            return code, int(self._code_order[pos])
+        return code, -1
 
     def __contains__(self, target: int | PartialInjection) -> bool:
-        code = encode(target) if isinstance(target, PartialInjection) else int(target)
-        return code in self.members
+        return self._node(target)[1] >= 0
 
     @property
     def max_word_length(self) -> int:
         return len(self.stats.level_sizes)
 
-    @cached_property
-    def _position(self) -> dict[int, int]:
-        return {int(c): k for k, c in enumerate(self._order_codes)}
-
     def witness(self, target: int | PartialInjection) -> Word:
-        code = encode(target) if isinstance(target, PartialInjection) else int(target)
-        if code not in self.members:
+        code, k = self._node(target)
+        if k < 0:
             raise NotGeneratedError(self.n, code)
         labels = []
-        k = self._position[code]
         while k >= 0:
             labels.append(self.labels[self._genidx[k]])
             k = self._parents[k]
         return Word(tuple(reversed(labels)))
 
     def witness_items(self) -> Iterator[tuple[int, Word]]:
-        """(code, word) pairs in ascending code order."""
-        for code in self.member_codes:
-            yield int(code), self.witness(int(code))
+        """(code, word) pairs in ascending code order.
+
+        Nodes are taken in blocks of that order.  A block's words are read
+        off together, one letter per step from the last back to the first:
+        a vector gather of the nodes' generators, then of their parents, for
+        at most ``max_word_length`` steps.  Memory is bounded by the block.
+        """
+        width = self.max_word_length
+        blank = len(self.labels)  # pads words shorter than ``width`` on the left
+        names = np.array(self.labels + ("",), dtype=object)
+        # a letter becomes several Python object slots, not one int64, so a
+        # block of words holds a sixteenth of a candidate block's entries
+        step = max(1, (_BLOCK_ENTRIES >> 4) // max(width, 1))
+        for start in range(0, len(self), step):
+            k = self._code_order[start:start + step]
+            letters = np.empty((width, len(k)), dtype=np.int64)
+            for col in range(width - 1, -1, -1):
+                live = k >= 0
+                letters[col] = np.where(live, self._genidx[k], blank)
+                k = np.where(live, self._parents[k], -1)
+            skips = np.count_nonzero(letters == blank, axis=0).tolist()
+            words = names[letters.T].tolist()
+            codes = self.member_codes[start:start + step].tolist()
+            for code, word, skip in zip(codes, words, skips):
+                yield code, Word(tuple(word[skip:]))
 
     def save(self, code_path: str | Path, tree_path: str | Path) -> None:
         """Sorted member codes (with a JSON sidecar) and the BFS tree."""
@@ -259,6 +293,33 @@ def _sorted_rows(gens: GeneratorSet) -> tuple[tuple[str, ...], np.ndarray]:
     return labels, rows
 
 
+def _first_new(flat: np.ndarray, visited: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending flat indices of the first occurrence of each new code.
+
+    A code is new unless it is a floor mark (-1) or lies in ``visited``, a
+    sorted array that ends in a sentinel above every code.  Also returns
+    ``visited`` with the new codes merged in.
+    """
+    if not len(flat):
+        return np.empty(0, dtype=np.int64), visited
+    perm = flat.argsort()
+    ordered = flat[perm]
+    head = np.empty(len(ordered), dtype=bool)
+    head[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    starts = head.nonzero()[0]
+    unique = ordered[starts]
+    first = np.minimum.reduceat(perm, starts)
+    new = (visited[visited.searchsorted(unique)] != unique) & (unique >= 0)
+    unique = unique[new]
+    # a stable sort of two sorted runs is a linear merge
+    visited = np.concatenate((visited, unique))
+    visited.sort(kind="stable")
+    first = first[new]
+    first.sort()
+    return first, visited
+
+
 def _close_rows(
     n: int,
     labels: tuple[str, ...],
@@ -279,32 +340,23 @@ def _close_rows(
     g = len(kept)
     pad = _pad_rows(n, rows[kept])
 
-    visited: dict[int, int] = {}
-    order_codes: list[int] = []
-    parents: list[int] = []
-    genidx: list[int] = []
-    seed_rows: list[np.ndarray] = []
-    seed_codes = rows @ powers
-    for k in kept:
-        code = int(seed_codes[k])
-        if code not in visited:
-            visited[code] = len(order_codes)
-            order_codes.append(code)
-            parents.append(-1)
-            genidx.append(int(k))
-            seed_rows.append(rows[k])
-
-    level_sizes = [len(order_codes)] if order_codes else []
+    visited = np.array([np.iinfo(np.int64).max])
+    seed_codes = rows[kept] @ powers
+    first, visited = _first_new(seed_codes, visited)
+    order_codes = [seed_codes[first]]
+    parents = [np.full(len(first), -1, dtype=np.int64)]
+    genidx = [kept[first]]
+    level_sizes = [len(first)] if len(first) else []
     products = 0
-    frontier = np.array(seed_rows, dtype=np.int64).reshape(-1, n)
+    frontier = rows[kept[first]]
     frontier_start = 0
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         while True:
             chunk_rows = max(1, _BLOCK_ENTRIES // max(g, 1))
-            new_codes: list[int] = []
-            new_parents: list[int] = []
-            new_genidx: list[int] = []
+            # an empty part, so that a frontier without seeds concatenates
+            new_parents: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+            new_gens: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
             for offset in range(0, len(frontier), chunk_rows):
                 chunk = frontier[offset:offset + chunk_rows]
                 codes = np.empty((len(chunk), g), dtype=np.int64)
@@ -325,25 +377,18 @@ def _close_rows(
                     list(pool.map(lambda k0: fill(k0, min(k0 + step, g)), bounds))
                 products += codes.size
                 flat = codes.ravel()
-                unique, first = np.unique(flat, return_index=True)
-                if len(unique) and unique[0] < 0:
-                    first = first[1:]
-                for idx in np.sort(first):
-                    code = int(flat[idx])
-                    if code in visited:
-                        continue
-                    visited[code] = len(order_codes)
-                    order_codes.append(code)
-                    new_codes.append(code)
-                    new_parents.append(frontier_start + offset + int(idx) // g)
-                    new_genidx.append(int(idx) % g)
-            if not new_codes:
+                first, visited = _first_new(flat, visited)
+                order_codes.append(flat[first])
+                new_parents.append(frontier_start + offset + first // g)
+                new_gens.append(first % g)
+            level_parents = np.concatenate(new_parents)
+            if not len(level_parents):
                 break
-            parents.extend(new_parents)
-            gsel = np.asarray(new_genidx, dtype=np.int64)
-            genidx.extend(kept[gsel].tolist())
-            level_sizes.append(len(new_codes))
-            parent_imgs = frontier[np.asarray(new_parents) - frontier_start]
+            gsel = np.concatenate(new_gens)
+            parents.append(level_parents)
+            genidx.append(kept[gsel])
+            level_sizes.append(len(level_parents))
+            parent_imgs = frontier[level_parents - frontier_start]
             frontier_start += len(frontier)
             frontier = pad[gsel[:, None], parent_imgs]
     finally:
@@ -356,9 +401,9 @@ def _close_rows(
         n,
         labels,
         stats,
-        np.asarray(order_codes, dtype=np.int64),
-        np.asarray(parents, dtype=np.int64),
-        np.asarray(genidx, dtype=np.int64),
+        np.concatenate(order_codes),
+        np.concatenate(parents),
+        np.concatenate(genidx),
     )
 
 
@@ -422,8 +467,9 @@ def verify_generates(
     if gens.n != universe.n:
         raise ValueError(f"size mismatch: gens n={gens.n}, universe n={universe.n}")
     result = close(gens, workers=workers)
-    missing = tuple(sorted(universe.code_set - result.members))
-    extra = tuple(sorted(result.members - universe.code_set))
+    codes = universe.codes_array
+    missing = tuple(np.setdiff1d(codes, result.member_codes, assume_unique=True).tolist())
+    extra = tuple(np.setdiff1d(result.member_codes, codes, assume_unique=True).tolist())
     return GenerationCheck(gens.n, not missing and not extra, missing, extra, result)
 
 

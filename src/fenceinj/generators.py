@@ -20,7 +20,7 @@ all elements of rank ≥ n−2, labeled here by canonical code.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -251,25 +251,7 @@ def build_J(n: int, universe) -> GeneratorSet:
     return GeneratorSet(n, entries)
 
 
-@dataclass(frozen=True)
-class ParityWitness:
-    """The parity-changing domain points of an element.
-
-    ``element ∈ Par_n`` iff ``points`` is non-empty.
-    """
-
-    element: PartialInjection
-    points: tuple[int, ...] = field(default=())
-
-    @property
-    def in_par(self) -> bool:
-        return bool(self.points)
-
-
 def parity_points(f: PartialInjection) -> tuple[int, ...]:
     """Domain points x whose image has the opposite parity, ascending."""
     return tuple(x for x, y in f.items() if (x - y) % 2)
 
-
-def parity_class(f: PartialInjection) -> ParityWitness:
-    return ParityWitness(f, parity_points(f))

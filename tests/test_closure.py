@@ -17,6 +17,7 @@ from fenceinj import (
     Word,
     beta_odd,
     build_G,
+    build_J,
     close,
     close_excluding,
     compose,
@@ -28,6 +29,7 @@ from fenceinj import (
     generator_cache_key,
     verify_generates,
 )
+from fenceinj import closure as closure_module
 from fenceinj.analysis import r_class
 from fenceinj.closure import TREE_MAGIC
 from fenceinj.oracle import read_binary_file, write_binary_file, write_sidecar
@@ -118,6 +120,49 @@ def test_witnesses_minimal_and_lex_least():
             assert result.witness(code).labels == word, (n, code)
 
 
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_witness_stream_matches_brute_force_at_every_floor(n, block, monkeypatch):
+    """The engine against the reference BFS, which shares none of its code.
+
+    A 64-entry block splits every level into many chunks, each of which
+    must see the codes found by the chunks before it."""
+    if block is not None:
+        monkeypatch.setattr(closure_module, "_BLOCK_ENTRIES", block)
+    gens = build_G(n)
+    reference = sorted(brute_force_words(gens).items())
+    for r in range(n + 2):
+        expected = [(code, Word(word)) for code, word in reference
+                    if decode(n, code).rank >= r]
+        result = close(gens, min_rank=r)
+        assert list(result.witness_items()) == expected, (n, r)
+        assert sum(result.stats.level_sizes) == len(expected)
+    # r = n + 1 lies above every generator's rank: nothing is kept
+    assert not expected and result.stats.level_sizes == ()
+
+
+def test_witness_stream_matches_lookups_on_wide_generator_sets(u7):
+    """J_7 has 166 generators and FI_7 ∖ R_1 has over 2000, so the tree names
+    generator indices that no 8-bit dtype holds."""
+    wide = close_excluding(u7, r_class(7, 1, u7).codes)
+    assert wide._genidx.max() > 255
+    for result in (close(build_J(7, u7)), wide):
+        expected = [(int(c), result.witness(int(c))) for c in result.member_codes]
+        assert list(result.witness_items()) == expected
+
+
+def test_lookups_do_not_build_the_member_set(g7_closure):
+    result = close(build_G(7))
+    code = int(g7_closure.member_codes[100])
+    assert code in result and PartialInjection.empty(7) in result
+    assert -1 not in result and 10 ** 30 not in result
+    assert result.witness(code) == g7_closure.witness(code)
+    with pytest.raises(NotGeneratedError):
+        result.witness(10 ** 30)
+    assert "members" not in vars(result)
+    assert result.members == g7_closure.members
+
+
 def test_members_closed_under_composition(g5_closure):
     rng = random.Random(5)
     pool = sorted(g5_closure.members)
@@ -162,7 +207,7 @@ def test_verify_generates(u5):
     assert check.generates and not check.missing and not check.extra
     partial = verify_generates(build_G(5).without("gamma"), u5)
     assert not partial.generates
-    assert partial.missing
+    assert partial.missing == tuple(sorted(u5.code_set - partial.closure.members))
     assert not partial.extra
     lone = GeneratorSet(5, (("id", PartialInjection.identity(5)),))
     assert not verify_generates(lone, u5).generates

@@ -17,7 +17,6 @@ from fenceinj import (
     gamma,
     inverse,
     is_partial_automorphism,
-    parity_class,
     parity_points,
     restrict_identity,
 )
@@ -229,11 +228,10 @@ def test_G_is_contained_in_J():
             assert f.rank >= n - 2
 
 
-def test_parity_class():
+def test_parity_points():
     f = PartialInjection.from_pairs(5, [(1, 2), (4, 4)])
-    w = parity_class(f)
-    assert w.in_par and w.points == (1,)
-    assert parity_class(beta_odd(5, 2)).points == (1,)
-    assert parity_class(beta_odd(9, 4)).points == (1,)  # unique, at an endpoint
+    assert parity_points(f) == (1,)
+    assert parity_points(beta_odd(5, 2)) == (1,)
+    assert parity_points(beta_odd(9, 4)) == (1,)  # unique, at an endpoint
     assert parity_points(PartialInjection.identity(5)) == ()
-    assert not parity_class(gamma(5)).in_par  # n odd: reflection keeps parity
+    assert parity_points(gamma(5)) == ()  # n odd: reflection keeps parity
