@@ -12,11 +12,11 @@ Usage: python scripts/adjoin_sweep.py --n 9
 import argparse
 from collections import Counter
 
-from fenceinj import GeneratorSet, close, decode, enumerate_FI, r_class
+from fenceinj import enumerate_FI, r_class, top_layer_closure
 
 
 def sweep(n: int) -> None:
-    universe = enumerate_FI(n, workers=2)
+    universe = enumerate_FI(n)
     top = [int(c) for c in universe.codes_array[universe.ranks >= n - 1]]
     print(f"n = {n}: rank-≥(n−1) layer has {len(top)} elements")
     for i in range(1, (n + 1) // 2 + 1):
@@ -25,10 +25,7 @@ def sweep(n: int) -> None:
         outside = [c for c in top if c not in in_class]
         counts = Counter()
         for a in cls.codes:
-            gens = GeneratorSet(n, tuple((str(c), decode(n, c))
-                                         for c in outside + [a]))
-            # products landing in R_i never pass below rank n−1
-            reached = close(gens, min_rank=n - 1).members
+            reached = top_layer_closure(n, outside + [a])
             counts[len(reached & in_class)] += 1
         profile = ", ".join(f"{k} reachable ×{v}"
                             for k, v in sorted(counts.items()))

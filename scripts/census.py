@@ -11,7 +11,7 @@ from fenceinj import enumerate_FI, parity_points, r_class
 
 
 def census(n: int) -> None:
-    universe = enumerate_FI(n, workers=2)
+    universe = enumerate_FI(n)
     par = sum(1 for f in universe.members() if parity_points(f))
     j = sum(1 for f in universe.members() if f.rank >= n - 2)
     j_par = sum(1 for f in universe.members()

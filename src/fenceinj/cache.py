@@ -38,7 +38,7 @@ def closure_paths(cache_dir: str | Path, gens: GeneratorSet) -> tuple[Path, Path
     return stem.with_suffix(".bin"), stem.with_suffix(".tree")
 
 
-def load_universe(cache_dir: str | Path, n: int, workers: int = 1) -> ElementUniverse:
+def load_universe(cache_dir: str | Path, n: int) -> ElementUniverse:
     """FI_n from the cache, enumerated and stored on a miss."""
     path = universe_path(cache_dir, n)
 
@@ -50,7 +50,7 @@ def load_universe(cache_dir: str | Path, n: int, workers: int = 1) -> ElementUni
 
     return _cached(
         (path, sidecar_path(path)), load,
-        lambda: enumerate_FI(n, workers=workers),
+        lambda: enumerate_FI(n),
         lambda universe, temps: universe.save(temps[0]))
 
 

@@ -15,7 +15,8 @@ Exit codes: 0 on success (including a clean "not generated" answer from
 Censuses and closures are cached under ``--cache-dir`` (default:
 ``$FENCEINJ_CACHE_DIR`` or ``./.fenceinj-cache``); the ``cache`` module names
 the files, writes them atomically and rebuilds any entry it cannot trust.
-``--workers`` must be at least 1.
+``closure``, ``factor`` and ``verify`` take ``--workers``, the number of
+closure threads, which must be at least 1.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate",
                        help=f"census of all elements (n ≤ {ENUMERATION_CAP})")
-    _add_common(p)
+    _add_common(p, workers=False)
 
     p = sub.add_parser("closure",
                        help="close a generating set, cache codes and witnesses")
@@ -125,11 +126,11 @@ def _emit(fmt: str, doc: dict, table_lines: list[str],
         print("\n".join(table_lines))
 
 
-def _resolve_gens(spec: str, n: int, cache_dir: Path, workers: int) -> GeneratorSet:
+def _resolve_gens(spec: str, n: int, cache_dir: Path) -> GeneratorSet:
     if spec == "G":
         return build_G(n)
     if spec == "J":
-        return build_J(n, load_universe(cache_dir, n, workers))
+        return build_J(n, load_universe(cache_dir, n))
     if spec.startswith("file:"):
         path = Path(spec[len("file:"):])
         if not path.exists():
@@ -145,7 +146,7 @@ def _resolve_gens(spec: str, n: int, cache_dir: Path, workers: int) -> Generator
 def cmd_enumerate(args: argparse.Namespace) -> int:
     check_fence_size(args.n)
     cache_dir = Path(args.cache_dir)
-    universe = load_universe(cache_dir, args.n, args.workers)
+    universe = load_universe(cache_dir, args.n)
     path = universe_path(cache_dir, args.n)
     doc = {
         "n": universe.n,
@@ -168,7 +169,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_closure(args: argparse.Namespace) -> int:
     check_fence_size(args.n)
     cache_dir = Path(args.cache_dir)
-    gens = _resolve_gens(args.gens, args.n, cache_dir, args.workers)
+    gens = _resolve_gens(args.gens, args.n, cache_dir)
     result = load_closure(cache_dir, gens, args.workers)
     code_path, tree_path = closure_paths(cache_dir, gens)
     doc = {
@@ -202,7 +203,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
 def cmd_factor(args: argparse.Namespace) -> int:
     check_fence_size(args.n)
     cache_dir = Path(args.cache_dir)
-    gens = _resolve_gens(args.gens, args.n, cache_dir, args.workers)
+    gens = _resolve_gens(args.gens, args.n, cache_dir)
     target = parse_map(args.n, args.map_text)
     violated = order_violation(target)
     if violated is not None:

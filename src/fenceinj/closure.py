@@ -424,7 +424,6 @@ def close(gens: GeneratorSet, workers: int = 1, min_rank: int = 0) -> ClosureRes
 def close_excluding(
     universe: ElementUniverse,
     excluded: Iterable[int] | Iterable[PartialInjection],
-    workers: int = 1,
 ) -> ClosureResult:
     """Closure of (universe ∖ excluded), elements labeled by decimal code."""
     excluded_codes = {
@@ -439,7 +438,7 @@ def close_excluding(
     labeled = sorted((str(universe.codes[k]), k) for k in keep)
     labels = tuple(label for label, _ in labeled)
     rows = universe.images_matrix[[k for _, k in labeled]]
-    return _close_rows(universe.n, labels, rows, workers)
+    return _close_rows(universe.n, labels, rows, workers=1)
 
 
 def factorize(target: PartialInjection, result: ClosureResult) -> Word:

@@ -28,7 +28,7 @@ from .fence import (
     PartialInjection,
     UNDEF,
     check_fence_size,
-    encode,
+    decode,
     format_map,
     is_partial_automorphism,
     parse_map,
@@ -246,9 +246,8 @@ def build_J(n: int, universe) -> GeneratorSet:
     check_fence_size(n)
     if universe.n != n:
         raise ValueError(f"universe is for n={universe.n}, expected {n}")
-    entries = tuple(
-        (str(encode(f)), f) for f in universe.members() if f.rank >= n - 2)
-    return GeneratorSet(n, entries)
+    codes = universe.codes_array[universe.ranks >= n - 2].tolist()
+    return GeneratorSet(n, tuple((str(c), decode(n, c)) for c in codes))
 
 
 def parity_points(f: PartialInjection) -> tuple[int, ...]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -115,20 +114,6 @@ def enumeration_strategy(n: int) -> Iterator[PartialInjection]:
     for mask in range(1 << n):
         for images in _subset_assignments(n, _subset_points(n, mask)):
             yield PartialInjection(n, images)
-
-
-def _enumerate_mask_range(n: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
-    """Codes and per-rank counts for domain subsets with mask in [lo, hi)."""
-    powers = code_powers(n)
-    codes: list[int] = []
-    hist = [0] * (n + 1)
-    for mask in range(lo, hi):
-        points = _subset_points(n, mask)
-        r = len(points)
-        for images in _subset_assignments(n, points):
-            codes.append(sum(v * p for v, p in zip(images, powers)))
-            hist[r] += 1
-    return codes, hist
 
 
 @dataclass(frozen=True)
@@ -273,29 +258,21 @@ def read_code_file(path: str | Path) -> tuple[int, np.ndarray]:
     return n, np.frombuffer(payload, dtype="<u8").astype(np.int64)
 
 
-def enumerate_FI(n: int, workers: int = 1) -> ElementUniverse:
+def enumerate_FI(n: int) -> ElementUniverse:
     """Enumerate FI_n exhaustively (n ≤ 9), returning sorted codes."""
     check_fence_size(n)
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     if n > ENUMERATION_CAP:
         raise CapacityError(
             f"exhaustive enumeration is capped at n = {ENUMERATION_CAP}; "
             f"obtain FI_{n} as the closure of build_G({n}) instead")
-    total = 1 << n
-    if workers == 1 or total < 64:
-        parts = [_enumerate_mask_range(n, 0, total)]
-    else:
-        bounds = np.linspace(0, total, workers * 4 + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_enumerate_mask_range,
-                                  [n] * (len(bounds) - 1), bounds[:-1], bounds[1:]))
+    powers = code_powers(n)
     codes: list[int] = []
     hist = [0] * (n + 1)
-    for part_codes, part_hist in parts:
-        codes.extend(part_codes)
-        for r, c in enumerate(part_hist):
-            hist[r] += c
+    for mask in range(1 << n):
+        points = _subset_points(n, mask)
+        for images in _subset_assignments(n, points):
+            codes.append(sum(v * p for v, p in zip(images, powers)))
+            hist[len(points)] += 1
     codes.sort()
     return ElementUniverse(n, tuple(codes), tuple(hist))
 

@@ -20,7 +20,7 @@ def u7():
 
 @pytest.fixture(scope="session")
 def u9():
-    return enumerate_FI(9, workers=2)
+    return enumerate_FI(9)
 
 
 @pytest.fixture(scope="session")

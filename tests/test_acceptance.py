@@ -17,6 +17,7 @@ from fenceinj import (
     build_G,
     build_J,
     close,
+    close_excluding,
     compose,
     decode,
     encode,
@@ -30,6 +31,7 @@ from fenceinj import (
     rank_formula,
     restrict_identity,
     r_class,
+    top_layer_closure,
     verify_generates,
     verify_lemma6,
     verify_lemma_bf4,
@@ -139,14 +141,24 @@ def test_criterion_06_identity_table(capsys):
 def test_criterion_07_complement_closures(u5, u7, capsys):
     started = time.perf_counter()
     for u in (u5, u7):
-        for check in verify_lemma6(u.n, u):
-            assert check.holds, (u.n, check.i)
+        n = u.n
+        top = set(u.codes_array[u.ranks >= n - 1].tolist())
+        for check in verify_lemma6(n, u):
+            assert check.holds, (n, check.i)
             assert check.intersection_size == 0
+            # the honest reference: close the whole complement FI_n ∖ R_i
+            in_class = set(r_class(n, check.i, u).codes)
+            honest = close_excluding(u, in_class).members
+            assert not honest & in_class, (n, check.i)
+            floored = top_layer_closure(n, sorted(top - in_class))
+            assert honest & top == floored, (n, check.i)
+            assert check.closure_size == len(floored)
     elapsed = time.perf_counter() - started
     assert elapsed < 600
     with capsys.disabled():
-        print(f"criterion 7: PASS — close_excluding(FI_n, R_i) ∩ R_i = ∅ for "
-              f"all i at n = 5,7 ({elapsed:.2f}s)")
+        print(f"criterion 7: PASS — close_excluding(FI_n, R_i) ∩ R_i = ∅ and its "
+              f"rank-≥(n−1) part is the floored closure, all i at n = 5,7 "
+              f"({elapsed:.2f}s)")
 
 
 def test_criterion_08_single_element_bound(u9, capsys):

@@ -6,17 +6,15 @@ import pytest
 
 from fenceinj import (
     CapacityError,
-    GeneratorSet,
     VerifyContext,
     claim_registry,
-    close,
     close_excluding,
-    decode,
     minimal_rank_exhaustive,
     r_class,
     rank_formula,
     rank_grade,
     run_verification,
+    top_layer_closure,
     verify_lemma6,
     verify_lemma_bf4,
     verify_prop7_claims,
@@ -89,15 +87,17 @@ def test_r_class_validation(u5):
 def test_lemma6_n5(u5):
     checks = verify_lemma6(5, u5)
     assert [c.i for c in checks] == [1, 2, 3]
+    top = sum(u5.rank_histogram[4:])
     for c in checks:
-        assert c.holds and c.complement_exact
+        assert c.holds
         assert c.intersection_size == 0
-        assert c.closure_size == len(u5) - c.r_size
+        assert c.closure_size == top - c.r_size
 
 
-def test_lemma6_cap(u9):
-    with pytest.raises(CapacityError):
-        verify_lemma6(9, u9)
+def test_lemma6_n9(u9):
+    checks = verify_lemma6(9, u9)
+    assert [c.r_size for c in checks] == [4, 8, 4, 16, 2]
+    assert all(c.holds for c in checks)
 
 
 def test_bf4(u5, u7, u9):
@@ -125,7 +125,7 @@ def test_prop7_at_nine(u9):
 
 
 def test_top_layer_fixpoint_matches_honest_closure(u5):
-    """The engine floored at rank n−1 must agree with a genuine closure of
+    """``top_layer_closure`` must agree with a genuine closure of
     {α} ∪ (FI_n ∖ R_i) for every class and every adjoined element."""
     n = 5
     top = [int(c) for c in u5.codes_array[u5.ranks >= n - 1]]
@@ -134,9 +134,7 @@ def test_top_layer_fixpoint_matches_honest_closure(u5):
         in_class = set(cls.codes)
         outside = [c for c in top if c not in in_class]
         for a in cls.codes:
-            gens = GeneratorSet(n, tuple((str(c), decode(n, c))
-                                         for c in outside + [a]))
-            meet = close(gens, min_rank=n - 1).members & in_class
+            meet = top_layer_closure(n, outside + [a]) & in_class
             honest = close_excluding(
                 u5, tuple(c for c in cls.codes if c != a))
             assert meet == honest.members & in_class, (i, a)

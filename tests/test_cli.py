@@ -214,6 +214,10 @@ def test_usage_errors(tmp_path, capsys):
                   "--cache-dir", str(tmp_path)])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--n", "5", "--workers", "1",
+              "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 # every cache artifact, by name suffix, with the commands that read it
@@ -226,9 +230,10 @@ CACHE_ARTIFACTS = [
 ]
 CACHE_COMMANDS = {
     "enumerate": ("enumerate", "--n", "5"),
-    "verify": ("verify", "--n", "5", "--claims", "lemma-bf4"),
-    "closure": ("closure", "--n", "5", "--gens", "G"),
-    "factor": ("factor", "--n", "5", "--gens", "G", "--map", "2,_,_,4,5"),
+    "verify": ("verify", "--n", "5", "--claims", "lemma-bf4", "--workers", "1"),
+    "closure": ("closure", "--n", "5", "--gens", "G", "--workers", "1"),
+    "factor": ("factor", "--n", "5", "--gens", "G", "--map", "2,_,_,4,5",
+               "--workers", "1"),
 }
 
 
@@ -242,7 +247,7 @@ def test_bad_cache_file_is_rebuilt(tmp_path, capsys, damage):
         for command in commands:
             cache = tmp_path / f"{command}{suffix}"
             argv = (*CACHE_COMMANDS[command], "--format", "json",
-                    "--workers", "1", "--cache-dir", str(cache))
+                    "--cache-dir", str(cache))
             code, _, err = run_cli(capsys, *argv)
             assert code == 0 and err == ""
             clean = _snapshot(cache)

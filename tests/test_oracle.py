@@ -143,10 +143,6 @@ def test_enumeration_strategy_matches(u5):
     assert set(seen) == u5.code_set
 
 
-def test_workers_do_not_change_result(u7):
-    assert enumerate_FI(7, workers=4).codes == u7.codes
-
-
 def test_capacity_cap():
     with pytest.raises(CapacityError) as err:
         enumerate_FI(11)
@@ -190,12 +186,6 @@ def test_load_rejects_every_flipped_byte(tmp_path, u3):
                     ElementUniverse.load(path)
         target.write_bytes(raw)
     assert ElementUniverse.load(path).codes == u3.codes
-
-
-def test_workers_must_be_positive():
-    for workers in (0, -1):
-        with pytest.raises(ValueError):
-            enumerate_FI(5, workers=workers)
 
 
 def test_universe_from_codes(u3):
