@@ -12,10 +12,11 @@ from fenceinj import enumerate_FI, parity_points, r_class
 
 def census(n: int) -> None:
     universe = enumerate_FI(n)
-    par = sum(1 for f in universe.members() if parity_points(f))
-    j = sum(1 for f in universe.members() if f.rank >= n - 2)
-    j_par = sum(1 for f in universe.members()
-                if f.rank >= n - 2 and parity_points(f))
+    in_j = (universe.ranks >= n - 2).tolist()
+    in_par = [bool(parity_points(f)) for f in universe.members()]
+    par = sum(in_par)
+    j = sum(in_j)
+    j_par = sum(a and b for a, b in zip(in_j, in_par))
     print(f"n = {n}")
     print(f"  |FI_{n}|        = {len(universe)}")
     print(f"  rank histogram = {universe.rank_histogram}")

@@ -292,7 +292,8 @@ def minimal_rank_exhaustive(universe: ElementUniverse) -> int:
     for size in range(1, 6):
         for extra in combinations(others, size - 1):
             rest = universe.code_set.difference(extra, (gam,))
-            if close_excluding(universe, rest).members == universe.code_set:
+            # a closure of FI_3 elements lies in FI_3, so its size decides
+            if len(close_excluding(universe, rest)) == len(universe):
                 return size
     raise RuntimeError("no generating subset of size <= 5 found")
 

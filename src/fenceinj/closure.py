@@ -7,24 +7,32 @@ breadth-first sweep by word length: each level multiplies the newly found
 elements by every generator on the right, which suffices for semigroup
 closure and keeps witness words shortest.
 
-The hot path works on integer code vectors: a generator is a padded lookup
-row ``pad[v] = image of v`` (0 sticky), so composing a batch of elements
-with one generator is a fancy-index gather followed by a dot product with
-the positional weights.  Each frontier × generator candidate block is deduped
-by array operations alone: an argsort groups equal codes, and the least flat
-index of each group is its first occurrence, which keeps the lexicographic
-tie-break.  The unique codes are looked up in a sorted ``visited`` array with
-``searchsorted``, and the new ones are merged into it before the next block,
-so a later block of the same level sees them.
+The hot path is table-driven.  A frontier is an n × m ``uint8`` image
+matrix (column j holds the images of points 1..n under element j, 0 for
+undefined), and ``table[a, k]`` is the image of a under generator k, 0
+sticky.  One int64 table per call, ``weights[v, a, k] = (n+1)^v ·
+table[a, k]``, turns an image of point v+1 into that point's code digit in
+the product with generator k, so a block's row-major candidate matrix
+(rows × generators) is ``Σ_v weights[v].take(frontier[v])``: n row gathers
+from a small table, each sum exactly the product's code.  The ``min_rank``
+floor sums a ``uint8`` table of ``table[a, k] != 0`` the same way.  Each
+candidate block is deduped by array operations alone: an argsort groups
+equal codes, and the least flat index of each group is its first
+occurrence, which keeps the lexicographic tie-break.  The unique codes are
+looked up in a sorted ``visited`` array with ``searchsorted``, and the new
+ones are merged into it before the next block, so a later block of the same
+level sees them.  The next frontier is ``table[frontier[:, parents], gens]``.
 
-Worker threads split each candidate block by generator columns and write
-disjoint slices of one preallocated matrix; deduplication happens after the
-join, in block order, so results are identical for every worker count.
+Worker threads split each candidate block into disjoint row slices of
+1/256 of the block, which also keeps each gather's temporary small;
+deduplication happens after the join, in block order, so results are
+identical for every worker count.
 
 Witnesses are kept as the BFS tree itself (Froidure & Pin, 1997): each node
-stores its parent node and last generator, and a word is read off by walking
-to the root.  ``witness_items`` walks a block of nodes at a time, one vector
-gather per letter.  ``ClosureResult.save`` persists the sorted codes and that tree
+stores its parent node and last generator (int32 each), and a word is read
+off by walking to the root.  ``witness_items`` walks a block of nodes at a
+time, one vector gather per letter, and zips the block's per-letter label
+columns into words.  ``ClosureResult.save`` persists the sorted codes and that tree
 as two binary files; ``load`` replays the tree over the generators and
 accepts it only if it rebuilds exactly the saved codes.
 """
@@ -57,6 +65,9 @@ from .oracle import (
 
 # cap on entries of one frontier-by-generators candidate block (int64)
 _BLOCK_ENTRIES = 1 << 24
+
+# sentinel that ends the sorted ``visited`` array, above every code
+_NO_CODE = np.iinfo(np.int64).max
 
 # magic of the witness-tree file: parent indices, then generator indices
 TREE_MAGIC = b"FTRE"
@@ -128,6 +139,8 @@ class ClosureResult:
     witness is the witness of node ``_parents[k]`` followed by generator
     ``_genidx[k]``, or that generator alone when ``_parents[k]`` is -1.
     Levels are contiguous in BFS order, with ``stats.level_sizes`` nodes each.
+    Codes are int64; parent and generator indices are int32, as in the tree
+    file.
     """
 
     n: int
@@ -185,7 +198,10 @@ class ClosureResult:
         Nodes are taken in blocks of that order.  A block's words are read
         off together, one letter per step from the last back to the first:
         a vector gather of the nodes' generators, then of their parents, for
-        at most ``max_word_length`` steps.  Memory is bounded by the block.
+        at most ``max_word_length`` steps.  Each step's letters become one
+        list of label strings, and zipping those columns yields every word
+        of the block as a tuple, left-padded with blanks that are sliced
+        off.  Memory is bounded by the block.
         """
         width = self.max_word_length
         blank = len(self.labels)  # pads words shorter than ``width`` on the left
@@ -195,16 +211,16 @@ class ClosureResult:
         step = max(1, (_BLOCK_ENTRIES >> 4) // max(width, 1))
         for start in range(0, len(self), step):
             k = self._code_order[start:start + step]
-            letters = np.empty((width, len(k)), dtype=np.int64)
+            letters = np.empty((width, len(k)), dtype=np.int32)
             for col in range(width - 1, -1, -1):
                 live = k >= 0
                 letters[col] = np.where(live, self._genidx[k], blank)
                 k = np.where(live, self._parents[k], -1)
             skips = np.count_nonzero(letters == blank, axis=0).tolist()
-            words = names[letters.T].tolist()
+            columns = [names[row].tolist() for row in letters]
             codes = self.member_codes[start:start + step].tolist()
-            for code, word, skip in zip(codes, words, skips):
-                yield code, Word(tuple(word[skip:]))
+            for code, word, skip in zip(codes, zip(*columns), skips):
+                yield code, Word(word[skip:])
 
     def save(self, code_path: str | Path, tree_path: str | Path) -> None:
         """Sorted member codes (with a JSON sidecar) and the BFS tree."""
@@ -236,7 +252,7 @@ class ClosureResult:
             raise ValueError(
                 f"{code_path}, its sidecar and {tree_path} do not describe "
                 f"one closure of the given generators")
-        tree = np.frombuffer(payload, dtype="<i4").astype(np.int64)
+        tree = np.frombuffer(payload, dtype="<i4").astype(np.int32, copy=False)
         parents, genidx = tree[:count], tree[count:]
         level_sizes = sidecar_ints(meta, "level_sizes")
         order = _replay_tree(n, rows, parents, genidx, level_sizes)
@@ -258,7 +274,7 @@ def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
     if len(genidx) and (genidx.min() < 0 or genidx.max() >= len(rows)):
         raise ValueError("tree names a generator index out of range")
     powers = np.asarray(code_powers(n), dtype=np.int64)
-    pad = _pad_rows(n, rows)
+    table = _image_table(n, rows)
     order = np.empty(len(parents), dtype=np.int64)
     start, prev_start, prev = 0, -1, None
     for size in level_sizes:
@@ -267,22 +283,28 @@ def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
         if prev is None:
             if np.any(parent != -1):
                 raise ValueError("a first-level node has a parent")
-            level = rows[gen]
+            level = table[1:, gen]
         else:
-            local = parent - prev_start
-            if np.any((local < 0) | (local >= len(prev))):
+            # in int64, so that no corrupt int32 parent can wrap around
+            local = parent.astype(np.int64) - prev_start
+            if np.any((local < 0) | (local >= prev.shape[1])):
                 raise ValueError("a node's parent is not in the level before")
-            level = pad[gen[:, None], prev[local]]
-        order[start:stop] = level @ powers
+            level = table[prev[:, local], gen]
+        order[start:stop] = powers @ level
         prev, prev_start, start = level, start, stop
     return order
 
 
-def _pad_rows(n: int, rows: np.ndarray) -> np.ndarray:
-    """Composition lookup: pad[k][v] = image of v under generator k, pad[k][0] = 0."""
-    pad = np.zeros((len(rows), n + 1), dtype=np.int64)
-    pad[:, 1:] = rows
-    return pad
+def _image_table(n: int, rows: np.ndarray) -> np.ndarray:
+    """Composition lookup: table[a, k] = image of a under generator k, 0 sticky.
+
+    Column j of an image matrix ``images`` (n × m, uint8) holds the images of
+    points 1..n under element j; ``table[images, k]`` composes every element
+    with generator k.
+    """
+    table = np.zeros((n + 1, len(rows)), dtype=np.uint8)
+    table[1:] = rows.T
+    return table
 
 
 def _sorted_rows(gens: GeneratorSet) -> tuple[tuple[str, ...], np.ndarray]:
@@ -338,43 +360,52 @@ def _close_rows(
     powers = np.asarray(code_powers(n), dtype=np.int64)
     kept = np.flatnonzero(np.count_nonzero(rows, axis=1) >= min_rank)
     g = len(kept)
-    pad = _pad_rows(n, rows[kept])
+    table = _image_table(n, rows[kept])
+    # weights[v, a, k] = (n+1)^v · table[a, k]: point v+1's digit of a product
+    weights = powers[:, None, None] * table
+    nonzero = (table != 0).view(np.uint8) if min_rank > 0 else None
 
-    visited = np.array([np.iinfo(np.int64).max])
+    visited = np.array([_NO_CODE])
     seed_codes = rows[kept] @ powers
     first, visited = _first_new(seed_codes, visited)
     order_codes = [seed_codes[first]]
-    parents = [np.full(len(first), -1, dtype=np.int64)]
-    genidx = [kept[first]]
+    parents = [np.full(len(first), -1, dtype=np.int32)]
+    genidx = [kept[first].astype(np.int32)]
     level_sizes = [len(first)] if len(first) else []
     products = 0
-    frontier = rows[kept[first]]
+    frontier = table[1:, first]
     frontier_start = 0
+    chunk_rows = max(1, _BLOCK_ENTRIES // max(g, 1))
+    # a worker's task: 1/256 of a block, which keeps each gather's temporary small
+    slice_rows = max(1, chunk_rows >> 8)
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         while True:
-            chunk_rows = max(1, _BLOCK_ENTRIES // max(g, 1))
             # an empty part, so that a frontier without seeds concatenates
             new_parents: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
             new_gens: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-            for offset in range(0, len(frontier), chunk_rows):
-                chunk = frontier[offset:offset + chunk_rows]
-                codes = np.empty((len(chunk), g), dtype=np.int64)
+            for offset in range(0, frontier.shape[1], chunk_rows):
+                block = frontier[:, offset:offset + chunk_rows]
+                codes = np.empty((block.shape[1], g), dtype=np.int64)
 
-                def fill(k0: int, k1: int, chunk=chunk, codes=codes) -> None:
-                    for k in range(k0, k1):
-                        images = pad[k][chunk]
-                        codes[:, k] = images @ powers
-                        if min_rank > 0:
-                            low = np.count_nonzero(images, axis=1) < min_rank
-                            codes[low, k] = -1
+                def fill(r0: int, block=block, codes=codes) -> None:
+                    images = block[:, r0:r0 + slice_rows].astype(np.intp)
+                    out = codes[r0:r0 + slice_rows]
+                    weights[0].take(images[0], axis=0, out=out)
+                    for v in range(1, n):
+                        out += weights[v].take(images[v], axis=0)
+                    if nonzero is not None:
+                        rank = nonzero.take(images[0], axis=0)
+                        for v in range(1, n):
+                            rank += nonzero.take(images[v], axis=0)
+                        out[rank < min_rank] = -1
 
-                if pool is None or g < 2:
-                    fill(0, g)
+                starts = range(0, block.shape[1], slice_rows)
+                if pool is None:
+                    for r0 in starts:
+                        fill(r0)
                 else:
-                    step = -(-g // workers)
-                    bounds = range(0, g, step)
-                    list(pool.map(lambda k0: fill(k0, min(k0 + step, g)), bounds))
+                    list(pool.map(fill, starts))
                 products += codes.size
                 flat = codes.ravel()
                 first, visited = _first_new(flat, visited)
@@ -385,12 +416,12 @@ def _close_rows(
             if not len(level_parents):
                 break
             gsel = np.concatenate(new_gens)
-            parents.append(level_parents)
-            genidx.append(kept[gsel])
+            parents.append(level_parents.astype(np.int32))
+            genidx.append(kept[gsel].astype(np.int32))
             level_sizes.append(len(level_parents))
-            parent_imgs = frontier[level_parents - frontier_start]
-            frontier_start += len(frontier)
-            frontier = pad[gsel[:, None], parent_imgs]
+            local = level_parents - frontier_start
+            frontier_start += frontier.shape[1]
+            frontier = table[frontier[:, local], gsel]
     finally:
         if pool is not None:
             pool.shutdown()

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from collections import deque
 
 import numpy as np
@@ -182,6 +183,38 @@ def test_workers_determinism():
         assert a.witness(code) == b.witness(code)
 
 
+def assert_same_tree(a, b):
+    """Bit-identical BFS arrays, with int64 codes and an int32 tree."""
+    assert a._order_codes.dtype == np.int64
+    assert a._parents.dtype == a._genidx.dtype == np.int32
+    for name in ("_order_codes", "_parents", "_genidx"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert a.stats.level_sizes == b.stats.level_sizes
+
+
+@pytest.mark.parametrize("n, block", [(7, 128), (9, 1 << 14)])
+def test_workers_split_rows_identically(n, block, monkeypatch):
+    """Worker threads fill disjoint row slices of each candidate block.  With
+    small blocks the levels span several blocks of several row slices (one
+    row each at n = 7), and 1, 2 and 3 workers must still give the arrays of
+    the default block size."""
+    gens = build_G(n)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)  # interleave the threads as often as possible
+        for floor in (0, n - 1):
+            reference = close(gens, min_rank=floor)
+            with monkeypatch.context() as patch:
+                patch.setattr(closure_module, "_BLOCK_ENTRIES", block)
+                for workers in (1, 2, 3):
+                    result = close(gens, workers=workers, min_rank=floor)
+                    assert_same_tree(reference, result)
+                    assert result.stats.products == reference.stats.products
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sets(st.sampled_from(sorted(build_G(5).labels)), min_size=1))
 def test_closure_monotone_in_generators(labels):
@@ -254,6 +287,7 @@ def test_save_load_roundtrip(tmp_path, g5_closure):
     assert loaded.labels == g5_closure.labels
     assert loaded.stats.level_sizes == g5_closure.stats.level_sizes
     assert loaded.stats.products == g5_closure.stats.products
+    assert_same_tree(g5_closure, loaded)
     for code in sorted(g5_closure.members):
         assert loaded.witness(code) == g5_closure.witness(code)
     # saving the loaded closure reproduces the files byte for byte
