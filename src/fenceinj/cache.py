@@ -4,8 +4,8 @@ This is the only module that names cache files.  Under one directory:
 
 * ``universe_n{n}.bin`` and its sidecar ``universe_n{n}.bin.json``: the
   census of FI_n;
-* ``closure_n{n}_{key}.bin``, its sidecar and ``closure_n{n}_{key}.tree``:
-  the member codes and the BFS witness tree of a generating set, keyed by
+* ``closure_n{n}_{key}.tree`` and its sidecar: the BFS witness tree of a
+  generating set and a digest of the member codes it rebuilds, keyed by
   ``generator_cache_key`` so distinct sets never collide.
 
 Each file is written under a temporary name in the same directory and then
@@ -32,10 +32,9 @@ def universe_path(cache_dir: str | Path, n: int) -> Path:
     return Path(cache_dir) / f"universe_n{n}.bin"
 
 
-def closure_paths(cache_dir: str | Path, gens: GeneratorSet) -> tuple[Path, Path]:
-    """(code file, tree file) of the closure of ``gens``."""
-    stem = Path(cache_dir) / f"closure_n{gens.n}_{generator_cache_key(gens)}"
-    return stem.with_suffix(".bin"), stem.with_suffix(".tree")
+def closure_path(cache_dir: str | Path, gens: GeneratorSet) -> Path:
+    """The tree file of the closure of ``gens``; its sidecar holds the rest."""
+    return Path(cache_dir) / f"closure_n{gens.n}_{generator_cache_key(gens)}.tree"
 
 
 def load_universe(cache_dir: str | Path, n: int) -> ElementUniverse:
@@ -48,41 +47,36 @@ def load_universe(cache_dir: str | Path, n: int) -> ElementUniverse:
             raise ValueError(f"{path} holds FI_{universe.n}")
         return universe
 
-    return _cached(
-        (path, sidecar_path(path)), load,
-        lambda: enumerate_FI(n),
-        lambda universe, temps: universe.save(temps[0]))
+    return _cached(path, load, lambda: enumerate_FI(n), ElementUniverse.save)
 
 
 def load_closure(cache_dir: str | Path, gens: GeneratorSet,
                  workers: int = 1) -> ClosureResult:
     """⟨gens⟩ with its witnesses from the cache, closed and stored on a miss."""
-    code_path, tree_path = closure_paths(cache_dir, gens)
-    return _cached(
-        (code_path, sidecar_path(code_path), tree_path),
-        lambda: ClosureResult.load(code_path, tree_path, gens),
-        lambda: close(gens, workers=workers),
-        lambda result, temps: result.save(temps[0], temps[2]))
+    path = closure_path(cache_dir, gens)
+    return _cached(path, lambda: ClosureResult.load(path, gens),
+                   lambda: close(gens, workers=workers), ClosureResult.save)
 
 
-def _cached(files: tuple[Path, ...], load: Callable[[], T], build: Callable[[], T],
-            save: Callable[[T, list[Path]], None]) -> T:
-    """Load the entry stored in ``files``; on a miss build and store it.
+def _cached(path: Path, load: Callable[[], T], build: Callable[[], T],
+            save: Callable[[T, Path], None]) -> T:
+    """Load the entry in ``path`` and its sidecar; on a miss build and store it.
 
-    ``save`` gets temporary paths matching ``files`` one to one; a sidecar
-    follows its binary file because the prefix leaves the suffixes alone.
+    ``save`` gets a temporary path; its sidecar follows it into place
+    because the prefix leaves the suffixes alone.
     """
+    files = (path, sidecar_path(path))
     if any(f.exists() for f in files):
         try:
             return load()
         except (OSError, ValueError) as exc:
-            print(f"warning: rebuilding cache entry {files[0].name}: {exc}",
+            print(f"warning: rebuilding cache entry {path.name}: {exc}",
                   file=sys.stderr)
     value = build()
-    files[0].parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     temps = [f.with_name(f".tmp{os.getpid()}-{f.name}") for f in files]
     try:
-        save(value, temps)
+        save(value, temps[0])
         for temp, final in zip(temps, files):
             os.replace(temp, final)
     finally:

@@ -36,7 +36,7 @@ from .analysis import (
     rank_grade,
     run_verification,
 )
-from .cache import closure_paths, load_closure, load_universe, universe_path
+from .cache import closure_path, load_closure, load_universe, universe_path
 from .closure import evaluate_word
 from .fence import (
     CapacityError,
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, workers=False)
 
     p = sub.add_parser("closure",
-                       help="close a generating set, cache codes and witnesses")
+                       help="close a generating set, cache its witness tree")
     _add_common(p)
     p.add_argument("--gens", required=True,
                    help="generating set: G, J, or file:PATH")
@@ -171,7 +171,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
     cache_dir = Path(args.cache_dir)
     gens = _resolve_gens(args.gens, args.n, cache_dir)
     result = load_closure(cache_dir, gens, args.workers)
-    code_path, tree_path = closure_paths(cache_dir, gens)
+    tree_path = closure_path(cache_dir, gens)
     doc = {
         "n": result.n,
         "generators": list(result.labels),
@@ -180,7 +180,6 @@ def cmd_closure(args: argparse.Namespace) -> int:
         "max_word_length": result.max_word_length,
         "products": result.stats.products,
         "seconds": round(result.stats.seconds, 3),
-        "code_cache": str(code_path),
         "witness_cache": str(tree_path),
     }
     lines = [
@@ -190,7 +189,6 @@ def cmd_closure(args: argparse.Namespace) -> int:
         + ", ".join(map(str, result.stats.level_sizes)),
         f"{result.stats.products} products examined in "
         f"{result.stats.seconds:.3f}s",
-        f"codes cached at {code_path}",
         f"witnesses cached at {tree_path}",
     ]
     rows: list[Sequence[str]] = [("word_length", "new_elements")]

@@ -32,9 +32,9 @@ Witnesses are kept as the BFS tree itself (Froidure & Pin, 1997): each node
 stores its parent node and last generator (int32 each), and a word is read
 off by walking to the root.  ``witness_items`` walks a block of nodes at a
 time, one vector gather per letter, and zips the block's per-letter label
-columns into words.  ``ClosureResult.save`` persists the sorted codes and that tree
-as two binary files; ``load`` replays the tree over the generators and
-accepts it only if it rebuilds exactly the saved codes.
+columns into words.  ``ClosureResult.save`` writes that tree, with a sidecar
+holding a SHA-256 of the sorted codes; ``load`` replays the tree over the
+generators and accepts it only if the rebuilt codes match that digest.
 """
 
 from __future__ import annotations
@@ -55,11 +55,9 @@ from .generators import GeneratorSet
 from .oracle import (
     ElementUniverse,
     read_binary_file,
-    read_code_file,
     read_sidecar,
     sidecar_ints,
     write_binary_file,
-    write_code_file,
     write_sidecar,
 )
 
@@ -222,45 +220,51 @@ class ClosureResult:
             for code, word, skip in zip(codes, zip(*columns), skips):
                 yield code, Word(word[skip:])
 
-    def save(self, code_path: str | Path, tree_path: str | Path) -> None:
-        """Sorted member codes (with a JSON sidecar) and the BFS tree."""
-        write_code_file(code_path, self.n, self.member_codes)
-        write_sidecar(code_path, {
+    def save(self, tree_path: str | Path) -> None:
+        """The BFS tree, with a JSON sidecar holding a digest of the codes."""
+        tree = np.concatenate([self._parents, self._genidx]).astype("<i4")
+        write_binary_file(tree_path, TREE_MAGIC, self.n, len(self), tree.tobytes())
+        write_sidecar(tree_path, {
             "n": self.n,
             "count": len(self),
             "labels": list(self.labels),
             "level_sizes": list(self.stats.level_sizes),
+            "codes_sha256": _codes_digest(self.member_codes),
         })
-        tree = np.concatenate([self._parents, self._genidx]).astype("<i4")
-        write_binary_file(tree_path, TREE_MAGIC, self.n, len(self), tree.tobytes())
 
     @classmethod
-    def load(cls, code_path: str | Path, tree_path: str | Path,
-             gens: GeneratorSet) -> ClosureResult:
-        """Read a saved closure of ``gens``, replaying its tree.
+    def load(cls, tree_path: str | Path, gens: GeneratorSet) -> ClosureResult:
+        """Read a closure of ``gens`` saved as a tree file and its sidecar.
 
-        Raises ValueError unless the codes the tree yields over ``gens`` are
-        exactly the saved member codes, level by level as the sidecar says.
+        The tree is replayed over ``gens``; raises ValueError unless the codes
+        it yields, level by level as the sidecar says, match the sidecar's
+        digest of the member codes.
         """
-        n, codes = read_code_file(code_path)
-        meta = read_sidecar(code_path, ("n", "count", "labels", "level_sizes"))
-        tree_n, count, payload = read_binary_file(tree_path, TREE_MAGIC, 8)
+        meta = read_sidecar(
+            tree_path, ("n", "count", "labels", "level_sizes", "codes_sha256"))
+        n, count, payload = read_binary_file(tree_path, TREE_MAGIC, 8)
         labels, rows = _sorted_rows(gens)
-        if (meta["n"] != n or tree_n != n or gens.n != n
-                or meta["count"] != len(codes) or count != len(codes)
+        if (meta["n"] != n or gens.n != n or meta["count"] != count
                 or meta["labels"] != list(labels)):
             raise ValueError(
-                f"{code_path}, its sidecar and {tree_path} do not describe "
-                f"one closure of the given generators")
+                f"{tree_path} and its sidecar do not describe one closure of "
+                f"the given generators")
         tree = np.frombuffer(payload, dtype="<i4").astype(np.int32, copy=False)
         parents, genidx = tree[:count], tree[count:]
         level_sizes = sidecar_ints(meta, "level_sizes")
         order = _replay_tree(n, rows, parents, genidx, level_sizes)
-        if np.any(np.diff(codes) <= 0) or not np.array_equal(np.sort(order), codes):
-            raise ValueError(f"{tree_path} does not rebuild the codes of {code_path}")
         # every member is multiplied by every generator exactly once
         stats = ClosureStats(level_sizes, len(labels) * count, 0.0)
-        return cls(n, labels, stats, order, parents, genidx)
+        result = cls(n, labels, stats, order, parents, genidx)
+        # the saved codes were distinct, so a match also rules out duplicates
+        if _codes_digest(result.member_codes) != meta["codes_sha256"]:
+            raise ValueError(f"{tree_path} does not rebuild the recorded codes")
+        return result
+
+
+def _codes_digest(codes: np.ndarray) -> str:
+    """SHA-256 of sorted member codes as little-endian u64."""
+    return hashlib.sha256(codes.astype("<u8")).hexdigest()
 
 
 def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,

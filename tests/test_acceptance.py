@@ -241,10 +241,10 @@ def test_criterion_11_witness_soundness_and_determinism(
     many = close(build_G(7), workers=8)
     pairs = {}
     for tag, result in (("lone", lone), ("many", many)):
-        code_path = tmp_path / f"{tag}.bin"
         tree_path = tmp_path / f"{tag}.tree"
-        result.save(code_path, tree_path)
-        pairs[tag] = (code_path.read_bytes(), tree_path.read_bytes())
+        result.save(tree_path)
+        pairs[tag] = (tree_path.read_bytes(),
+                      tree_path.with_name(f"{tag}.tree.json").read_bytes())
     assert pairs["lone"] == pairs["many"]
     with capsys.disabled():
         print("criterion 11: PASS — all witnesses re-evaluate to their elements; "

@@ -33,7 +33,12 @@ from fenceinj import (
 from fenceinj import closure as closure_module
 from fenceinj.analysis import r_class
 from fenceinj.closure import TREE_MAGIC
-from fenceinj.oracle import read_binary_file, write_binary_file, write_sidecar
+from fenceinj.oracle import (
+    read_binary_file,
+    sidecar_path,
+    write_binary_file,
+    write_sidecar,
+)
 
 
 def brute_force_words(gens):
@@ -278,10 +283,10 @@ def test_witnesses_reproduce_members_n7(g7_closure):
 
 
 def test_save_load_roundtrip(tmp_path, g5_closure):
-    code_path = tmp_path / "c.bin"
     tree_path = tmp_path / "c.tree"
-    g5_closure.save(code_path, tree_path)
-    loaded = ClosureResult.load(code_path, tree_path, build_G(5))
+    g5_closure.save(tree_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.tree", "c.tree.json"]
+    loaded = ClosureResult.load(tree_path, build_G(5))
     assert loaded.n == 5
     assert loaded.members == g5_closure.members
     assert loaded.labels == g5_closure.labels
@@ -291,9 +296,8 @@ def test_save_load_roundtrip(tmp_path, g5_closure):
     for code in sorted(g5_closure.members):
         assert loaded.witness(code) == g5_closure.witness(code)
     # saving the loaded closure reproduces the files byte for byte
-    loaded.save(tmp_path / "d.bin", tmp_path / "d.tree")
-    for a, b in (("c.bin", "d.bin"), ("c.bin.json", "d.bin.json"),
-                 ("c.tree", "d.tree")):
+    loaded.save(tmp_path / "d.tree")
+    for a, b in (("c.tree", "d.tree"), ("c.tree.json", "d.tree.json")):
         assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
 
 
@@ -305,12 +309,26 @@ def _rewrite_tree(tree_path, edit):
     write_binary_file(tree_path, TREE_MAGIC, n, count, tree.tobytes())
 
 
+def _resize_tree(tree_path, keep, level_sizes):
+    """Keep the nodes ``keep`` (an index array) and write a well-formed tree
+    file with a sidecar that agrees with it on ``count`` and ``level_sizes``
+    but keeps the old digest of the codes."""
+    n, count, payload = read_binary_file(tree_path, TREE_MAGIC, 8)
+    tree = np.frombuffer(payload, dtype="<i4")
+    parents, genidx = tree[:count][keep], tree[count:][keep]
+    payload = np.concatenate([parents, genidx]).tobytes()
+    write_binary_file(tree_path, TREE_MAGIC, n, len(keep), payload)
+    meta = json.loads(sidecar_path(tree_path).read_text())
+    meta["count"], meta["level_sizes"] = len(keep), list(level_sizes)
+    write_sidecar(tree_path, meta)
+
+
 def test_load_rejects_mismatched_witnesses(tmp_path, g5_closure):
     gens = build_G(5)
-    code_path = tmp_path / "c.bin"
     tree_path = tmp_path / "c.tree"
-    g5_closure.save(code_path, tree_path)
+    g5_closure.save(tree_path)
     raw = tree_path.read_bytes()
+    side_raw = sidecar_path(tree_path).read_bytes()
     seeds = g5_closure.stats.level_sizes[0]
 
     def relabel_seed(parents, genidx):
@@ -326,29 +344,45 @@ def test_load_rejects_mismatched_witnesses(tmp_path, g5_closure):
         tree_path.write_bytes(raw)
         _rewrite_tree(tree_path, edit)
         with pytest.raises(ValueError):
-            ClosureResult.load(code_path, tree_path, gens)
+            ClosureResult.load(tree_path, gens)
     tree_path.write_bytes(raw[:-4])
     with pytest.raises(ValueError):
-        ClosureResult.load(code_path, tree_path, gens)
+        ClosureResult.load(tree_path, gens)
+    # Trees that replay cleanly and agree with their sidecar's count and
+    # level sizes, but rebuild other codes: only the digest of the codes
+    # catches these.
+    count, sizes = len(g5_closure), g5_closure.stats.level_sizes
+    resized = [
+        # the last BFS level dropped
+        (np.arange(count - sizes[-1]), sizes[:-1]),
+        # the last node duplicated, within its level
+        (np.append(np.arange(count), count - 1), sizes[:-1] + (sizes[-1] + 1,)),
+    ]
+    for keep, level_sizes in resized:
+        tree_path.write_bytes(raw)
+        sidecar_path(tree_path).write_bytes(side_raw)
+        _resize_tree(tree_path, keep, level_sizes)
+        with pytest.raises(ValueError, match="does not rebuild"):
+            ClosureResult.load(tree_path, gens)
     # an intact tree is still refused for a different generating set
     tree_path.write_bytes(raw)
+    sidecar_path(tree_path).write_bytes(side_raw)
     with pytest.raises(ValueError):
-        ClosureResult.load(code_path, tree_path, gens.without("gamma"))
+        ClosureResult.load(tree_path, gens.without("gamma"))
     swapped = GeneratorSet(5, tuple(
         (label, gens["alpha_1"] if label == "alpha_3" else
          gens["alpha_3"] if label == "alpha_1" else element)
         for label, element in gens))
     with pytest.raises(ValueError):
-        ClosureResult.load(code_path, tree_path, swapped)
-    assert ClosureResult.load(code_path, tree_path, gens).members == g5_closure.members
+        ClosureResult.load(tree_path, swapped)
+    assert ClosureResult.load(tree_path, gens).members == g5_closure.members
 
 
 def test_load_rejects_every_flipped_byte(tmp_path):
     gens = build_G(3)
-    code_path = tmp_path / "c.bin"
     tree_path = tmp_path / "c.tree"
-    close(gens).save(code_path, tree_path)
-    for path in (code_path, tmp_path / "c.bin.json", tree_path):
+    close(gens).save(tree_path)
+    for path in (tree_path, sidecar_path(tree_path)):
         raw = path.read_bytes()
         for pos in range(len(raw)):
             for mask in (0x01, 0xFF):
@@ -356,28 +390,29 @@ def test_load_rejects_every_flipped_byte(tmp_path):
                 damaged[pos] ^= mask
                 path.write_bytes(bytes(damaged))
                 with pytest.raises(ValueError):
-                    ClosureResult.load(code_path, tree_path, gens)
+                    ClosureResult.load(tree_path, gens)
         path.write_bytes(raw)
-    assert len(ClosureResult.load(code_path, tree_path, gens)) == 18
+    assert len(ClosureResult.load(tree_path, gens)) == 18
 
 
 def test_load_rejects_wrongly_typed_sidecars(tmp_path, g5_closure, u5):
     """Hand-edited sidecars in the canonical layout, with values of the
     wrong JSON type, are refused like any other mismatch."""
-    code_path, tree_path = tmp_path / "c.bin", tmp_path / "c.tree"
-    g5_closure.save(code_path, tree_path)
+    tree_path = tmp_path / "c.tree"
+    g5_closure.save(tree_path)
     u5.save(tmp_path / "u.bin")
-    cases = [(code_path, "level_sizes", 7), (code_path, "level_sizes", ["7"]),
-             (code_path, "labels", 5), (tmp_path / "u.bin", "rank_histogram", 2)]
+    cases = [(tree_path, "level_sizes", 7), (tree_path, "level_sizes", ["7"]),
+             (tree_path, "labels", 5), (tree_path, "codes_sha256", 0),
+             (tmp_path / "u.bin", "rank_histogram", 2)]
     for path, key, value in cases:
-        side = path.with_name(path.name + ".json")
+        side = sidecar_path(path)
         raw = side.read_text()
         meta = json.loads(raw)
         meta[key] = value
         write_sidecar(path, meta)
         with pytest.raises(ValueError):
-            if path == code_path:
-                ClosureResult.load(code_path, tree_path, build_G(5))
+            if path == tree_path:
+                ClosureResult.load(tree_path, build_G(5))
             else:
                 ElementUniverse.load(path)
         side.write_text(raw)
