@@ -5,7 +5,7 @@ Closes G_n, prints how many elements first appear at each word length, the
 mean witness length, and the hardest elements (those requiring the longest
 words) with their witnesses.
 
-Usage: python scripts/word_lengths.py --n 9 [--workers 4] [--show 5]
+Usage: python scripts/word_lengths.py --n 9 [--show 5]
 """
 
 import argparse
@@ -16,13 +16,12 @@ from fenceinj import build_G, close, decode, format_map
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=9)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--show", type=int, default=5,
                         help="how many longest-word elements to print")
     args = parser.parse_args()
 
     gens = build_G(args.n)
-    result = close(gens, workers=args.workers)
+    result = close(gens)
     print(f"closure of G_{args.n} ({len(gens)} generators): "
           f"{len(result)} elements in {result.stats.seconds:.2f}s")
     total = 0

@@ -303,13 +303,19 @@ def minimal_rank_exhaustive(universe: ElementUniverse) -> int:
 
 @dataclass
 class VerifyContext:
-    """Shared resources for claim runners: cached universes, worker count."""
+    """Shared resources for claim runners: cached universes and sampling.
+
+    ``workers`` (at least 1) has no effect: closures run in one thread."""
 
     workers: int = 1
     cache_dir: str | None = None
     sample_size: int = 10_000
     seed: int = 20240801
     _universes: dict[int, ElementUniverse] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
     def universe(self, n: int) -> ElementUniverse:
         if n not in self._universes:
@@ -480,7 +486,7 @@ def _run_rank_consistency(n: int, ctx: VerifyContext) -> tuple[str, str]:
 def _run_generates_g(n: int, ctx: VerifyContext) -> tuple[str, str]:
     from .closure import verify_generates
 
-    check = verify_generates(build_G(n), ctx.universe(n), workers=ctx.workers)
+    check = verify_generates(build_G(n), ctx.universe(n))
     if not check.generates:
         return _fmt_fail(
             f"missing {len(check.missing)}, extra {len(check.extra)} codes")
@@ -492,7 +498,7 @@ def _run_generates_j(n: int, ctx: VerifyContext) -> tuple[str, str]:
 
     universe = ctx.universe(n)
     gens = build_J(n, universe)
-    check = verify_generates(gens, universe, workers=ctx.workers)
+    check = verify_generates(gens, universe)
     if not check.generates:
         return _fmt_fail(
             f"missing {len(check.missing)}, extra {len(check.extra)} codes")

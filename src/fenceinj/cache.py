@@ -50,12 +50,11 @@ def load_universe(cache_dir: str | Path, n: int) -> ElementUniverse:
     return _cached(path, load, lambda: enumerate_FI(n), ElementUniverse.save)
 
 
-def load_closure(cache_dir: str | Path, gens: GeneratorSet,
-                 workers: int = 1) -> ClosureResult:
+def load_closure(cache_dir: str | Path, gens: GeneratorSet) -> ClosureResult:
     """⟨gens⟩ with its witnesses from the cache, closed and stored on a miss."""
     path = closure_path(cache_dir, gens)
     return _cached(path, lambda: ClosureResult.load(path, gens),
-                   lambda: close(gens, workers=workers), ClosureResult.save)
+                   lambda: close(gens), ClosureResult.save)
 
 
 def _cached(path: Path, load: Callable[[], T], build: Callable[[], T],

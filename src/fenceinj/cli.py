@@ -15,8 +15,8 @@ Exit codes: 0 on success (including a clean "not generated" answer from
 Censuses and closures are cached under ``--cache-dir`` (default:
 ``$FENCEINJ_CACHE_DIR`` or ``./.fenceinj-cache``); the ``cache`` module names
 the files, writes them atomically and rebuilds any entry it cannot trust.
-``closure``, ``factor`` and ``verify`` take ``--workers``, the number of
-closure threads, which must be at least 1.
+``closure``, ``factor`` and ``verify`` take ``--workers``, which must be at
+least 1 and has no effect: closures run in one thread.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ def _add_common(parser: argparse.ArgumentParser, *, workers: bool = True) -> Non
     parser.add_argument("--cache-dir", default=_default_cache_dir(),
                         help="directory for cached censuses and closures")
     if workers:
-        parser.add_argument("--workers", type=worker_count,
-                            default=os.cpu_count() or 1,
-                            help="parallel workers")
+        parser.add_argument("--workers", type=worker_count, default=1,
+                            help="accepted for compatibility, no effect "
+                                 "(must be at least 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,7 +170,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
     check_fence_size(args.n)
     cache_dir = Path(args.cache_dir)
     gens = _resolve_gens(args.gens, args.n, cache_dir)
-    result = load_closure(cache_dir, gens, args.workers)
+    result = load_closure(cache_dir, gens)
     tree_path = closure_path(cache_dir, gens)
     doc = {
         "n": result.n,
@@ -209,7 +209,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
         raise MapFormatError(
             f"map is not a partial automorphism: points {a} and {b} "
             f"break the order relation")
-    result = load_closure(cache_dir, gens, args.workers)
+    result = load_closure(cache_dir, gens)
     code = encode(target)
     if code not in result:
         doc = {"n": args.n, "map": format_map(target), "code": code,

@@ -23,10 +23,9 @@ looked up in a sorted ``visited`` array with ``searchsorted``, and the new
 ones are merged into it before the next block, so a later block of the same
 level sees them.  The next frontier is ``table[frontier[:, parents], gens]``.
 
-Worker threads split each candidate block into disjoint row slices of
-1/256 of the block, which also keeps each gather's temporary small;
-deduplication happens after the join, in block order, so results are
-identical for every worker count.
+The engine runs in the calling thread.  Each candidate block is filled in
+row slices of 1/256 of the block, which keeps each gather's temporary
+small, and blocks are deduplicated in order.
 
 Witnesses are kept as the BFS tree itself (Froidure & Pin, 1997): each node
 stores its parent node and last generator (int32 each), and a word is read
@@ -42,7 +41,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -350,7 +348,6 @@ def _close_rows(
     n: int,
     labels: tuple[str, ...],
     rows: np.ndarray,
-    workers: int,
     min_rank: int = 0,
 ) -> ClosureResult:
     """BFS closure over image-row matrices.  ``labels`` must be sorted.
@@ -358,8 +355,6 @@ def _close_rows(
     Seeds and products of rank below ``min_rank`` are dropped, and so are the
     generators below it, whose products always are.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     started = time.perf_counter()
     powers = np.asarray(code_powers(n), dtype=np.int64)
     kept = np.flatnonzero(np.count_nonzero(rows, axis=1) >= min_rank)
@@ -380,55 +375,42 @@ def _close_rows(
     frontier = table[1:, first]
     frontier_start = 0
     chunk_rows = max(1, _BLOCK_ENTRIES // max(g, 1))
-    # a worker's task: 1/256 of a block, which keeps each gather's temporary small
+    # 1/256 of a block per gather, which keeps its temporary small
     slice_rows = max(1, chunk_rows >> 8)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while True:
-            # an empty part, so that a frontier without seeds concatenates
-            new_parents: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-            new_gens: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-            for offset in range(0, frontier.shape[1], chunk_rows):
-                block = frontier[:, offset:offset + chunk_rows]
-                codes = np.empty((block.shape[1], g), dtype=np.int64)
-
-                def fill(r0: int, block=block, codes=codes) -> None:
-                    images = block[:, r0:r0 + slice_rows].astype(np.intp)
-                    out = codes[r0:r0 + slice_rows]
-                    weights[0].take(images[0], axis=0, out=out)
+    while True:
+        # an empty part, so that a frontier without seeds concatenates
+        new_parents: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        new_gens: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        for offset in range(0, frontier.shape[1], chunk_rows):
+            block = frontier[:, offset:offset + chunk_rows]
+            codes = np.empty((block.shape[1], g), dtype=np.int64)
+            for r0 in range(0, block.shape[1], slice_rows):
+                images = block[:, r0:r0 + slice_rows].astype(np.intp)
+                out = codes[r0:r0 + slice_rows]
+                weights[0].take(images[0], axis=0, out=out)
+                for v in range(1, n):
+                    out += weights[v].take(images[v], axis=0)
+                if nonzero is not None:
+                    rank = nonzero.take(images[0], axis=0)
                     for v in range(1, n):
-                        out += weights[v].take(images[v], axis=0)
-                    if nonzero is not None:
-                        rank = nonzero.take(images[0], axis=0)
-                        for v in range(1, n):
-                            rank += nonzero.take(images[v], axis=0)
-                        out[rank < min_rank] = -1
-
-                starts = range(0, block.shape[1], slice_rows)
-                if pool is None:
-                    for r0 in starts:
-                        fill(r0)
-                else:
-                    list(pool.map(fill, starts))
-                products += codes.size
-                flat = codes.ravel()
-                first, visited = _first_new(flat, visited)
-                order_codes.append(flat[first])
-                new_parents.append(frontier_start + offset + first // g)
-                new_gens.append(first % g)
-            level_parents = np.concatenate(new_parents)
-            if not len(level_parents):
-                break
-            gsel = np.concatenate(new_gens)
-            parents.append(level_parents.astype(np.int32))
-            genidx.append(kept[gsel].astype(np.int32))
-            level_sizes.append(len(level_parents))
-            local = level_parents - frontier_start
-            frontier_start += frontier.shape[1]
-            frontier = table[frontier[:, local], gsel]
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                        rank += nonzero.take(images[v], axis=0)
+                    out[rank < min_rank] = -1
+            products += codes.size
+            flat = codes.ravel()
+            first, visited = _first_new(flat, visited)
+            order_codes.append(flat[first])
+            new_parents.append(frontier_start + offset + first // g)
+            new_gens.append(first % g)
+        level_parents = np.concatenate(new_parents)
+        if not len(level_parents):
+            break
+        gsel = np.concatenate(new_gens)
+        parents.append(level_parents.astype(np.int32))
+        genidx.append(kept[gsel].astype(np.int32))
+        level_sizes.append(len(level_parents))
+        local = level_parents - frontier_start
+        frontier_start += frontier.shape[1]
+        frontier = table[frontier[:, local], gsel]
 
     stats = ClosureStats(tuple(level_sizes), products,
                          time.perf_counter() - started)
@@ -449,11 +431,15 @@ def close(gens: GeneratorSet, workers: int = 1, min_rank: int = 0) -> ClosureRes
     This is exact, witnesses included: rank(fg) ≤ min(rank f, rank g), so
     every prefix of a word landing at rank ≥ ``min_rank`` stays there too,
     and dropping the other nodes leaves the BFS order of the kept ones.
+
+    ``workers`` (at least 1) has no effect: the closure runs in one thread.
     """
     if len(gens) == 0:
         raise ValueError("closure needs a non-empty generator set")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     labels, rows = _sorted_rows(gens)
-    return _close_rows(gens.n, labels, rows, workers, min_rank)
+    return _close_rows(gens.n, labels, rows, min_rank)
 
 
 def close_excluding(
@@ -473,7 +459,7 @@ def close_excluding(
     labeled = sorted((str(universe.codes[k]), k) for k in keep)
     labels = tuple(label for label, _ in labeled)
     rows = universe.images_matrix[[k for _, k in labeled]]
-    return _close_rows(universe.n, labels, rows, workers=1)
+    return _close_rows(universe.n, labels, rows)
 
 
 def factorize(target: PartialInjection, result: ClosureResult) -> Word:
@@ -494,13 +480,11 @@ class GenerationCheck:
     closure: ClosureResult
 
 
-def verify_generates(
-    gens: GeneratorSet, universe: ElementUniverse, workers: int = 1
-) -> GenerationCheck:
+def verify_generates(gens: GeneratorSet, universe: ElementUniverse) -> GenerationCheck:
     """Does ⟨gens⟩ equal the universe?  Reports code-level differences."""
     if gens.n != universe.n:
         raise ValueError(f"size mismatch: gens n={gens.n}, universe n={universe.n}")
-    result = close(gens, workers=workers)
+    result = close(gens)
     codes = universe.codes_array
     missing = tuple(np.setdiff1d(codes, result.member_codes, assume_unique=True).tolist())
     extra = tuple(np.setdiff1d(result.member_codes, codes, assume_unique=True).tolist())

@@ -193,11 +193,20 @@ class GeneratorSet:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> GeneratorSet:
-        n = doc["n"]
-        entries = tuple(
-            (e["label"], parse_map(n, e["map_text"])) for e in doc["entries"])
-        return cls(n, entries)
+    def from_json(cls, doc: object) -> GeneratorSet:
+        """The set ``to_json`` describes; raises ValueError on any other shape."""
+        if not (isinstance(doc, dict) and type(doc.get("n")) is int
+                and isinstance(doc.get("entries"), list)):
+            raise ValueError('a generator set must be a JSON object with an '
+                             'integer "n" and a list "entries"')
+        entries = []
+        for e in doc["entries"]:
+            if not (isinstance(e, dict) and isinstance(e.get("label"), str)
+                    and isinstance(e.get("map_text"), str)):
+                raise ValueError('each generator entry must be a JSON object '
+                                 'with string "label" and "map_text"')
+            entries.append((e["label"], parse_map(doc["n"], e["map_text"])))
+        return cls(doc["n"], tuple(entries))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")

@@ -224,10 +224,11 @@ def write_binary_file(path: str | Path, magic: bytes, n: int, count: int,
 
 
 def read_binary_file(path: str | Path, magic: bytes,
-                     item_bytes: int) -> tuple[int, int, bytes]:
+                     item_bytes: int) -> tuple[int, int, memoryview]:
     """(n, count, payload) of a file written by ``write_binary_file``.
 
-    Raises ValueError unless the header is intact, the payload holds exactly
+    The payload is a view into the file's bytes, not a copy of them.  Raises
+    ValueError unless the header is intact, the payload holds exactly
     ``count`` items of ``item_bytes`` bytes and its digest matches.
     """
     data = Path(path).read_bytes()
@@ -238,7 +239,7 @@ def read_binary_file(path: str | Path, magic: bytes,
         raise ValueError(f"{path}: bad magic {found!r}")
     if version != CACHE_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    payload = data[_HEADER.size:]
+    payload = memoryview(data)[_HEADER.size:]
     if len(payload) != item_bytes * count:
         raise ValueError(f"{path}: payload of {len(payload)} bytes, "
                          f"expected {item_bytes * count}")

@@ -35,4 +35,4 @@ def g7_closure():
 
 @pytest.fixture(scope="session")
 def g9_closure():
-    return close(build_G(9), workers=2)
+    return close(build_G(9))

@@ -166,6 +166,12 @@ def test_run_verification_n5(u5):
         assert check.status in ("pass", "fail", "skipped")
 
 
+def test_verify_context_workers_must_be_positive():
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            VerifyContext(workers=workers)
+
+
 def test_run_verification_filter(u5):
     ctx = VerifyContext()
     ctx.put_universe(u5)

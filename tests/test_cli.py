@@ -3,11 +3,12 @@
 import csv
 import io
 import json
+import threading
 from pathlib import Path
 
 import pytest
 
-from fenceinj import ClosureResult, build_G
+from fenceinj import ClosureResult, build_G, close
 from fenceinj.cache import load_closure
 from fenceinj.cli import main
 from fenceinj.oracle import write_code_file, write_sidecar
@@ -62,6 +63,19 @@ def test_enumerate_over_cap(tmp_path, capsys):
                            "--cache-dir", str(tmp_path))
     assert code == 2
     assert "closure" in err
+
+
+def test_closure_starts_no_thread(tmp_path, capsys, monkeypatch):
+    """``workers`` > 1 is accepted, and the closure stays in this thread."""
+    def refuse(self):
+        raise RuntimeError("the closure must run in the calling thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert len(close(build_G(7), workers=2)) == 2288
+    code, out, _ = run_cli(capsys, "closure", "--n", "5", "--gens", "G",
+                           "--workers", "2", "--format", "json",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0 and json.loads(out)["count"] == 182
 
 
 def test_closure_and_cache_stability(tmp_path, capsys):
@@ -204,6 +218,21 @@ def test_usage_errors(tmp_path, capsys):
                            "file:/does/not/exist",
                            "--cache-dir", str(tmp_path))
     assert code == 2
+    malformed = [
+        {"entries": []},
+        [1, 2],
+        {"n": 5},
+        {"n": 5, "entries": [{"label": "a"}]},
+        {"n": 5, "entries": [{"label": 3, "map_text": "1,2,3,4,5"}]},
+    ]
+    for k, doc in enumerate(malformed):
+        path = tmp_path / f"gens{k}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "closure", "--n", "5", "--gens",
+                                 f"file:{path}", "--cache-dir", str(tmp_path))
+        assert code == 2 and out == "", doc
+        assert err.startswith("error: ") and err.count("\n") == 1, doc
+        assert "Traceback" not in err, doc
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2

@@ -2,7 +2,7 @@
 
 import json
 import random
-import sys
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -199,25 +199,18 @@ def assert_same_tree(a, b):
 
 
 @pytest.mark.parametrize("n, block", [(7, 128), (9, 1 << 14)])
-def test_workers_split_rows_identically(n, block, monkeypatch):
-    """Worker threads fill disjoint row slices of each candidate block.  With
-    small blocks the levels span several blocks of several row slices (one
-    row each at n = 7), and 1, 2 and 3 workers must still give the arrays of
-    the default block size."""
+def test_small_blocks_split_rows_identically(n, block, monkeypatch):
+    """Each candidate block is filled in row slices.  With small blocks the
+    levels span several blocks of several row slices (one row each at
+    n = 7), and must still give the arrays of the default block size."""
     gens = build_G(n)
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)  # interleave the threads as often as possible
-        for floor in (0, n - 1):
-            reference = close(gens, min_rank=floor)
-            with monkeypatch.context() as patch:
-                patch.setattr(closure_module, "_BLOCK_ENTRIES", block)
-                for workers in (1, 2, 3):
-                    result = close(gens, workers=workers, min_rank=floor)
-                    assert_same_tree(reference, result)
-                    assert result.stats.products == reference.stats.products
-    finally:
-        sys.setswitchinterval(interval)
+    for floor in (0, n - 1):
+        reference = close(gens, min_rank=floor)
+        with monkeypatch.context() as patch:
+            patch.setattr(closure_module, "_BLOCK_ENTRIES", block)
+            result = close(gens, min_rank=floor)
+        assert_same_tree(reference, result)
+        assert result.stats.products == reference.stats.products
 
 
 @settings(max_examples=25, deadline=None)
@@ -299,6 +292,20 @@ def test_save_load_roundtrip(tmp_path, g5_closure):
     loaded.save(tmp_path / "d.tree")
     for a, b in (("c.tree", "d.tree"), ("c.tree.json", "d.tree.json")):
         assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
+
+
+def test_tree_read_holds_one_copy(tmp_path, g9_closure):
+    """Reading a cache file allocates its bytes once; the payload is a view."""
+    tree_path = tmp_path / "c.tree"
+    g9_closure.save(tree_path)
+    size = tree_path.stat().st_size
+    tracemalloc.start()
+    try:
+        read_binary_file(tree_path, TREE_MAGIC, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * size, (peak, size)
 
 
 def _rewrite_tree(tree_path, edit):
