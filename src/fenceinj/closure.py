@@ -7,25 +7,39 @@ breadth-first sweep by word length: each level multiplies the newly found
 elements by every generator on the right, which suffices for semigroup
 closure and keeps witness words shortest.
 
+The sweep is pruned by word suffixes (Froidure & Pin, 1997).  A node's
+word is the shortest, lexicographically least word of its element, and
+such words are closed under suffixes: if a·w·k is one, so is w·k.  So a
+frontier node x with word a·w, whose suffix node u has word w, is
+multiplied only by the generators k that label a child of u (for a seed, u
+is the empty word, whose children are the seeds), and the suffix of x·k is
+that child.  Every other product is either already visited or reached by a
+lexicographically smaller word.  The rule also holds under the ``min_rank``
+floor, since rank(a·w) ≤ rank(w).  The engine keeps each frontier node's
+suffix (its index in the level before) and the children of each node of
+the level before, a run of that level's sorted parent column.  Candidates
+are the pairs (x, child of u) in the order (x, k), the order a full
+frontier × generators sweep would visit them in, so the first occurrence of
+each code, and with it every witness, is the one the full sweep picks.
+
 The hot path is table-driven.  A frontier is an n × m ``uint8`` image
 matrix (column j holds the images of points 1..n under element j, 0 for
 undefined), and ``table[a, k]`` is the image of a under generator k, 0
-sticky.  One int64 table per call, ``weights[v, a, k] = (n+1)^v ·
-table[a, k]``, turns an image of point v+1 into that point's code digit in
-the product with generator k, so a block's row-major candidate matrix
-(rows × generators) is ``Σ_v weights[v].take(frontier[v])``: n row gathers
-from a small table, each sum exactly the product's code.  The ``min_rank``
-floor sums a ``uint8`` table of ``table[a, k] != 0`` the same way.  Each
-candidate block is deduped by array operations alone: an argsort groups
-equal codes, and the least flat index of each group is its first
-occurrence, which keeps the lexicographic tie-break.  The unique codes are
-looked up in a sorted ``visited`` array with ``searchsorted``, and the new
-ones are merged into it before the next block, so a later block of the same
-level sees them.  The next frontier is ``table[frontier[:, parents], gens]``.
+sticky, kept flat by generator.  A block of candidates gathers its
+frontier columns, adds each candidate's generator offset, and takes its
+product images from that flat table in one call; ``powers @ images`` gives
+the codes.  Each candidate block is deduped by array operations alone: an
+argsort groups equal codes, and the least flat index of each group is its
+first occurrence, which keeps the lexicographic tie-break.  The unique
+codes are looked up in a sorted ``visited`` array with ``searchsorted``,
+and the new ones are merged into it before the next block, so a later
+block of the same level sees them.  The next frontier is the images of the
+new candidates, already computed.  ``stats.products`` counts the
+candidates formed.
 
-The engine runs in the calling thread.  Each candidate block is filled in
-row slices of 1/256 of the block, which keeps each gather's temporary
-small, and blocks are deduplicated in order.
+The engine runs in the calling thread.  A level's candidates are cut into
+blocks of at most ``_BLOCK_ENTRIES``, which bounds the block's int64
+temporaries, and blocks are deduplicated in order.
 
 Witnesses are kept as the BFS tree itself (Froidure & Pin, 1997): each node
 stores its parent node and last generator (int32 each), and a word is read
@@ -59,8 +73,8 @@ from .oracle import (
     write_sidecar,
 )
 
-# cap on entries of one frontier-by-generators candidate block (int64)
-_BLOCK_ENTRIES = 1 << 24
+# cap on the candidates of one block, whose temporaries hold n int64 each
+_BLOCK_ENTRIES = 1 << 20
 
 # sentinel that ends the sorted ``visited`` array, above every code
 _NO_CODE = np.iinfo(np.int64).max
@@ -83,7 +97,7 @@ class NotGeneratedError(Exception):
             f"element with code {code} is not in the generated subsemigroup")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A non-empty sequence of generator labels, composed left to right."""
 
@@ -202,9 +216,11 @@ class ClosureResult:
         width = self.max_word_length
         blank = len(self.labels)  # pads words shorter than ``width`` on the left
         names = np.array(self.labels + ("",), dtype=object)
-        # a letter becomes several Python object slots, not one int64, so a
-        # block of words holds a sixteenth of a candidate block's entries
-        step = max(1, (_BLOCK_ENTRIES >> 4) // max(width, 1))
+        # a block of words holds as many letters as a candidate block holds
+        # candidates, each letter a Python object slot
+        step = max(1, _BLOCK_ENTRIES // max(width, 1))
+        # a tree word is never empty, so it skips ``Word``'s check
+        new_word, set_labels = object.__new__, Word.labels.__set__
         for start in range(0, len(self), step):
             k = self._code_order[start:start + step]
             letters = np.empty((width, len(k)), dtype=np.int32)
@@ -216,7 +232,9 @@ class ClosureResult:
             columns = [names[row].tolist() for row in letters]
             codes = self.member_codes[start:start + step].tolist()
             for code, word, skip in zip(codes, zip(*columns), skips):
-                yield code, Word(word[skip:])
+                item = new_word(Word)
+                set_labels(item, word[skip:])
+                yield code, item
 
     def save(self, tree_path: str | Path) -> None:
         """The BFS tree, with a JSON sidecar holding a digest of the codes."""
@@ -236,7 +254,9 @@ class ClosureResult:
 
         The tree is replayed over ``gens``; raises ValueError unless the codes
         it yields, level by level as the sidecar says, match the sidecar's
-        digest of the member codes.
+        digest of the member codes, and unless every node's suffix is a node,
+        as in every tree the engine builds.  ``stats.products`` is counted
+        from the tree; ``stats.seconds`` is 0.0.
         """
         meta = read_sidecar(
             tree_path, ("n", "count", "labels", "level_sizes", "codes_sha256"))
@@ -251,18 +271,56 @@ class ClosureResult:
         parents, genidx = tree[:count], tree[count:]
         level_sizes = sidecar_ints(meta, "level_sizes")
         order = _replay_tree(n, rows, parents, genidx, level_sizes)
-        # every member is multiplied by every generator exactly once
-        stats = ClosureStats(level_sizes, len(labels) * count, 0.0)
-        result = cls(n, labels, stats, order, parents, genidx)
+        result = cls(n, labels, ClosureStats(level_sizes, 0, 0.0), order,
+                     parents, genidx)
         # the saved codes were distinct, so a match also rules out duplicates
         if _codes_digest(result.member_codes) != meta["codes_sha256"]:
             raise ValueError(f"{tree_path} does not rebuild the recorded codes")
+        products = _count_products(parents, genidx, level_sizes, len(labels))
+        result.stats = ClosureStats(level_sizes, products, 0.0)
         return result
 
 
 def _codes_digest(codes: np.ndarray) -> str:
     """SHA-256 of sorted member codes as little-endian u64."""
     return hashlib.sha256(codes.astype("<u8")).hexdigest()
+
+
+def _count_products(parents: np.ndarray, genidx: np.ndarray,
+                    level_sizes: tuple[int, ...], num_gens: int) -> int:
+    """The number of products ``_close_rows`` forms to build this tree.
+
+    Each node is multiplied by the generators of the children of its
+    suffix node.  A seed's suffix is the empty word, whose children are the
+    seeds.  Any other node's suffix is the child of its parent's suffix by
+    the node's own generator: a node of the level before, found there by
+    (parent, generator), the order each level is sorted in.  Raises
+    ValueError if a suffix is not in the tree, which no tree of the engine
+    lacks.
+    """
+    if not level_sizes:
+        return 0
+    seeds = level_sizes[0]
+    products = seeds * seeds
+    # keys of a level's nodes, (local parent + 1, generator), and suffixes,
+    # local to the level before; -1 is the empty word
+    suffix = np.full(seeds, -1, dtype=np.int64)
+    keys = genidx[:seeds].astype(np.int64)
+    start, prev_start = seeds, 0
+    for size in level_sizes[1:]:
+        stop = start + size
+        local = parents[start:stop].astype(np.int64) - prev_start
+        gen = genidx[start:stop].astype(np.int64)
+        want = (suffix[local] + 1) * num_gens + gen
+        found = keys.searchsorted(want).clip(max=len(keys) - 1)
+        if np.any(keys[found] != want):
+            raise ValueError("a node's suffix is not in the tree")
+        # the children of the level before are this level's nodes
+        children = np.bincount(local, minlength=len(keys))
+        products += int(children[found].sum())
+        suffix, keys = found, (local + 1) * num_gens + gen
+        start, prev_start = stop, start
+    return products
 
 
 def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
@@ -344,6 +402,11 @@ def _first_new(flat: np.ndarray, visited: np.ndarray) -> tuple[np.ndarray, np.nd
     return first, visited
 
 
+def _joined(parts: list[np.ndarray], axis: int = 0) -> np.ndarray:
+    """The parts concatenated; a level of one block needs no copy."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
 def _close_rows(
     n: int,
     labels: tuple[str, ...],
@@ -358,59 +421,75 @@ def _close_rows(
     started = time.perf_counter()
     powers = np.asarray(code_powers(n), dtype=np.int64)
     kept = np.flatnonzero(np.count_nonzero(rows, axis=1) >= min_rank)
-    g = len(kept)
-    table = _image_table(n, rows[kept])
-    # weights[v, a, k] = (n+1)^v · table[a, k]: point v+1's digit of a product
-    weights = powers[:, None, None] * table
-    nonzero = (table != 0).view(np.uint8) if min_rank > 0 else None
+    kept = kept.astype(np.int32)
+    rows = rows[kept]
+    table = _image_table(n, rows)
+    # lookup[k·(n+1) + a] = table[a, k]: the image of a under generator k
+    lookup = table.T.ravel()
 
     visited = np.array([_NO_CODE])
-    seed_codes = rows[kept] @ powers
+    seed_codes = rows @ powers
     first, visited = _first_new(seed_codes, visited)
     order_codes = [seed_codes[first]]
     parents = [np.full(len(first), -1, dtype=np.int32)]
-    genidx = [kept[first].astype(np.int32)]
+    genidx = [kept[first]]
     level_sizes = [len(first)] if len(first) else []
     products = 0
     frontier = table[1:, first]
+    frontier_gens = first
     frontier_start = 0
-    chunk_rows = max(1, _BLOCK_ENTRIES // max(g, 1))
-    # 1/256 of a block per gather, which keeps its temporary small
-    slice_rows = max(1, chunk_rows >> 8)
-    while True:
-        # an empty part, so that a frontier without seeds concatenates
-        new_parents: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-        new_gens: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-        for offset in range(0, frontier.shape[1], chunk_rows):
-            block = frontier[:, offset:offset + chunk_rows]
-            codes = np.empty((block.shape[1], g), dtype=np.int64)
-            for r0 in range(0, block.shape[1], slice_rows):
-                images = block[:, r0:r0 + slice_rows].astype(np.intp)
-                out = codes[r0:r0 + slice_rows]
-                weights[0].take(images[0], axis=0, out=out)
-                for v in range(1, n):
-                    out += weights[v].take(images[v], axis=0)
-                if nonzero is not None:
-                    rank = nonzero.take(images[0], axis=0)
-                    for v in range(1, n):
-                        rank += nonzero.take(images[v], axis=0)
-                    out[rank < min_rank] = -1
-            products += codes.size
-            flat = codes.ravel()
-            first, visited = _first_new(flat, visited)
-            order_codes.append(flat[first])
-            new_parents.append(frontier_start + offset + first // g)
-            new_gens.append(first % g)
-        level_parents = np.concatenate(new_parents)
-        if not len(level_parents):
+    # every seed's suffix is the empty word, whose children are the seeds
+    suffix = np.zeros(len(first), dtype=np.intp)
+    child_start = np.zeros(1, dtype=np.intp)
+    child_count = np.array([len(first)])
+    while len(suffix):
+        # emptied first, so the last level's parts are freed before this
+        # level's arrays are built
+        new_images, new_parents, new_suffix = [], [], []
+        # frontier node x is multiplied by the generators of the children
+        # of its suffix, in order: candidate p of the level multiplies node
+        # owners[p] by the generator of node children[p], both of the
+        # frontier, and x's candidates are a run of count[x]
+        count = child_count[suffix]
+        total = int(count.sum())
+        if not total:
             break
-        gsel = np.concatenate(new_gens)
-        parents.append(level_parents.astype(np.int32))
-        genidx.append(kept[gsel].astype(np.int32))
-        level_sizes.append(len(level_parents))
-        local = level_parents - frontier_start
+        products += total
+        # children[p] = child_start[suffix[x]] + p - (x's first candidate)
+        first_child = child_start[suffix]
+        first_child -= count.cumsum() - count
+        owners = np.repeat(np.arange(len(count), dtype=np.int32), count)
+        children = np.repeat(first_child, count)
+        children += np.arange(total)
+        bases = frontier_gens * (n + 1)
+        for start in range(0, total, _BLOCK_ENTRIES):
+            x = owners[start:start + _BLOCK_ENTRIES]
+            child = children[start:start + _BLOCK_ENTRIES]
+            base = bases.take(child)
+            images = lookup.take(frontier.take(x, axis=1) + base)
+            codes = powers @ images
+            if min_rank > 0:
+                codes[np.count_nonzero(images, axis=0) < min_rank] = -1
+            first, visited = _first_new(codes, visited)
+            order_codes.append(codes[first])
+            new_images.append(images[:, first])
+            new_parents.append(x[first])
+            new_suffix.append(child[first])
+        local = _joined(new_parents)
+        if not len(local):
+            break
+        suffix = _joined(new_suffix)
+        # a node's last generator is that of the child it was formed for
+        frontier_gens = frontier_gens[suffix]
+        parents.append(np.add(local, frontier_start, dtype=np.int32))
+        genidx.append(kept[frontier_gens])
+        level_sizes.append(len(local))
+        # the children of each frontier node, a run of the sorted parents
+        child_count = np.bincount(local, minlength=frontier.shape[1])
+        child_start = child_count.cumsum()
+        child_start -= child_count
         frontier_start += frontier.shape[1]
-        frontier = table[frontier[:, local], gsel]
+        frontier = _joined(new_images, axis=1)
 
     stats = ClosureStats(tuple(level_sizes), products,
                          time.perf_counter() - started)

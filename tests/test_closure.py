@@ -69,6 +69,18 @@ def brute_force_words(gens):
     return best
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_canonical_words_are_suffix_closed(n):
+    """The rule the engine prunes by, checked on the reference BFS: the word
+    of an element without its first letter is the word of its own element."""
+    gens = build_G(n)
+    best = brute_force_words(gens)
+    for word in best.values():
+        if len(word) > 1:
+            suffix = encode(evaluate_word(Word(word[1:]), gens))
+            assert best[suffix] == word[1:], word
+
+
 def test_word_basics():
     w = Word(("gamma", "alpha_1"))
     assert str(w) == "gamma·alpha_1"
@@ -76,6 +88,13 @@ def test_word_basics():
     assert len(w) == 2
     with pytest.raises(ValueError):
         Word(())
+
+
+def test_stream_words_behave_like_constructed_words(g5_closure):
+    for _, word in g5_closure.witness_items():
+        made = Word(word.labels)
+        assert word == made and hash(word) == hash(made)
+        assert str(word) == str(made) and len(word) == len(made) > 0
 
 
 def test_evaluate_word():
@@ -92,6 +111,15 @@ def test_close_G_reaches_everything(n, u3, u5, u7):
     result = close(build_G(n))
     assert result.members == u.code_set
     assert len(result) == len(u)
+
+
+def test_pruned_product_counts(g5_closure, g7_closure, g9_closure):
+    """Each node is multiplied only by the generators of its suffix's
+    children, far fewer than all |G_n| of them."""
+    assert close(build_G(3)).stats.products == 48
+    assert g5_closure.stats.products == 371
+    assert g7_closure.stats.products == 5738
+    assert g9_closure.stats.products == 87343
 
 
 def test_close_level_profile(g9_closure):
@@ -200,9 +228,9 @@ def assert_same_tree(a, b):
 
 @pytest.mark.parametrize("n, block", [(7, 128), (9, 1 << 14)])
 def test_small_blocks_split_rows_identically(n, block, monkeypatch):
-    """Each candidate block is filled in row slices.  With small blocks the
-    levels span several blocks of several row slices (one row each at
-    n = 7), and must still give the arrays of the default block size."""
+    """With small blocks a level's candidates span several blocks, cut
+    through the candidates of one frontier node, and must still give the
+    arrays and product count of the default block size."""
     gens = build_G(n)
     for floor in (0, n - 1):
         reference = close(gens, min_rank=floor)
@@ -292,6 +320,40 @@ def test_save_load_roundtrip(tmp_path, g5_closure):
     loaded.save(tmp_path / "d.tree")
     for a, b in (("c.tree", "d.tree"), ("c.tree.json", "d.tree.json")):
         assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
+
+
+def test_loaded_closure_counts_products(tmp_path, g9_closure):
+    tree_path = tmp_path / "c.tree"
+    g9_closure.save(tree_path)
+    loaded = ClosureResult.load(tree_path, build_G(9))
+    assert loaded.stats.products == g9_closure.stats.products
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_tree_product_count_matches_engine_at_every_floor(n):
+    gens = build_G(n)
+    for r in range(n + 2):
+        result = close(gens, min_rank=r)
+        assert closure_module._count_products(
+            result._parents, result._genidx, result.stats.level_sizes,
+            len(result.labels)) == result.stats.products, r
+
+
+def test_tree_product_count_refuses_a_missing_suffix(g5_closure):
+    """A tree whose node's suffix (its word without the first letter) is
+    not a node is not one the engine builds."""
+    parents, genidx = g5_closure._parents, g5_closure._genidx.copy()
+    sizes = g5_closure.stats.level_sizes
+    node = sizes[0] + sizes[1]  # the first node of the third level
+    refused = 0
+    for k in range(len(g5_closure.labels)):
+        genidx[node] = k
+        try:
+            closure_module._count_products(
+                parents, genidx, sizes, len(g5_closure.labels))
+        except ValueError:
+            refused += 1
+    assert 0 < refused < len(g5_closure.labels)
 
 
 def test_tree_read_holds_one_copy(tmp_path, g9_closure):
