@@ -18,6 +18,7 @@ a partial automorphism and id_{n̄∖{w}} · (δ ∪ {w↦x}) = δ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .fence import (
     PartialInjection,
@@ -30,6 +31,12 @@ from .fence import (
 from .generators import beta_even, beta_odd, parity_points
 
 IDENTITY_LABEL = "id"
+
+
+@cache
+def _identity(n: int) -> PartialInjection:
+    """id_{n̄}, one shared value per n (n is an already validated size)."""
+    return PartialInjection.identity(n)
 
 
 @dataclass(frozen=True)
@@ -83,7 +90,7 @@ def parity_reduce(delta: PartialInjection) -> ParityDecomposition:
     raises RuntimeError.
     """
     n = delta.n
-    ident = PartialInjection.identity(n)
+    ident = _identity(n)
     left: list[PartialInjection] = []
     right: list[PartialInjection] = []
     left_labels: list[str] = []

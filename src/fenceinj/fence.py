@@ -16,6 +16,12 @@ point.  Each element admits a canonical integer code in base n+1:
     code(α) = Σ_k d_k (n+1)^(k−1),   d_k = kα if defined else 0,
 
 which fits in 64 bits for n ≤ 15.
+
+Every public way to build an element validates it in full:
+``PartialInjection(...)``, ``from_pairs``, ``restrict_identity``, ``decode``
+and ``parse_map``.  Composites and inverses do not: a composite or inverse
+of partial injections on {1..n} is again one, so ``compose`` and ``inverse``
+build their result through ``_unchecked`` instead of re-proving it.
 """
 
 from __future__ import annotations
@@ -167,21 +173,42 @@ class PartialInjection:
         return f"PartialInjection({self.n}, {format_map(self)!r})"
 
 
+def _unchecked(n: int, images: tuple[int, ...]) -> PartialInjection:
+    """The element with these fields, built without ``__post_init__``.
+
+    Only for values that are valid by construction; the result is equal to,
+    and hashes like, ``PartialInjection(n, images)``.
+    """
+    f = object.__new__(PartialInjection)
+    fields = f.__dict__
+    fields["n"] = n
+    fields["images"] = images
+    return f
+
+
 def compose(f: PartialInjection, g: PartialInjection) -> PartialInjection:
-    """Left-to-right composition: x(fg) = (xf)g."""
+    """Left-to-right composition: x(fg) = (xf)g.
+
+    The composite skips validation: both factors are partial injections on
+    {1..n}, so their composite is one too (its images are g's images, each
+    used at most once because f is injective).  Indexing g's images behind a
+    leading 0 maps an undefined point of f to 0 without a branch.
+    """
     if f.n != g.n:
         raise ValueError(f"size mismatch: {f.n} vs {g.n}")
-    gi = g.images
-    return PartialInjection(
-        f.n, tuple(UNDEF if v == UNDEF else gi[v - 1] for v in f.images))
+    gi = (UNDEF,) + g.images
+    return _unchecked(f.n, tuple([gi[v] for v in f.images]))
 
 
 def inverse(f: PartialInjection) -> PartialInjection:
-    """The inverse partial injection: dom f⁻¹ = im f, (xf)f⁻¹ = x."""
+    """The inverse partial injection: dom f⁻¹ = im f, (xf)f⁻¹ = x.
+
+    Like a composite, the inverse of a partial injection needs no validation.
+    """
     images = [UNDEF] * f.n
     for x, y in f.items():
         images[y - 1] = x
-    return PartialInjection(f.n, tuple(images))
+    return _unchecked(f.n, tuple(images))
 
 
 def order_violation(f: PartialInjection) -> tuple[int, int] | None:

@@ -15,12 +15,19 @@ The families, all partial automorphisms of the odd fence:
 
 G_n is the distinguished generating set of minimal size; J_n is the set of
 all elements of rank ≥ n−2, labeled here by canonical code.
+
+``gamma``, ``alpha``, ``alpha_pair``, ``beta_odd`` and ``beta_even`` are
+memoized: each is a pure function of small integers, so every call with the
+same arguments returns one shared, immutable ``PartialInjection``.  The memo
+is keyed on the argument types as well as their values, and exceptions are
+not memoized, so a bad argument such as ``gamma(3.0)`` raises on every call.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator
 
@@ -34,7 +41,12 @@ from .fence import (
     parse_map,
 )
 
+# at most a few hundred keys for n ≤ 15; typed, so 3.0 or True never hit
+# the entry of 3 or 1 and skip validation
+_memoize = lru_cache(maxsize=None, typed=True)
 
+
+@_memoize
 def gamma(n: int) -> PartialInjection:
     """The reflection x ↦ n−x+1 (an involution; parity-preserving for odd n)."""
     check_fence_size(n)
@@ -63,11 +75,13 @@ def alpha_odd(n: int, i: int) -> PartialInjection:
         n, tuple(UNDEF if k == i else k for k in range(1, n + 1)))
 
 
+@_memoize
 def alpha(n: int, i: int) -> PartialInjection:
     """α_i, dispatching on the parity of i."""
     return alpha_odd(n, i) if i % 2 else alpha_even(n, i)
 
 
+@_memoize
 def alpha_pair(n: int, i: int, j: int) -> PartialInjection:
     """α_{i,j}: drop i and j, reverse the interior, fix the outside.
 
@@ -92,6 +106,7 @@ def alpha_pair(n: int, i: int, j: int) -> PartialInjection:
     return PartialInjection(n, tuple(images))
 
 
+@_memoize
 def beta_odd(n: int, i: int) -> PartialInjection:
     """β_i^odd for even i; the single parity-changing point is 1 ↦ i."""
     check_fence_size(n)
@@ -113,6 +128,7 @@ def beta_odd(n: int, i: int) -> PartialInjection:
     return PartialInjection(n, tuple(images))
 
 
+@_memoize
 def beta_even(n: int, i: int) -> PartialInjection:
     """β_i^even for even i; the single parity-changing point is i ↦ 1."""
     check_fence_size(n)
@@ -261,5 +277,5 @@ def build_J(n: int, universe) -> GeneratorSet:
 
 def parity_points(f: PartialInjection) -> tuple[int, ...]:
     """Domain points x whose image has the opposite parity, ascending."""
-    return tuple(x for x, y in f.items() if (x - y) % 2)
+    return tuple(x for x, y in enumerate(f.images, 1) if y and (x - y) % 2)
 

@@ -143,7 +143,7 @@ class ElementUniverse:
         digits = np.empty((len(self.codes), self.n), dtype=np.int64)
         c = self.codes_array.copy()
         for k in range(self.n):
-            c, digits[:, k] = np.divmod(c, base)
+            np.divmod(c, base, out=(c, digits[:, k]))
         return digits
 
     @cached_property
@@ -174,7 +174,7 @@ class ElementUniverse:
         if meta["n"] != n or meta["count"] != len(codes) or meta["mode"] not in (
                 MODE_EXHAUSTIVE, MODE_CLOSURE_DERIVED):
             raise ValueError(f"sidecar of {path} disagrees with the binary header")
-        universe = cls(n, tuple(int(c) for c in codes),
+        universe = cls(n, tuple(codes.tolist()),
                        sidecar_ints(meta, "rank_histogram"), meta["mode"])
         if count_by_rank(universe) != universe.rank_histogram:
             raise ValueError(f"sidecar of {path} has the wrong rank histogram")
@@ -280,10 +280,7 @@ def enumerate_FI(n: int) -> ElementUniverse:
 
 def count_by_rank(universe: ElementUniverse) -> tuple[int, ...]:
     """Recompute the rank histogram from the codes (cross-check path)."""
-    hist = [0] * (universe.n + 1)
-    for r in universe.ranks:
-        hist[r] += 1
-    return tuple(hist)
+    return tuple(np.bincount(universe.ranks, minlength=universe.n + 1).tolist())
 
 
 def enumerate_naive(n: int) -> tuple[int, ...]:

@@ -166,6 +166,17 @@ def test_run_verification_n5(u5):
         assert check.status in ("pass", "fail", "skipped")
 
 
+@pytest.mark.parametrize("n", [11, 13])
+def test_run_verification_past_enumeration_cap(n):
+    report = run_verification(n, VerifyContext())
+    assert [c.claim_id for c in report.checks] == EXPECTED_IDS
+    ran = {c.claim_id: c for c in report.checks if c.status != "skipped"}
+    assert set(ran) == {"identity-table", "G-size-formula", "pair-count",
+                        "rank-formula-consistency"}
+    assert all(c.status == "pass" for c in ran.values())
+    assert report.passed
+
+
 def test_verify_context_workers_must_be_positive():
     for workers in (0, -1):
         with pytest.raises(ValueError):

@@ -113,6 +113,49 @@ def test_inverse_involution(f):
     assert compose(compose(f, inverse(f)), f) == f
 
 
+def test_composite_equals_validated_value(u5):
+    elements = list(u5.members())
+    for f in elements:
+        for g in elements:
+            h = compose(f, g)
+            ref = PartialInjection(5, h.images)
+            assert type(h.images) is tuple
+            assert h == ref and hash(h) == hash(ref)
+            assert (h.domain, h.image_set, h.rank) == (ref.domain, ref.image_set, ref.rank)
+        h = inverse(f)
+        ref = PartialInjection(5, h.images)
+        assert h == ref and hash(h) == hash(ref)
+        assert (h.domain, h.image_set, h.rank) == (ref.domain, ref.image_set, ref.rank)
+
+
+def test_compose_rejects_size_mismatch():
+    with pytest.raises(ValueError, match="size mismatch"):
+        compose(PartialInjection.identity(3), PartialInjection.identity(5))
+    with pytest.raises(ValueError, match="size mismatch"):
+        PartialInjection.identity(5) * PartialInjection.empty(3)
+
+
+def test_composite_builds_no_validated_object(monkeypatch):
+    f = parse_map(9, "2,_,_,4,5,6,7,8,9")
+    g = restrict_identity(9, range(2, 10))
+    calls = []
+    validate = PartialInjection.__post_init__
+
+    def counting(self):
+        calls.append(self.images)
+        validate(self)
+
+    monkeypatch.setattr(PartialInjection, "__post_init__", counting)
+    PartialInjection.identity(9)
+    assert len(calls) == 1  # the public constructor still validates
+    calls.clear()
+    compose(f, g)
+    compose(g, f)
+    f * g * f
+    inverse(f)
+    assert calls == []
+
+
 def test_order_violation_examples():
     bad = PartialInjection.from_pairs(5, [(1, 1), (2, 3)])
     assert order_violation(bad) == (1, 2)

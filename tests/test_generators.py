@@ -235,3 +235,40 @@ def test_parity_points():
     assert parity_points(beta_odd(9, 4)) == (1,)  # unique, at an endpoint
     assert parity_points(PartialInjection.identity(5)) == ()
     assert parity_points(gamma(5)) == ()  # n odd: reflection keeps parity
+
+
+MEMOIZED_CALLS = [
+    (gamma, (9,)), (alpha, (9, 3)), (alpha, (9, 4)), (alpha_pair, (9, 1, 5)),
+    (alpha_pair, (9, 2, 6)), (beta_odd, (9, 4)), (beta_even, (9, 4)),
+    (beta_odd, (3, 2)), (beta_even, (13, 12)),
+]
+
+
+@pytest.mark.parametrize("family, args", MEMOIZED_CALLS)
+def test_memoized_families_return_one_shared_value(family, args):
+    first, second = family(*args), family(*args)
+    assert first == second and first is second
+    assert is_partial_automorphism(first)
+
+
+BAD_CALLS = [
+    (gamma, (4,)), (gamma, (3.0,)), (gamma, (True,)), (gamma, (17,)),
+    (alpha, (5, 6)), (alpha, (5, 0)), (alpha_pair, (3, 1, 3)),
+    (alpha_pair, (9, 1, 4)), (alpha_pair, (9, 5, 3)), (beta_odd, (9, 3)),
+    (beta_odd, (9, 10)), (beta_even, (9, 0)), (beta_even, (9.0, 4)),
+]
+
+
+@pytest.mark.parametrize("family, args", BAD_CALLS)
+def test_memoized_families_raise_on_every_call(family, args):
+    # valid neighbours are in the memo: equal-but-not-identical keys such as
+    # 3.0 or True must not hit the entries of 3 or 1
+    gamma(1), gamma(3), beta_even(9, 4)
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            family(*args)
+
+
+def test_parity_points_matches_items_definition(u7):
+    for f in u7.members():
+        assert parity_points(f) == tuple(x for x, y in f.items() if (x - y) % 2)
