@@ -24,22 +24,28 @@ each code, and with it every witness, is the one the full sweep picks.
 
 The hot path is table-driven.  A frontier is an n × m ``uint8`` image
 matrix (column j holds the images of points 1..n under element j, 0 for
-undefined), and ``table[a, k]`` is the image of a under generator k, 0
-sticky, kept flat by generator.  A block of candidates gathers its
-frontier columns, adds each candidate's generator offset, and takes its
-product images from that flat table in one call; ``powers @ images`` gives
-the codes.  Each candidate block is deduped by array operations alone: an
-argsort groups equal codes, and the least flat index of each group is its
-first occurrence, which keeps the lexicographic tie-break.  The unique
-codes are looked up in a sorted ``visited`` array with ``searchsorted``,
-and the new ones are merged into it before the next block, so a later
-block of the same level sees them.  The next frontier is the images of the
-new candidates, already computed.  ``stats.products`` counts the
-candidates formed.
+undefined), and a flat ``uint8`` lookup holds the image of each point a
+under each generator k, 0 sticky, at offset k·(n+1) + a.  One product
+kernel, ``_products``, serves both the closure and the replay of a saved
+tree.  It gathers a block's frontier columns, adds each candidate's
+generator offset, and fancy-indexes the lookup with the sum.  The offsets
+take the smallest unsigned dtype that holds the lookup's length, so the
+n-wide index stays narrow, and numpy casts it to intp in buffered chunks;
+``einsum`` sums the codes, casting the images in chunks too.  So no n-wide
+int64 temporary is made.  Each candidate block is deduped by array
+operations alone: an argsort groups equal codes, and the least flat index
+of each group is its first occurrence, which keeps the lexicographic
+tie-break.  The unique codes are looked up in a sorted ``visited`` array
+with ``searchsorted``, and the new ones are merged into it before the next
+block, so a later block of the same level sees them.  The next frontier is
+the images of the new candidates, already computed.  ``stats.products``
+counts the candidates formed.
 
 The engine runs in the calling thread.  A level's candidates are cut into
-blocks of at most ``_BLOCK_ENTRIES``, which bounds the block's int64
-temporaries, and blocks are deduplicated in order.
+blocks of at most ``_BLOCK_ENTRIES``, and blocks are deduplicated in order.
+This bounds a block's temporaries: n-wide matrices of one byte per entry
+(gathered frontier, images) or one to four (gather index), and a handful of
+int64 vectors (the codes and the arrays that dedupe them).
 
 Witnesses are kept as the BFS tree itself (Froidure & Pin, 1997): each node
 stores its parent node and last generator (int32 each), and a word is read
@@ -73,7 +79,8 @@ from .oracle import (
     write_sidecar,
 )
 
-# cap on the candidates of one block, whose temporaries hold n int64 each
+# cap on the candidates of one block; a candidate's temporaries are its n
+# image bytes, n narrow gather indices and a few int64 scalars
 _BLOCK_ENTRIES = 1 << 20
 
 # sentinel that ends the sorted ``visited`` array, above every code
@@ -334,7 +341,7 @@ def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
     if len(genidx) and (genidx.min() < 0 or genidx.max() >= len(rows)):
         raise ValueError("tree names a generator index out of range")
     powers = np.asarray(code_powers(n), dtype=np.int64)
-    table = _image_table(n, rows)
+    lookup, bases = _lookup(n, rows)
     order = np.empty(len(parents), dtype=np.int64)
     start, prev_start, prev = 0, -1, None
     for size in level_sizes:
@@ -343,35 +350,62 @@ def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
         if prev is None:
             if np.any(parent != -1):
                 raise ValueError("a first-level node has a parent")
-            level = table[1:, gen]
+            level = rows.T.take(gen, axis=1)
+            codes = _codes(powers, level)
         else:
             # in int64, so that no corrupt int32 parent can wrap around
             local = parent.astype(np.int64) - prev_start
             if np.any((local < 0) | (local >= prev.shape[1])):
                 raise ValueError("a node's parent is not in the level before")
-            level = table[prev[:, local], gen]
-        order[start:stop] = powers @ level
+            level, codes = _products(lookup, prev, local, bases.take(gen), powers)
+        order[start:stop] = codes
         prev, prev_start, start = level, start, stop
     return order
 
 
-def _image_table(n: int, rows: np.ndarray) -> np.ndarray:
-    """Composition lookup: table[a, k] = image of a under generator k, 0 sticky.
+def _lookup(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat composition lookup and each generator's offset into it.
 
-    Column j of an image matrix ``images`` (n × m, uint8) holds the images of
-    points 1..n under element j; ``table[images, k]`` composes every element
-    with generator k.
+    ``lookup[bases[k] + a]`` is the image of point a under generator k, 0
+    sticky (a = 0 stands for undefined).  The offsets take the smallest
+    unsigned dtype that holds the length of ``lookup``, so an offset plus an
+    image, a block's gather index, fits it too.
     """
-    table = np.zeros((n + 1, len(rows)), dtype=np.uint8)
-    table[1:] = rows.T
-    return table
+    table = np.zeros((len(rows), n + 1), dtype=np.uint8)
+    table[:, 1:] = rows
+    lookup = table.ravel()
+    bases = np.arange(len(rows)) * (n + 1)
+    return lookup, bases.astype(np.min_scalar_type(len(lookup)))
+
+
+def _codes(powers: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Codes of the columns of a uint8 image matrix, as int64.
+
+    ``einsum`` casts the images to int64 in buffered chunks, so no n-wide
+    int64 copy of the matrix is made.
+    """
+    return np.einsum("v,vb->b", powers, images)
+
+
+def _products(lookup: np.ndarray, frontier: np.ndarray, cols: np.ndarray,
+              offsets: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Images and codes of the products frontier[:, cols[j]] · generator j.
+
+    Generator j is given by its offset ``offsets[j]`` into ``lookup`` (see
+    ``_lookup``).  The gather index keeps the offsets' narrow dtype; fancy
+    indexing casts it to intp in buffered chunks, where ``take`` would copy
+    the whole index first.  Returns the n × len(cols) uint8 image matrix and
+    the int64 codes.
+    """
+    images = lookup[frontier.take(cols, axis=1) + offsets]
+    return images, _codes(powers, images)
 
 
 def _sorted_rows(gens: GeneratorSet) -> tuple[tuple[str, ...], np.ndarray]:
-    """Labels in sorted order and the matching image-row matrix."""
+    """Labels in sorted order and the matching uint8 image-row matrix."""
     entries = sorted(gens, key=lambda e: e[0])
     labels = tuple(label for label, _ in entries)
-    rows = np.array([element.images for _, element in entries], dtype=np.int64)
+    rows = np.array([element.images for _, element in entries], dtype=np.uint8)
     return labels, rows
 
 
@@ -423,19 +457,17 @@ def _close_rows(
     kept = np.flatnonzero(np.count_nonzero(rows, axis=1) >= min_rank)
     kept = kept.astype(np.int32)
     rows = rows[kept]
-    table = _image_table(n, rows)
-    # lookup[k·(n+1) + a] = table[a, k]: the image of a under generator k
-    lookup = table.T.ravel()
+    lookup, gen_bases = _lookup(n, rows)
 
     visited = np.array([_NO_CODE])
-    seed_codes = rows @ powers
+    seed_codes = _codes(powers, rows.T)
     first, visited = _first_new(seed_codes, visited)
     order_codes = [seed_codes[first]]
     parents = [np.full(len(first), -1, dtype=np.int32)]
     genidx = [kept[first]]
     level_sizes = [len(first)] if len(first) else []
     products = 0
-    frontier = table[1:, first]
+    frontier = rows.T.take(first, axis=1)
     frontier_gens = first
     frontier_start = 0
     # every seed's suffix is the empty word, whose children are the seeds
@@ -461,13 +493,11 @@ def _close_rows(
         owners = np.repeat(np.arange(len(count), dtype=np.int32), count)
         children = np.repeat(first_child, count)
         children += np.arange(total)
-        bases = frontier_gens * (n + 1)
+        bases = gen_bases.take(frontier_gens)
         for start in range(0, total, _BLOCK_ENTRIES):
             x = owners[start:start + _BLOCK_ENTRIES]
             child = children[start:start + _BLOCK_ENTRIES]
-            base = bases.take(child)
-            images = lookup.take(frontier.take(x, axis=1) + base)
-            codes = powers @ images
+            images, codes = _products(lookup, frontier, x, bases.take(child), powers)
             if min_rank > 0:
                 codes[np.count_nonzero(images, axis=0) < min_rank] = -1
             first, visited = _first_new(codes, visited)

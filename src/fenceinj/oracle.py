@@ -138,12 +138,17 @@ class ElementUniverse:
 
     @cached_property
     def images_matrix(self) -> np.ndarray:
-        """Row k = image tuple of codes[k]; shape (count, n), zeros undefined."""
+        """Row k = image tuple of codes[k]; shape (count, n), zeros undefined.
+
+        The entries are uint8: an image is at most n ≤ 15.
+        """
         base = self.n + 1
-        digits = np.empty((len(self.codes), self.n), dtype=np.int64)
+        digits = np.empty((len(self.codes), self.n), dtype=np.uint8)
         c = self.codes_array.copy()
+        digit = np.empty_like(c)
         for k in range(self.n):
-            np.divmod(c, base, out=(c, digits[:, k]))
+            np.divmod(c, base, out=(c, digit))
+            digits[:, k] = digit
         return digits
 
     @cached_property

@@ -33,6 +33,7 @@ from fenceinj import (
 from fenceinj import closure as closure_module
 from fenceinj.analysis import r_class
 from fenceinj.closure import TREE_MAGIC
+from fenceinj.fence import code_powers
 from fenceinj.oracle import (
     read_binary_file,
     sidecar_path,
@@ -239,6 +240,54 @@ def test_small_blocks_split_rows_identically(n, block, monkeypatch):
             result = close(gens, min_rank=floor)
         assert_same_tree(reference, result)
         assert result.stats.products == reference.stats.products
+
+
+@pytest.mark.parametrize("n, k, dtype", [
+    (4, 51, np.uint8),        # 255 lookup entries
+    (15, 16, np.uint16),      # 256
+    (14, 4369, np.uint16),    # 65,535
+    (15, 4096, np.uint32),    # 65,536
+])
+def test_product_kernel_at_index_dtype_boundaries(n, k, dtype):
+    """The narrow gather of the product kernel equals an intp ``take`` on
+    both sides of each switch of the offsets' dtype, down to the last
+    lookup entry."""
+    rng = np.random.default_rng(n * k)
+    rows = rng.integers(0, n + 1, size=(k, n), dtype=np.uint8)
+    lookup, bases = closure_module._lookup(n, rows)
+    assert len(lookup) == k * (n + 1) and bases.dtype == dtype
+    frontier = rng.integers(0, n + 1, size=(n, 300), dtype=np.uint8)
+    frontier[:, -1] = n  # with the last generator, reaches the last entry
+    cols = rng.integers(0, frontier.shape[1], size=2000)
+    gens = rng.integers(0, k, size=len(cols))
+    cols[-1], gens[-1] = frontier.shape[1] - 1, k - 1
+    powers = np.asarray(code_powers(n), dtype=np.int64)
+    images, codes = closure_module._products(
+        lookup, frontier, cols, bases.take(gens), powers)
+    index = frontier.take(cols, axis=1).astype(np.intp) + gens.astype(np.intp) * (n + 1)
+    reference = lookup.take(index)
+    assert index.max() == len(lookup) - 1
+    assert images.dtype == np.uint8 and np.array_equal(images, reference)
+    assert codes.dtype == np.int64
+    assert np.array_equal(codes, powers @ reference.astype(np.int64))
+    # the image of point a under generator g is that generator's row entry
+    points = frontier.take(cols, axis=1).astype(np.intp)
+    expect = np.where(points > 0, rows[gens, np.maximum(points - 1, 0)], 0)
+    assert np.array_equal(images, expect)
+
+
+def test_close_G11_peak_memory():
+    """No n-wide int64 copy of a candidate block: the product step gathers
+    through a narrow index and sums codes in buffered chunks."""
+    gens = build_G(11)
+    tracemalloc.start()
+    try:
+        result = close(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result) == 586650
+    assert peak < 80_000_000, peak
 
 
 @settings(max_examples=25, deadline=None)

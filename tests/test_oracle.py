@@ -199,3 +199,10 @@ def test_members_sorted_and_contains(u3):
     assert list(u3.codes) == sorted(u3.codes)
     assert u3.contains_code(u3.codes[0])
     assert not u3.contains_code(-1)
+
+
+def test_images_matrix_is_uint8_image_rows(u7):
+    mat = u7.images_matrix
+    assert mat.dtype == "uint8" and mat.shape == (len(u7), 7)
+    for row, f in zip(mat[::97], list(u7.members())[::97]):
+        assert tuple(row.tolist()) == f.images
