@@ -52,8 +52,10 @@ stores its parent node and last generator (int32 each), and a word is read
 off by walking to the root.  ``witness_items`` walks a block of nodes at a
 time, one vector gather per letter, and zips the block's per-letter label
 columns into words.  ``ClosureResult.save`` writes that tree, with a sidecar
-holding a SHA-256 of the sorted codes; ``load`` replays the tree over the
-generators and accepts it only if the rebuilt codes match that digest.
+holding a SHA-256 of the sorted codes.  ``load`` replays the tree over the
+generators in one walk of its levels, which rebuilds the codes, checks that
+every node's suffix is a node and counts the products the engine formed;
+it accepts the tree only if the rebuilt codes match that digest.
 """
 
 from __future__ import annotations
@@ -245,8 +247,8 @@ class ClosureResult:
 
     def save(self, tree_path: str | Path) -> None:
         """The BFS tree, with a JSON sidecar holding a digest of the codes."""
-        tree = np.concatenate([self._parents, self._genidx]).astype("<i4")
-        write_binary_file(tree_path, TREE_MAGIC, self.n, len(self), tree.tobytes())
+        tree = np.concatenate([self._parents, self._genidx], dtype="<i4")
+        write_binary_file(tree_path, TREE_MAGIC, self.n, len(self), tree)
         write_sidecar(tree_path, {
             "n": self.n,
             "count": len(self),
@@ -259,11 +261,11 @@ class ClosureResult:
     def load(cls, tree_path: str | Path, gens: GeneratorSet) -> ClosureResult:
         """Read a closure of ``gens`` saved as a tree file and its sidecar.
 
-        The tree is replayed over ``gens``; raises ValueError unless the codes
-        it yields, level by level as the sidecar says, match the sidecar's
-        digest of the member codes, and unless every node's suffix is a node,
-        as in every tree the engine builds.  ``stats.products`` is counted
-        from the tree; ``stats.seconds`` is 0.0.
+        One walk of the tree's levels, as the sidecar gives them, replays it
+        over ``gens``, checks that every node's suffix is a node, as in every
+        tree the engine builds, and counts ``stats.products``;
+        ``stats.seconds`` is 0.0.  Raises ValueError unless the checks hold
+        and the rebuilt codes match the sidecar's digest of the member codes.
         """
         meta = read_sidecar(
             tree_path, ("n", "count", "labels", "level_sizes", "codes_sha256"))
@@ -277,64 +279,36 @@ class ClosureResult:
         tree = np.frombuffer(payload, dtype="<i4").astype(np.int32, copy=False)
         parents, genidx = tree[:count], tree[count:]
         level_sizes = sidecar_ints(meta, "level_sizes")
-        order = _replay_tree(n, rows, parents, genidx, level_sizes)
-        result = cls(n, labels, ClosureStats(level_sizes, 0, 0.0), order,
+        order, products = _replay_tree(n, rows, parents, genidx, level_sizes)
+        result = cls(n, labels, ClosureStats(level_sizes, products, 0.0), order,
                      parents, genidx)
         # the saved codes were distinct, so a match also rules out duplicates
         if _codes_digest(result.member_codes) != meta["codes_sha256"]:
             raise ValueError(f"{tree_path} does not rebuild the recorded codes")
-        products = _count_products(parents, genidx, level_sizes, len(labels))
-        result.stats = ClosureStats(level_sizes, products, 0.0)
         return result
 
 
 def _codes_digest(codes: np.ndarray) -> str:
-    """SHA-256 of sorted member codes as little-endian u64."""
-    return hashlib.sha256(codes.astype("<u8")).hexdigest()
+    """SHA-256 of sorted member codes as little-endian u64.
 
-
-def _count_products(parents: np.ndarray, genidx: np.ndarray,
-                    level_sizes: tuple[int, ...], num_gens: int) -> int:
-    """The number of products ``_close_rows`` forms to build this tree.
-
-    Each node is multiplied by the generators of the children of its
-    suffix node.  A seed's suffix is the empty word, whose children are the
-    seeds.  Any other node's suffix is the child of its parent's suffix by
-    the node's own generator: a node of the level before, found there by
-    (parent, generator), the order each level is sorted in.  Raises
-    ValueError if a suffix is not in the tree, which no tree of the engine
-    lacks.
+    Codes are non-negative, so their int64 bytes are their u64 bytes, and
+    the digest reads them in place.
     """
-    if not level_sizes:
-        return 0
-    seeds = level_sizes[0]
-    products = seeds * seeds
-    # keys of a level's nodes, (local parent + 1, generator), and suffixes,
-    # local to the level before; -1 is the empty word
-    suffix = np.full(seeds, -1, dtype=np.int64)
-    keys = genidx[:seeds].astype(np.int64)
-    start, prev_start = seeds, 0
-    for size in level_sizes[1:]:
-        stop = start + size
-        local = parents[start:stop].astype(np.int64) - prev_start
-        gen = genidx[start:stop].astype(np.int64)
-        want = (suffix[local] + 1) * num_gens + gen
-        found = keys.searchsorted(want).clip(max=len(keys) - 1)
-        if np.any(keys[found] != want):
-            raise ValueError("a node's suffix is not in the tree")
-        # the children of the level before are this level's nodes
-        children = np.bincount(local, minlength=len(keys))
-        products += int(children[found].sum())
-        suffix, keys = found, (local + 1) * num_gens + gen
-        start, prev_start = stop, start
-    return products
+    return hashlib.sha256(np.asarray(codes, dtype="<i8").view("<u8")).hexdigest()
 
 
 def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
-                 genidx: np.ndarray, level_sizes: tuple[int, ...]) -> np.ndarray:
-    """BFS-order codes of a witness tree over generator image rows.
+                 genidx: np.ndarray,
+                 level_sizes: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """BFS-order codes of a witness tree over generator image rows, and the
+    number of products ``_close_rows`` forms to build the tree.
 
     Each level's parents must lie in the level before; seeds have parent -1.
+    Each node is multiplied by the generators of the children of its suffix
+    node.  A seed's suffix is the empty word, whose children are the seeds.
+    Any other node's suffix is the child of its parent's suffix by the
+    node's own generator, a node of the level before; raises ValueError if
+    it is not in the tree, which no tree of the engine lacks.
     """
     if any(size < 1 for size in level_sizes) or sum(level_sizes) != len(parents):
         raise ValueError(f"level sizes {level_sizes} do not cover the tree")
@@ -343,24 +317,37 @@ def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
     powers = np.asarray(code_powers(n), dtype=np.int64)
     lookup, bases = _lookup(n, rows)
     order = np.empty(len(parents), dtype=np.int64)
-    start, prev_start, prev = 0, -1, None
+    products = 0
+    start, prev_start, prev = 0, 0, None
     for size in level_sizes:
         stop = start + size
-        parent, gen = parents[start:stop], genidx[start:stop]
+        # in int64, so that no corrupt int32 parent can wrap around
+        local = parents[start:stop].astype(np.int64) - prev_start
+        gen = genidx[start:stop]
         if prev is None:
-            if np.any(parent != -1):
+            if np.any(local != -1):
                 raise ValueError("a first-level node has a parent")
             level = rows.T.take(gen, axis=1)
             codes = _codes(powers, level)
+            # a seed's suffix is the empty word, -1, whose children are the seeds
+            products += size * size
+            found = local
         else:
-            # in int64, so that no corrupt int32 parent can wrap around
-            local = parent.astype(np.int64) - prev_start
             if np.any((local < 0) | (local >= prev.shape[1])):
                 raise ValueError("a node's parent is not in the level before")
+            want = (suffix[local] + 1) * len(rows) + gen
+            found = keys.searchsorted(want).clip(max=len(keys) - 1)
+            if np.any(keys[found] != want):
+                raise ValueError("a node's suffix is not in the tree")
+            # the children of the level before are this level's nodes
+            products += int(np.bincount(local, minlength=len(keys))[found].sum())
             level, codes = _products(lookup, prev, local, bases.take(gen), powers)
+        # suffixes, local to the level before, and the keys the level is
+        # sorted by, (local parent + 1, generator)
+        suffix, keys = found, (local + 1) * len(rows) + gen
         order[start:stop] = codes
         prev, prev_start, start = level, start, stop
-    return order
+    return order, products
 
 
 def _lookup(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

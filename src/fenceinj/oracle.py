@@ -9,8 +9,10 @@ image of d−1 (when d−1 is in the subset) plus "banned windows" forbidding
 images within distance 1 of the images of all non-adjacent earlier points.
 
 The exhaustive mode is capped at n = 9 (the raw space at n = 11 exceeds
-10^9 partial injections); larger universes are obtained as closures of G_n
-and marked "closure-derived".
+10^9 partial injections); ``enumerate_FI`` refuses larger n.  A caller who
+has the codes of a larger universe from elsewhere, such as the member codes
+of a closure of G_n, can wrap them with ``universe_from_codes``, which marks
+the universe "closure-derived" by default.
 """
 
 from __future__ import annotations
@@ -220,8 +222,12 @@ def sidecar_ints(meta: dict, key: str) -> tuple[int, ...]:
 
 
 def write_binary_file(path: str | Path, magic: bytes, n: int, count: int,
-                      payload: bytes) -> None:
-    """Header (magic, version, n, count, SHA-256 of the payload) + payload."""
+                      payload: bytes | memoryview | np.ndarray) -> None:
+    """Header (magic, version, n, count, SHA-256 of the payload) + payload.
+
+    ``payload`` is any C-contiguous bytes-like object, such as an array; it
+    is hashed and written in place, not copied.
+    """
     digest = hashlib.sha256(payload).digest()
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(magic, CACHE_VERSION, n, count, digest))
@@ -256,7 +262,7 @@ def read_binary_file(path: str | Path, magic: bytes,
 def write_code_file(path: str | Path, n: int, codes: np.ndarray) -> None:
     """Binary code list: the sorted codes as u64 after the common header."""
     arr = np.asarray(codes, dtype="<u8")
-    write_binary_file(path, CACHE_MAGIC, n, len(arr), arr.tobytes())
+    write_binary_file(path, CACHE_MAGIC, n, len(arr), arr)
 
 
 def read_code_file(path: str | Path) -> tuple[int, np.ndarray]:

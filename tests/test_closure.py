@@ -379,13 +379,25 @@ def test_loaded_closure_counts_products(tmp_path, g9_closure):
 
 
 @pytest.mark.parametrize("n", [5, 7])
-def test_tree_product_count_matches_engine_at_every_floor(n):
+def test_tree_product_count_matches_engine_at_every_floor(n, u7):
+    """The replay rebuilds the engine's codes and counts its products, at
+    every floor and, at n = 7, over J_7 and FI_7 ∖ R_1, whose tree names
+    generator indices that no 8-bit dtype holds."""
     gens = build_G(n)
-    for r in range(n + 2):
-        result = close(gens, min_rank=r)
-        assert closure_module._count_products(
-            result._parents, result._genidx, result.stats.level_sizes,
-            len(result.labels)) == result.stats.products, r
+    cases = [(r, gens, close(gens, min_rank=r)) for r in range(n + 2)]
+    if n == 7:
+        wide = close_excluding(u7, r_class(7, 1, u7).codes)
+        assert wide._genidx.max() > 255
+        wide_gens = GeneratorSet(7, tuple(
+            (label, decode(7, int(label))) for label in wide.labels))
+        cases += [("J_7", build_J(7, u7), close(build_J(7, u7))),
+                  ("FI_7 - R_1", wide_gens, wide)]
+    for case, gens, result in cases:
+        rows = closure_module._sorted_rows(gens)[1]
+        codes, products = closure_module._replay_tree(
+            n, rows, result._parents, result._genidx, result.stats.level_sizes)
+        assert codes.tobytes() == result._order_codes.tobytes(), case
+        assert products == result.stats.products, case
 
 
 def test_tree_product_count_refuses_a_missing_suffix(g5_closure):
@@ -393,16 +405,31 @@ def test_tree_product_count_refuses_a_missing_suffix(g5_closure):
     not a node is not one the engine builds."""
     parents, genidx = g5_closure._parents, g5_closure._genidx.copy()
     sizes = g5_closure.stats.level_sizes
+    rows = closure_module._sorted_rows(build_G(5))[1]
     node = sizes[0] + sizes[1]  # the first node of the third level
     refused = 0
     for k in range(len(g5_closure.labels)):
         genidx[node] = k
         try:
-            closure_module._count_products(
-                parents, genidx, sizes, len(g5_closure.labels))
-        except ValueError:
+            closure_module._replay_tree(5, rows, parents, genidx, sizes)
+        except ValueError as error:
+            assert "suffix" in str(error)
             refused += 1
     assert 0 < refused < len(g5_closure.labels)
+
+
+def test_tree_save_holds_one_copy(tmp_path, g9_closure):
+    """Saving a closure hashes and writes its tree from one array; the
+    digest of the codes reads them in place."""
+    g9_closure.member_codes  # cached before tracing, as after any lookup
+    payload = 8 * len(g9_closure)
+    tracemalloc.start()
+    try:
+        g9_closure.save(tmp_path / "c.tree")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * payload, (peak, payload)
 
 
 def test_tree_read_holds_one_copy(tmp_path, g9_closure):
