@@ -174,24 +174,30 @@ class ClosureResult:
 
     @cached_property
     def _code_order(self) -> np.ndarray:
-        """Node indices in ascending code order."""
+        """Node indices in ascending code order; only ``witness_items``
+        needs them."""
         return np.argsort(self._order_codes)
 
     @cached_property
     def member_codes(self) -> np.ndarray:
-        return self._order_codes[self._code_order]
+        return np.sort(self._order_codes)
 
     @cached_property
     def members(self) -> frozenset[int]:
         return frozenset(self.member_codes.tolist())
 
     def _node(self, target: int | PartialInjection) -> tuple[int, int]:
-        """The target's code and its node index, or -1 if not a member."""
+        """The target's code and its node index, or -1 if not a member.
+
+        Membership is a binary search of the sorted codes; the node index of
+        a member is one scan of the BFS-order codes, so a lookup needs no
+        argsort of every code.
+        """
         code = encode(target) if isinstance(target, PartialInjection) else int(target)
         codes = self.member_codes
         pos = int(np.searchsorted(codes, code))
         if pos < len(codes) and codes[pos] == code:
-            return code, int(self._code_order[pos])
+            return code, int(np.flatnonzero(self._order_codes == code)[0])
         return code, -1
 
     def __contains__(self, target: int | PartialInjection) -> bool:
@@ -232,6 +238,7 @@ class ClosureResult:
         new_word, set_labels = object.__new__, Word.labels.__set__
         for start in range(0, len(self), step):
             k = self._code_order[start:start + step]
+            codes = self._order_codes[k].tolist()
             letters = np.empty((width, len(k)), dtype=np.int32)
             for col in range(width - 1, -1, -1):
                 live = k >= 0
@@ -239,7 +246,6 @@ class ClosureResult:
                 k = np.where(live, self._parents[k], -1)
             skips = np.count_nonzero(letters == blank, axis=0).tolist()
             columns = [names[row].tolist() for row in letters]
-            codes = self.member_codes[start:start + step].tolist()
             for code, word, skip in zip(codes, zip(*columns), skips):
                 item = new_word(Word)
                 set_labels(item, word[skip:])
@@ -542,7 +548,12 @@ def close_excluding(
     universe: ElementUniverse,
     excluded: Iterable[int] | Iterable[PartialInjection],
 ) -> ClosureResult:
-    """Closure of (universe ∖ excluded), elements labeled by decimal code."""
+    """Closure of (universe ∖ excluded), elements labeled by decimal code.
+
+    No claim runner calls it; the tests use it as the honest reference for
+    acceptance criterion 7, a closure of the whole complement of each R_i,
+    and as the engine side of the n = 3 minimal-rank cross-check.
+    """
     excluded_codes = {
         encode(e) if isinstance(e, PartialInjection) else int(e) for e in excluded}
     stray = excluded_codes - universe.code_set

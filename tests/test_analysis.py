@@ -1,14 +1,20 @@
 """Rank values, R_i classes, lemma checks, and the claim registry."""
 
 import json
+from itertools import combinations
 
 import pytest
 
 from fenceinj import (
     CapacityError,
     VerifyContext,
+    build_G,
     claim_registry,
+    close,
     close_excluding,
+    compose,
+    encode,
+    gamma,
     minimal_rank_exhaustive,
     r_class,
     rank_formula,
@@ -19,12 +25,14 @@ from fenceinj import (
     verify_lemma_bf4,
     verify_prop7_claims,
 )
+from fenceinj import closure as closure_module
 from fenceinj.analysis import (
     GRADE_FORMULA,
     GRADE_MACHINE,
     GRADE_PROVED,
     ClaimCheck,
     VerificationReport,
+    _CayleyTable,
 )
 
 EXPECTED_IDS = [
@@ -144,6 +152,79 @@ def test_minimal_rank(u3, u5):
     assert minimal_rank_exhaustive(u3) == 5
     with pytest.raises(CapacityError):
         minimal_rank_exhaustive(u5)
+
+
+def test_cayley_table_multiplies_on_the_right(u3):
+    """``right[b][a]`` is a·b: a first, then b."""
+    table = _CayleyTable(u3)
+    elements = list(u3.members())
+    for b, f in enumerate(elements):
+        for a, e in enumerate(elements):
+            assert u3.codes[table.right[b][a]] == encode(compose(e, f))
+
+
+def test_minimal_rank_search_order(u3, monkeypatch):
+    """γ_3 alone first, then every subset containing γ_3 by size and in
+    ``combinations`` order, up to the first generating one."""
+    gam = encode(gamma(3))
+    others = [c for c in u3.codes if c != gam]
+    expected = [(gam,) + extra for size in range(1, 6)
+                for extra in combinations(others, size - 1)]
+    seen = []
+    closure = _CayleyTable.closure
+
+    def spy(self, codes):
+        seen.append(tuple(codes))
+        return closure(self, seen[-1])
+
+    monkeypatch.setattr(_CayleyTable, "closure", spy)
+    assert minimal_rank_exhaustive(u3) == 5
+    assert len(seen) > 834
+    assert seen == expected[:len(seen)]
+    assert closure(_CayleyTable(u3), seen[-1]) == (1 << 18) - 1
+
+
+def test_cayley_closure_matches_engine_at_n3(u3):
+    """Every subset of size ≤ 4 that contains γ_3: the table fixpoint and
+    the engine close it to sets of the same size."""
+    closure = _CayleyTable(u3).closure
+    gam = encode(gamma(3))
+    others = [c for c in u3.codes if c != gam]
+    checked = 0
+    for size in range(1, 5):
+        for extra in combinations(others, size - 1):
+            rest = u3.code_set.difference(extra, (gam,))
+            mask = closure((gam,) + extra)
+            assert mask.bit_count() == len(close_excluding(u3, rest)), extra
+            checked += 1
+    assert checked == 834
+
+
+def test_cayley_closure_matches_engine_at_n5(u5):
+    """G_5 generates all 182 elements over the table, and each G_5 minus one
+    generator closes to the same members as the engine gives."""
+    closure = _CayleyTable(u5).closure
+
+    def members(mask):
+        return {c for k, c in enumerate(u5.codes) if mask >> k & 1}
+
+    gens = build_G(5)
+    assert closure(encode(g) for _, g in gens) == (1 << 182) - 1
+    for label, _ in gens:
+        fewer = gens.without(label)
+        reached = members(closure(encode(g) for _, g in fewer))
+        assert reached == close(fewer).members, label
+        assert len(reached) < 182, label
+
+
+def test_minimal_rank_does_not_use_the_engine(u3, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closure engine was called")
+
+    monkeypatch.setattr(closure_module, "_close_rows", refuse)
+    with pytest.raises(AssertionError):
+        close(build_G(3))
+    assert minimal_rank_exhaustive(u3) == 5
 
 
 def test_registry_shape():

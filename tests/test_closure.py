@@ -371,6 +371,21 @@ def test_save_load_roundtrip(tmp_path, g5_closure):
         assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
 
 
+def test_loaded_lookups_need_no_code_order(tmp_path, g7_closure):
+    """A lookup on a loaded closure searches the sorted codes and scans the
+    BFS-order codes once; only the witness stream argsorts every code."""
+    tree_path = tmp_path / "c.tree"
+    g7_closure.save(tree_path)
+    loaded = ClosureResult.load(tree_path, build_G(7))
+    codes = [int(c) for c in g7_closure.member_codes[::97]]
+    assert all(code in loaded for code in codes)
+    assert 10 ** 30 not in loaded
+    words = [loaded.witness(code) for code in codes]
+    assert "_code_order" not in loaded.__dict__
+    assert words == [g7_closure.witness(code) for code in codes]
+    assert list(loaded.witness_items()) == list(g7_closure.witness_items())
+
+
 def test_loaded_closure_counts_products(tmp_path, g9_closure):
     tree_path = tmp_path / "c.tree"
     g9_closure.save(tree_path)
