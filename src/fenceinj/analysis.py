@@ -351,7 +351,6 @@ class VerifyContext:
 
     workers: int = 1
     cache_dir: str | None = None
-    sample_size: int = 10_000
     seed: int = 20240801
     _universes: dict[int, ElementUniverse] = field(default_factory=dict)
 
@@ -369,9 +368,6 @@ class VerifyContext:
 
     def put_universe(self, universe: ElementUniverse) -> None:
         self._universes[universe.n] = universe
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 @dataclass(frozen=True)
@@ -593,6 +589,10 @@ def _run_minimal_rank(n: int, ctx: VerifyContext) -> tuple[str, str]:
     return _fmt_pass("no 4-subset generates; the 5-element G_3 does")
 
 
+# the parity sweep checks at most this many parity-changers, a seeded sample
+_PARITY_SAMPLE = 10_000
+
+
 def _par_codes(universe: ElementUniverse) -> np.ndarray:
     n = universe.n
     mat = universe.images_matrix
@@ -606,12 +606,13 @@ def _run_parity_sweep(n: int, ctx: VerifyContext) -> tuple[str, str]:
 
     universe = ctx.universe(n)
     par = _par_codes(universe)
-    if len(par) <= ctx.sample_size:
+    if len(par) <= _PARITY_SAMPLE:
         picked = par
         how = f"all {len(par)}"
     else:
-        picked = ctx.rng().choice(par, size=ctx.sample_size, replace=False)
-        how = f"{ctx.sample_size} sampled of {len(par)}"
+        rng = np.random.default_rng(ctx.seed)
+        picked = rng.choice(par, size=_PARITY_SAMPLE, replace=False)
+        how = f"{_PARITY_SAMPLE} sampled of {len(par)}"
     beta_labels_ok = True
     for code in picked:
         f = decode(n, int(code))
@@ -708,10 +709,13 @@ def run_verification(
 ) -> VerificationReport:
     """Run the registry at a given n.  Claims outside their designated sizes
     (or outside an explicit claim filter) are reported as skipped; every
-    registry claim appears exactly once."""
+    registry claim appears exactly once.  An explicit filter must name at
+    least one claim."""
     check_fence_size(n)
     ctx = ctx or VerifyContext()
     if claim_ids is not None:
+        if not claim_ids:
+            raise ValueError("the claim filter names no claim")
         unknown = set(claim_ids) - {c.claim_id for c in _REGISTRY}
         if unknown:
             raise ValueError(f"unknown claim ids: {sorted(unknown)}")

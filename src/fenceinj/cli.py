@@ -244,7 +244,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     check_fence_size(args.n)
     claim_ids = None
-    if args.claims:
+    if args.claims is not None:
         claim_ids = tuple(s.strip() for s in args.claims.split(",") if s.strip())
     ctx = VerifyContext(workers=args.workers, cache_dir=args.cache_dir)
     report = run_verification(args.n, ctx, claim_ids)

@@ -15,12 +15,14 @@ multiplied only by the generators k that label a child of u (for a seed, u
 is the empty word, whose children are the seeds), and the suffix of x·k is
 that child.  Every other product is either already visited or reached by a
 lexicographically smaller word.  The rule also holds under the ``min_rank``
-floor, since rank(a·w) ≤ rank(w).  The engine keeps each frontier node's
-suffix (its index in the level before) and the children of each node of
-the level before, a run of that level's sorted parent column.  Candidates
-are the pairs (x, child of u) in the order (x, k), the order a full
-frontier × generators sweep would visit them in, so the first occurrence of
-each code, and with it every witness, is the one the full sweep picks.
+floor, since rank(a·w) ≤ rank(w).  The floor is a single mask on seeds and
+products alike, and a generator below it is never a seed, so the suffix rule
+never multiplies by it.  The engine keeps each frontier node's suffix (its
+index in the level before) and the children of each node of the level
+before, a run of that level's sorted parent column.  Candidates are the
+pairs (x, child of u) in the order (x, k), the order a full frontier ×
+generators sweep would visit them in, so the first occurrence of each code,
+and with it every witness, is the one the full sweep picks.
 
 The hot path is table-driven.  A frontier is an n × m ``uint8`` image
 matrix (column j holds the images of points 1..n under element j, 0 for
@@ -409,8 +411,6 @@ def _first_new(flat: np.ndarray, visited: np.ndarray) -> tuple[np.ndarray, np.nd
     sorted array that ends in a sentinel above every code.  Also returns
     ``visited`` with the new codes merged in.
     """
-    if not len(flat):
-        return np.empty(0, dtype=np.int64), visited
     perm = flat.argsort()
     ordered = flat[perm]
     head = np.empty(len(ordered), dtype=bool)
@@ -442,22 +442,22 @@ def _close_rows(
 ) -> ClosureResult:
     """BFS closure over image-row matrices.  ``labels`` must be sorted.
 
-    Seeds and products of rank below ``min_rank`` are dropped, and so are the
-    generators below it, whose products always are.
+    Seeds and products of rank below ``min_rank`` are marked -1 and dropped.
+    A generator below it is then no seed, so the suffix rule never
+    multiplies by it.
     """
     started = time.perf_counter()
     powers = np.asarray(code_powers(n), dtype=np.int64)
-    kept = np.flatnonzero(np.count_nonzero(rows, axis=1) >= min_rank)
-    kept = kept.astype(np.int32)
-    rows = rows[kept]
     lookup, gen_bases = _lookup(n, rows)
 
     visited = np.array([_NO_CODE])
     seed_codes = _codes(powers, rows.T)
+    if min_rank > 0:
+        seed_codes[np.count_nonzero(rows, axis=1) < min_rank] = -1
     first, visited = _first_new(seed_codes, visited)
     order_codes = [seed_codes[first]]
     parents = [np.full(len(first), -1, dtype=np.int32)]
-    genidx = [kept[first]]
+    genidx = [first.astype(np.int32)]
     level_sizes = [len(first)] if len(first) else []
     products = 0
     frontier = rows.T.take(first, axis=1)
@@ -505,7 +505,7 @@ def _close_rows(
         # a node's last generator is that of the child it was formed for
         frontier_gens = frontier_gens[suffix]
         parents.append(np.add(local, frontier_start, dtype=np.int32))
-        genidx.append(kept[frontier_gens])
+        genidx.append(frontier_gens.astype(np.int32))
         level_sizes.append(len(local))
         # the children of each frontier node, a run of the sorted parents
         child_count = np.bincount(local, minlength=frontier.shape[1])

@@ -108,45 +108,33 @@ def alpha_pair(n: int, i: int, j: int) -> PartialInjection:
 
 @_memoize
 def beta_odd(n: int, i: int) -> PartialInjection:
-    """β_i^odd for even i; the single parity-changing point is 1 ↦ i."""
+    """β_i^odd for even i; the single parity-changing point is 1 ↦ i.  The
+    boundary shapes i = 2 and i = n−1 are given by the same assignment."""
     check_fence_size(n)
     if i % 2 or not 2 <= i <= n - 1:
         raise ValueError(f"beta_odd needs even i in 2..{n - 1}, got {i}")
-    if i == 2:
-        # boundary form: 1 ↦ 2, 2 and 3 undefined, fix 4..n
-        images = [2, UNDEF, UNDEF] + list(range(4, n + 1))
-    elif i == n - 1:
-        # boundary form: 1 ↦ n−1, 2 undefined, k ↦ k−2 up to n−1, n undefined
-        images = [n - 1, UNDEF] + [k - 2 for k in range(3, n)] + [UNDEF]
-    else:
-        images = [UNDEF] * n
-        images[0] = i
-        for k in range(3, i + 1):
-            images[k - 1] = k - 2
-        for k in range(i + 2, n + 1):
-            images[k - 1] = k
+    images = [UNDEF] * n
+    images[0] = i
+    for k in range(3, i + 1):
+        images[k - 1] = k - 2
+    for k in range(i + 2, n + 1):
+        images[k - 1] = k
     return PartialInjection(n, tuple(images))
 
 
 @_memoize
 def beta_even(n: int, i: int) -> PartialInjection:
-    """β_i^even for even i; the single parity-changing point is i ↦ 1."""
+    """β_i^even for even i; the single parity-changing point is i ↦ 1.  The
+    boundary shapes i = 2 and i = n−1 are given by the same assignment."""
     check_fence_size(n)
     if i % 2 or not 2 <= i <= n - 1:
         raise ValueError(f"beta_even needs even i in 2..{n - 1}, got {i}")
-    if i == 2:
-        # boundary form: 1 undefined, 2 ↦ 1, 3 undefined, fix 4..n
-        images = [UNDEF, 1, UNDEF] + list(range(4, n + 1))
-    elif i == n - 1:
-        # boundary form: k ↦ k+2 up to n−3, n−2 undefined, n−1 ↦ 1, n undefined
-        images = [k + 2 for k in range(1, n - 2)] + [UNDEF, 1, UNDEF]
-    else:
-        images = [UNDEF] * n
-        for k in range(1, i - 1):
-            images[k - 1] = k + 2
-        images[i - 1] = 1
-        for k in range(i + 2, n + 1):
-            images[k - 1] = k
+    images = [UNDEF] * n
+    for k in range(1, i - 1):
+        images[k - 1] = k + 2
+    images[i - 1] = 1
+    for k in range(i + 2, n + 1):
+        images[k - 1] = k
     return PartialInjection(n, tuple(images))
 
 

@@ -12,7 +12,7 @@ The exhaustive mode is capped at n = 9 (the raw space at n = 11 exceeds
 10^9 partial injections); ``enumerate_FI`` refuses larger n.  A caller who
 has the codes of a larger universe from elsewhere, such as the member codes
 of a closure of G_n, can wrap them with ``universe_from_codes``, which marks
-the universe "closure-derived" by default.
+the universe "closure-derived".
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ def _subset_assignments(n: int, points: tuple[int, ...]) -> Iterator[tuple[int, 
     DFS order of the assigned values.
     """
     k = len(points)
-    if k == 0:
-        yield (0,) * n
-        return
     images = [0] * n
     vals = [0] * k
     used = [False] * (n + 1)
@@ -297,8 +294,8 @@ def count_by_rank(universe: ElementUniverse) -> tuple[int, ...]:
 def enumerate_naive(n: int) -> tuple[int, ...]:
     """Filter all partial injections by the automorphism predicate.
 
-    Quadratic-in-|I_n| reference path used to cross-check the pruned
-    search at small n; impractical beyond n = 5.
+    One pass over I_n, used to cross-check the pruned search at small n;
+    refuses n > 7 (n = 7 takes about a second).
     """
     check_fence_size(n)
     if n > 7:
@@ -321,11 +318,12 @@ def enumerate_naive(n: int) -> tuple[int, ...]:
     return tuple(codes)
 
 
-def universe_from_codes(n: int, codes, mode: str = MODE_CLOSURE_DERIVED) -> ElementUniverse:
-    """Wrap an externally computed sorted code list as a universe."""
+def universe_from_codes(n: int, codes) -> ElementUniverse:
+    """Wrap an externally computed sorted code list as a universe, marked
+    "closure-derived"."""
     check_fence_size(n)
     codes = tuple(int(c) for c in codes)
     hist = [0] * (n + 1)
     for code in codes:
         hist[decode(n, code).rank] += 1
-    return ElementUniverse(n, codes, tuple(hist), mode)
+    return ElementUniverse(n, codes, tuple(hist), MODE_CLOSURE_DERIVED)

@@ -264,7 +264,7 @@ def test_verify_context_workers_must_be_positive():
             VerifyContext(workers=workers)
 
 
-def test_run_verification_filter(u5):
+def test_run_verification_filter(u5, u9):
     ctx = VerifyContext()
     ctx.put_universe(u5)
     report = run_verification(5, ctx, claim_ids=("G-size-formula",))
@@ -274,6 +274,15 @@ def test_run_verification_filter(u5):
     assert by_id["lemma6"].evidence == "filtered out"
     with pytest.raises(ValueError):
         run_verification(5, ctx, claim_ids=("no-such-claim",))
+    with pytest.raises(ValueError):
+        run_verification(5, ctx, claim_ids=())
+    # past 10,000 parity-changers the sweep checks a seeded sample of 10,000
+    ctx.put_universe(u9)
+    report = run_verification(9, ctx, claim_ids=("parity-reduce-sweep",))
+    sweep = {c.claim_id: c for c in report.checks}["parity-reduce-sweep"]
+    assert sweep.status == "pass"
+    assert sweep.evidence == ("10000 sampled of 23312 parity-changers "
+                              "decompose and recompose exactly")
 
 
 def test_report_serialization(u5):

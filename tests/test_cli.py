@@ -206,6 +206,12 @@ def test_verify_unknown_claim(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--n", "5", "--claims", "bogus",
                            "--cache-dir", str(tmp_path / "cache"))
     assert code == 2 and "unknown claim" in err
+    # a filter that names no claim is refused, not run as "all" or "none"
+    for claims in ("", ",", " , "):
+        code, out, err = run_cli(capsys, "verify", "--n", "5", "--claims", claims,
+                                 "--cache-dir", str(tmp_path / "cache"))
+        assert code == 2 and not out, claims
+        assert err == "error: the claim filter names no claim\n", claims
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -591,6 +591,42 @@ def test_min_rank_floor_keeps_rank_layers(n):
     assert len(close(gens, min_rank=n + 1)) == 0
 
 
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_floor_ignores_sub_floor_generators(n):
+    """Generators below the floor change nothing: not the members, the
+    witnesses, the products formed nor the level sizes."""
+    gens = build_G(n)
+    for r in (n - 1, n):
+        below = [label for label, g in gens if g.rank < r]
+        assert below, r
+        floored = close(gens, min_rank=r)
+        pruned = close(gens.without(*below), min_rank=r)
+        assert np.array_equal(floored.member_codes, pruned.member_codes), r
+        assert list(floored.witness_items()) == list(pruned.witness_items()), r
+        assert floored.stats.products == pruned.stats.products, r
+        assert floored.stats.level_sizes == pruned.stats.level_sizes, r
+
+
+@pytest.mark.parametrize("n, r, below, count, sizes, products", [
+    (13, 11, 0, 850, (24, 115, 263, 298, 131, 19), 3488),
+    (13, 12, 14, 56, (10, 23, 18, 5), 226),
+    (15, 13, 0, 1214, (30, 148, 362, 440, 203, 31), 5509),
+    (15, 14, 19, 66, (11, 27, 22, 6), 286),
+])
+def test_floored_closures_past_enumeration(n, r, below, count, sizes, products):
+    """Top layers of ⟨G_n⟩ past the enumeration cap, with ``below`` of the
+    generators under the floor."""
+    gens = build_G(n)
+    assert sum(g.rank < r for _, g in gens) == below
+    result = close(gens, min_rank=r)
+    assert len(result) == count
+    assert result.stats.level_sizes == sizes
+    assert result.stats.products == products
+    if (n, r) == (15, 13):
+        ranks = [decode(n, c).rank for c in result.member_codes.tolist()]
+        assert [ranks.count(k) for k in (15, 14, 13)] == [2, 64, 1148]
+
+
 def test_workers_must_be_positive():
     for workers in (0, -1):
         with pytest.raises(ValueError):

@@ -70,6 +70,15 @@ def test_beta_values():
     # boundary form at i = n−1
     assert beta_even(5, 4).images == (3, 4, 0, 1, 0)
     assert beta_odd(5, 4).images == (4, 0, 1, 2, 0)
+    # the boundary shapes i = 2 and i = n−1 at n = 3, 7 and 15
+    assert beta_odd(3, 2).images == (2, 0, 0)
+    assert beta_even(3, 2).images == (0, 1, 0)
+    assert beta_odd(7, 6).images == (6, 0, 1, 2, 3, 4, 0)
+    assert beta_even(7, 6).images == (3, 4, 5, 6, 0, 1, 0)
+    assert beta_odd(15, 14).images == (14, 0) + tuple(range(1, 13)) + (0,)
+    assert beta_even(15, 14).images == tuple(range(3, 15)) + (0, 1, 0)
+    assert beta_odd(15, 2).images == (2, 0, 0) + tuple(range(4, 16))
+    assert beta_even(15, 2).images == (0, 1, 0) + tuple(range(4, 16))
 
 
 def test_beta_validation():
