@@ -193,9 +193,16 @@ class ClosureResult:
 
         Membership is a binary search of the sorted codes; the node index of
         a member is one scan of the BFS-order codes, so a lookup needs no
-        argsort of every code.
+        argsort of every code.  A ``PartialInjection`` of another size
+        raises ValueError instead of matching whatever its code encodes.
         """
-        code = encode(target) if isinstance(target, PartialInjection) else int(target)
+        if isinstance(target, PartialInjection):
+            if target.n != self.n:
+                raise ValueError(
+                    f"size mismatch: target n={target.n}, closure n={self.n}")
+            code = encode(target)
+        else:
+            code = int(target)
         codes = self.member_codes
         pos = int(np.searchsorted(codes, code))
         if pos < len(codes) and codes[pos] == code:
@@ -570,9 +577,8 @@ def close_excluding(
 
 
 def factorize(target: PartialInjection, result: ClosureResult) -> Word:
-    """Witness word for the target; raises NotGeneratedError when absent."""
-    if target.n != result.n:
-        raise ValueError(f"size mismatch: target n={target.n}, closure n={result.n}")
+    """Witness word for the target; raises NotGeneratedError when absent
+    and ValueError when the target has another size."""
     return result.witness(target)
 
 

@@ -292,11 +292,11 @@ def parse_map(n: int, text: str) -> PartialInjection:
         if field == "_":
             images.append(UNDEF)
             continue
-        try:
-            v = int(field)
-        except ValueError:
+        # int() alone would also take "1_0", "+1" and non-ASCII digits
+        if not (field.isascii() and field.isdigit()):
             raise MapFormatError(
-                f"entry {k}: {field!r} is neither an integer nor '_'") from None
+                f"entry {k}: {field!r} is neither an integer nor '_'")
+        v = int(field)
         if not 1 <= v <= n:
             raise MapFormatError(f"entry {k}: image {v} out of range 1..{n}")
         images.append(v)

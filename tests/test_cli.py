@@ -170,6 +170,10 @@ def test_factor_bad_map(tmp_path, capsys):
                            "--map", "9,_,_,4,5",
                            "--cache-dir", str(tmp_path / "cache"))
     assert code == 2 and "error" in err
+    code, _, err = run_cli(capsys, "factor", "--n", "5", "--gens", "G",
+                           "--map", "+1,_,_,4,5",
+                           "--cache-dir", str(tmp_path / "cache"))
+    assert code == 2 and "error" in err
     # a well-formed map that is not an automorphism names the violated pair
     code, _, err = run_cli(capsys, "factor", "--n", "5", "--gens", "G",
                            "--map", "1,3,_,_,_",

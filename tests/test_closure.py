@@ -194,6 +194,13 @@ def test_lookups_do_not_build_the_member_set(g7_closure):
     assert result.witness(code) == g7_closure.witness(code)
     with pytest.raises(NotGeneratedError):
         result.witness(10 ** 30)
+    # a map of another size is refused, not matched by its code
+    small = PartialInjection(3, (1, 0, 0))
+    assert encode(small) in result
+    for lookup in (result.__contains__, result.witness,
+                   lambda f: factorize(f, result)):
+        with pytest.raises(ValueError, match="size mismatch"):
+            lookup(small)
     assert "members" not in vars(result)
     assert result.members == g7_closure.members
 

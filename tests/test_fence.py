@@ -214,6 +214,10 @@ def test_parse_and_format_map():
         parse_map(5, "2,2,_,4,5")
     with pytest.raises(MapFormatError):
         parse_map(5, "6,_,_,4,5")
+    assert parse_map(5, "02,_,_,004,5") == f
+    for token in ("1_0", "+1", "\u0661"):  # the last is an Arabic-Indic one
+        with pytest.raises(MapFormatError):
+            parse_map(11, f"{token},_,_,_,_,_,_,_,_,_,_")
 
 
 @given(partial_injections())

@@ -1,12 +1,15 @@
 """Exhaustive enumeration: counts, histograms, invariants, cache format."""
 
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from fenceinj import (
     CapacityError,
     ElementUniverse,
+    MapFormatError,
     PartialInjection,
     compose,
     decode,
@@ -19,7 +22,6 @@ from fenceinj import (
     is_partial_automorphism,
     universe_from_codes,
 )
-from fenceinj.oracle import count_by_rank
 
 KNOWN_COUNTS = {1: 2, 3: 18, 5: 182, 7: 2288, 9: 34164}
 KNOWN_HISTOGRAMS = {
@@ -39,7 +41,10 @@ def test_counts(u3, u5, u7, u9):
 def test_rank_histograms(u3, u5, u7, u9):
     for u in (u3, u5, u7, u9):
         assert u.rank_histogram == KNOWN_HISTOGRAMS[u.n]
-        assert count_by_rank(u) == u.rank_histogram
+        by_decode = [0] * (u.n + 1)
+        for f in u.members():
+            by_decode[f.rank] += 1
+        assert tuple(by_decode) == u.rank_histogram
         assert sum(u.rank_histogram) == len(u)
 
 
@@ -52,8 +57,15 @@ def test_extremal_layers(u3, u5, u7, u9):
 
 
 def test_agrees_with_naive_filter():
-    for n in (1, 3, 5):
+    for n in (1, 3, 5, 7):
         assert enumerate_naive(n) == enumerate_FI(n).codes
+
+
+def test_fi9_codes_digest(u9):
+    # beyond the naive filter's reach: the sorted codes as little-endian u64
+    payload = np.asarray(u9.codes, dtype="<u8").tobytes()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "2555e03ce4f5c57ac1581ef0d06a03f5d430a7660f478a01d40732a4d9e618d9")
 
 
 def test_all_members_are_automorphisms(u5):
@@ -193,6 +205,8 @@ def test_universe_from_codes(u3):
     assert u.codes == u3.codes
     assert u.mode == "closure-derived"
     assert u.rank_histogram == u3.rank_histogram
+    with pytest.raises(MapFormatError):
+        universe_from_codes(3, [5])  # images 1,1,_ are not injective
 
 
 def test_members_sorted_and_contains(u3):
