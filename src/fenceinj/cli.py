@@ -10,7 +10,8 @@ Five subcommands over the fence-automorphism toolkit:
 
 Exit codes: 0 on success (including a clean "not generated" answer from
 ``factor``), 1 when ``verify`` finds a failing machine-verified claim, and
-2 on usage errors (bad flags, malformed maps, out-of-range n).
+2 on usage errors (bad flags, malformed maps, out-of-range n, or a
+``verify`` at a size where no claim is designated).
 
 Censuses and closures are cached under ``--cache-dir`` (default:
 ``$FENCEINJ_CACHE_DIR`` or ``./.fenceinj-cache``); the ``cache`` module names
@@ -48,7 +49,7 @@ from .fence import (
     parse_map,
 )
 from .generators import GeneratorSet, build_G, build_J
-from .oracle import ENUMERATION_CAP
+from .oracle import ENUMERATION_CAP, MODE_EXHAUSTIVE
 
 USAGE_ERROR = 2
 VERIFY_FAILED = 1
@@ -152,11 +153,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "n": universe.n,
         "count": len(universe),
         "rank_histogram": list(universe.rank_histogram),
-        "mode": universe.mode,
+        "mode": MODE_EXHAUSTIVE,
         "cache": str(path),
     }
     lines = [f"FI_{universe.n}: {len(universe)} elements "
-             f"({universe.mode})"]
+             f"({MODE_EXHAUSTIVE})"]
     lines += [f"  rank {r}: {c}"
               for r, c in enumerate(universe.rank_histogram)]
     lines.append(f"codes cached at {path}")
@@ -259,7 +260,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_rank(args: argparse.Namespace) -> int:
     value = rank_formula(args.n)
     grade = rank_grade(args.n)
-    if args.n <= ENUMERATION_CAP:
+    if not any(args.n in spec.designated_ns for spec in claim_registry()):
+        note = f"no verify claim is designated at n={args.n}"
+    elif args.n <= ENUMERATION_CAP:
         note = ("machine cross-checks for this size are available "
                 "via the verify command")
     else:

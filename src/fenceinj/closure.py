@@ -555,7 +555,8 @@ def close_excluding(
     universe: ElementUniverse,
     excluded: Iterable[int] | Iterable[PartialInjection],
 ) -> ClosureResult:
-    """Closure of (universe ∖ excluded), elements labeled by decimal code.
+    """Closure of (universe ∖ excluded), elements labeled by decimal code
+    (``GeneratorSet.from_codes``).
 
     No claim runner calls it; the tests use it as the honest reference for
     acceptance criterion 7, a closure of the whole complement of each R_i,
@@ -567,19 +568,8 @@ def close_excluding(
     if stray:
         raise ValueError(
             f"excluded codes not in the universe: {sorted(stray)[:5]}")
-    keep = [k for k, code in enumerate(universe.codes) if code not in excluded_codes]
-    if not keep:
-        raise ValueError("closure needs a non-empty generator set")
-    labeled = sorted((str(universe.codes[k]), k) for k in keep)
-    labels = tuple(label for label, _ in labeled)
-    rows = universe.images_matrix[[k for _, k in labeled]]
-    return _close_rows(universe.n, labels, rows)
-
-
-def factorize(target: PartialInjection, result: ClosureResult) -> Word:
-    """Witness word for the target; raises NotGeneratedError when absent
-    and ValueError when the target has another size."""
-    return result.witness(target)
+    return close(GeneratorSet.from_codes(
+        universe.n, (c for c in universe.codes if c not in excluded_codes)))
 
 
 @dataclass(eq=False)

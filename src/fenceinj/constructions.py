@@ -22,7 +22,6 @@ from functools import cache
 
 from .fence import (
     PartialInjection,
-    UNDEF,
     compose,
     is_convex,
     is_partial_automorphism,
@@ -61,24 +60,6 @@ class ParityDecomposition:
         for f in self.right:
             result = compose(result, f)
         return result
-
-    def to_json(self) -> dict:
-        from .fence import format_map
-
-        return {
-            "n": self.core.n,
-            "target": format_map(self.target),
-            "left": [
-                {"label": lab, "map_text": format_map(f)}
-                for lab, f in zip(self.left_labels, self.left)
-            ],
-            "core": format_map(self.core),
-            "right": [
-                {"label": lab, "map_text": format_map(f)}
-                for lab, f in zip(self.right_labels, self.right)
-            ],
-            "recomposition_ok": self.recompose() == self.target,
-        }
 
 
 def parity_reduce(delta: PartialInjection) -> ParityDecomposition:
@@ -135,19 +116,6 @@ class ConvexExtension:
 
     def recompose(self) -> PartialInjection:
         return compose(self.dropper, self.extended)
-
-    def to_json(self) -> dict:
-        from .fence import format_map
-
-        return {
-            "n": self.extended.n,
-            "target": format_map(self.target),
-            "dropper": format_map(self.dropper),
-            "extended": format_map(self.extended),
-            "w": self.w,
-            "x": self.x,
-            "recomposition_ok": self.recompose() == self.target,
-        }
 
 
 def convex_extend(delta: PartialInjection) -> ConvexExtension:

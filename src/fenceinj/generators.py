@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .fence import (
     PartialInjection,
@@ -173,12 +173,6 @@ class GeneratorSet:
     def mapping(self) -> dict[str, PartialInjection]:
         return dict(self.entries)
 
-    def __getitem__(self, label: str) -> PartialInjection:
-        for lab, element in self.entries:
-            if lab == label:
-                return element
-        raise KeyError(label)
-
     def without(self, *labels: str) -> GeneratorSet:
         drop = set(labels)
         missing = drop - set(self.labels)
@@ -195,6 +189,13 @@ class GeneratorSet:
                 for label, element in self.entries
             ],
         }
+
+    @classmethod
+    def from_codes(cls, n: int, codes: Iterable[int]) -> GeneratorSet:
+        """The elements with these canonical codes, each labeled by its code
+        in decimal; MapFormatError for a code that is not a partial
+        injection."""
+        return cls(n, tuple((str(c), decode(n, c)) for c in codes))
 
     @classmethod
     def from_json(cls, doc: object) -> GeneratorSet:
@@ -259,8 +260,8 @@ def build_J(n: int, universe) -> GeneratorSet:
     check_fence_size(n)
     if universe.n != n:
         raise ValueError(f"universe is for n={universe.n}, expected {n}")
-    codes = universe.codes_array[universe.ranks >= n - 2].tolist()
-    return GeneratorSet(n, tuple((str(c), decode(n, c)) for c in codes))
+    return GeneratorSet.from_codes(
+        n, universe.codes_array[universe.ranks >= n - 2].tolist())
 
 
 def parity_points(f: PartialInjection) -> tuple[int, ...]:

@@ -12,9 +12,7 @@ Every node of the pruned search is a prefix of an element of FI_n, so its
 cost grows with |FI_n|: the 586,650 elements of FI_11 take about 0.7 s on
 one Xeon core, but FI_13 has 11,333,302.  The exhaustive mode is capped at
 n = 9; ``enumerate_FI`` refuses larger n, which the closure of G_n covers
-instead.  A caller who has the codes of a larger universe from elsewhere,
-such as the member codes of a closure of G_n, can wrap them with
-``universe_from_codes``, which marks the universe "closure-derived".
+instead.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ CACHE_VERSION = 2
 _HEADER = struct.Struct("<4sIIQ32s")
 
 MODE_EXHAUSTIVE = "exhaustive"
-MODE_CLOSURE_DERIVED = "closure-derived"
 
 
 def _assignments(n: int) -> list[int]:
@@ -83,20 +80,12 @@ def _assignments(n: int) -> list[int]:
     return codes
 
 
-def enumeration_strategy(n: int) -> Iterator[PartialInjection]:
-    """All elements of FI_n in depth-first order, no duplicates."""
-    check_fence_size(n)
-    for code in _assignments(n):
-        yield decode(n, code)
-
-
 @dataclass(frozen=True)
 class ElementUniverse:
     """The complete, sorted code list of FI_n."""
 
     n: int
     codes: tuple[int, ...]
-    mode: str = MODE_EXHAUSTIVE
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -133,9 +122,6 @@ class ElementUniverse:
         """Element counts for ranks 0..n, counted from the codes."""
         return tuple(np.bincount(self.ranks, minlength=self.n + 1).tolist())
 
-    def contains_code(self, code: int) -> bool:
-        return code in self.code_set
-
     def members(self) -> Iterator[PartialInjection]:
         for code in self.codes:
             yield decode(self.n, code)
@@ -146,7 +132,7 @@ class ElementUniverse:
             "n": self.n,
             "count": len(self.codes),
             "rank_histogram": list(self.rank_histogram),
-            "mode": self.mode,
+            "mode": MODE_EXHAUSTIVE,
         })
 
     @classmethod
@@ -154,10 +140,10 @@ class ElementUniverse:
         """Read a saved universe; ValueError unless every field agrees."""
         n, codes = read_code_file(path)
         meta = read_sidecar(path, ("n", "count", "rank_histogram", "mode"))
-        if meta["n"] != n or meta["count"] != len(codes) or meta["mode"] not in (
-                MODE_EXHAUSTIVE, MODE_CLOSURE_DERIVED):
+        if (meta["n"] != n or meta["count"] != len(codes)
+                or meta["mode"] != MODE_EXHAUSTIVE):
             raise ValueError(f"sidecar of {path} disagrees with the binary header")
-        universe = cls(n, tuple(codes.tolist()), meta["mode"])
+        universe = cls(n, tuple(codes.tolist()))
         if sidecar_ints(meta, "rank_histogram") != universe.rank_histogram:
             raise ValueError(f"sidecar of {path} has the wrong rank histogram")
         return universe
@@ -282,14 +268,3 @@ def enumerate_naive(n: int) -> tuple[int, ...]:
                     codes.append(sum(v * p for v, p in zip(images, powers)))
     codes.sort()
     return tuple(codes)
-
-
-def universe_from_codes(n: int, codes) -> ElementUniverse:
-    """Wrap an externally computed sorted code list as a universe, marked
-    "closure-derived"; MapFormatError unless every code is a partial
-    injection."""
-    check_fence_size(n)
-    codes = tuple(int(c) for c in codes)
-    for code in codes:
-        decode(n, code)
-    return ElementUniverse(n, codes, MODE_CLOSURE_DERIVED)

@@ -13,6 +13,7 @@ from fenceinj import (
     close,
     close_excluding,
     compose,
+    decode,
     encode,
     gamma,
     minimal_rank_exhaustive,
@@ -71,10 +72,11 @@ def test_r_class_sizes(n, sizes, u5, u7, u9):
     assert len(all_codes) == len(set(all_codes))
     assert len(all_codes) == u.rank_histogram[n - 1]
     for cls in classes:
-        for f in cls.members():
+        for code in cls.codes:
+            f = decode(n, code)
             assert f.rank == n - 1
             missing = set(range(1, n + 1)) - set(f.domain)
-            assert missing <= set(cls.omitted_points)
+            assert missing <= {cls.i, n - cls.i + 1}
 
 
 def test_r_class_partition_n3(u3):
@@ -125,7 +127,7 @@ def test_prop7_at_nine(u9):
     result = verify_prop7_claims(9, u9)
     assert not result.vacuous and result.holds
     (cls,) = result.classes
-    assert cls.i == 4 and cls.r_size == 16 == cls.r_size_expected
+    assert cls.i == 4 and cls.r_size == 16
     assert len(cls.alphas) == 16
     sizes = sorted(a.intersection_size for a in cls.alphas)
     assert sizes == [4] * 4 + [8] * 12
@@ -225,6 +227,11 @@ def test_minimal_rank_does_not_use_the_engine(u3, monkeypatch):
     with pytest.raises(AssertionError):
         close(build_G(3))
     assert minimal_rank_exhaustive(u3) == 5
+    # the whole claim, the check that G_3 generates included
+    report = run_verification(3, VerifyContext(), ("minimal-rank-n3",))
+    (check,) = [c for c in report.checks if c.claim_id == "minimal-rank-n3"]
+    assert check.status == "pass", check.evidence
+    assert check.evidence == "no 4-subset generates; the 5-element G_3 does"
 
 
 def test_registry_shape():
@@ -234,9 +241,8 @@ def test_registry_shape():
     assert all(s.statement for s in specs)
 
 
-def test_run_verification_n5(u5):
+def test_run_verification_n5():
     ctx = VerifyContext(workers=1)
-    ctx.put_universe(u5)
     report = run_verification(5, ctx)
     assert [c.claim_id for c in report.checks] == EXPECTED_IDS
     assert report.passed
@@ -258,15 +264,23 @@ def test_run_verification_past_enumeration_cap(n):
     assert report.passed
 
 
+@pytest.mark.parametrize("n", [1, 15])
+def test_run_verification_refuses_a_size_with_no_claim(n):
+    with pytest.raises(ValueError, match=f"no claim is designated at n={n}"):
+        run_verification(n, VerifyContext())
+    # a filtered run still reports the claim as skipped there
+    report = run_verification(n, VerifyContext(), ("G-size-formula",))
+    assert {c.status for c in report.checks} == {"skipped"}
+
+
 def test_verify_context_workers_must_be_positive():
     for workers in (0, -1):
         with pytest.raises(ValueError):
             VerifyContext(workers=workers)
 
 
-def test_run_verification_filter(u5, u9):
+def test_run_verification_filter():
     ctx = VerifyContext()
-    ctx.put_universe(u5)
     report = run_verification(5, ctx, claim_ids=("G-size-formula",))
     by_id = {c.claim_id: c for c in report.checks}
     assert by_id["G-size-formula"].status == "pass"
@@ -277,7 +291,6 @@ def test_run_verification_filter(u5, u9):
     with pytest.raises(ValueError):
         run_verification(5, ctx, claim_ids=())
     # past 10,000 parity-changers the sweep checks a seeded sample of 10,000
-    ctx.put_universe(u9)
     report = run_verification(9, ctx, claim_ids=("parity-reduce-sweep",))
     sweep = {c.claim_id: c for c in report.checks}["parity-reduce-sweep"]
     assert sweep.status == "pass"
@@ -285,9 +298,8 @@ def test_run_verification_filter(u5, u9):
                               "decompose and recompose exactly")
 
 
-def test_report_serialization(u5):
+def test_report_serialization():
     ctx = VerifyContext()
-    ctx.put_universe(u5)
     report = run_verification(5, ctx, claim_ids=("G-size-formula",))
     doc = report.to_json()
     json.dumps(doc)  # must be serializable

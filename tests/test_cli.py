@@ -30,6 +30,11 @@ def test_rank_values(capsys):
     assert doc["grade"] == "PAPER-PROVED"
     doc = json.loads(run_cli(capsys, "rank", "--n", "13", "--format", "json")[1])
     assert doc["grade"] == "PAPER-FORMULA"
+    assert "quantitative ingredients" in doc["note"]
+    # the note never sends the user to a verify that checks nothing
+    for n in (1, 15):
+        doc = json.loads(run_cli(capsys, "rank", "--n", str(n), "--format", "json")[1])
+        assert doc["note"] == f"no verify claim is designated at n={n}"
 
 
 def test_rank_table_and_csv(capsys):
@@ -216,6 +221,15 @@ def test_verify_unknown_claim(tmp_path, capsys):
                                  "--cache-dir", str(tmp_path / "cache"))
         assert code == 2 and not out, claims
         assert err == "error: the claim filter names no claim\n", claims
+
+
+def test_verify_size_with_no_claim(tmp_path, capsys):
+    """A size where no claim is designated is refused, not reported PASS."""
+    for n in ("1", "15"):
+        code, out, err = run_cli(capsys, "verify", "--n", n,
+                                 "--cache-dir", str(tmp_path / "cache"))
+        assert code == 2 and not out, n
+        assert err == f"error: no claim is designated at n={n}\n", n
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -25,7 +25,6 @@ from fenceinj import (
     decode,
     encode,
     evaluate_word,
-    factorize,
     gamma,
     generator_cache_key,
     verify_generates,
@@ -46,10 +45,11 @@ def brute_force_words(gens):
     """Reference BFS: for each reachable code, the lexicographically least
     minimum-length word.  Quadratic and tiny-n only."""
     n = gens.n
+    by_label = gens.mapping()
     best = {}
     frontier = []
     for label in sorted(gens.labels):
-        code = encode(gens[label])
+        code = encode(by_label[label])
         if code not in best:
             best[code] = (label,)
             frontier.append(code)
@@ -58,7 +58,7 @@ def brute_force_words(gens):
         for code in frontier:
             f = decode(n, code)
             for label in sorted(gens.labels):
-                product = encode(compose(f, gens[label]))
+                product = encode(compose(f, by_label[label]))
                 if product in best:
                     continue
                 word = best[code] + (label,)
@@ -197,8 +197,7 @@ def test_lookups_do_not_build_the_member_set(g7_closure):
     # a map of another size is refused, not matched by its code
     small = PartialInjection(3, (1, 0, 0))
     assert encode(small) in result
-    for lookup in (result.__contains__, result.witness,
-                   lambda f: factorize(f, result)):
+    for lookup in (result.__contains__, result.witness):
         with pytest.raises(ValueError, match="size mismatch"):
             lookup(small)
     assert "members" not in vars(result)
@@ -311,10 +310,10 @@ def test_factorize_and_not_generated():
         "alpha_1", "alpha_2", "alpha_3", "beta_2_odd", "beta_2_even")
     result = close(gens)  # gamma alone: just {gamma, id}
     assert len(result) == 2
-    word = factorize(PartialInjection.identity(5), result)
+    word = result.witness(PartialInjection.identity(5))
     assert word == Word(("gamma", "gamma"))
     with pytest.raises(NotGeneratedError):
-        factorize(PartialInjection.empty(5), result)
+        result.witness(PartialInjection.empty(5))
 
 
 def test_verify_generates(u5):
@@ -348,7 +347,7 @@ def test_close_excluding_gamma_keeps_identity(u5):
 
 
 def test_generators_have_length_one_witnesses(g9_closure):
-    word = factorize(beta_odd(9, 4), g9_closure)
+    word = g9_closure.witness(beta_odd(9, 4))
     assert word == Word(("beta_4_odd",))
 
 
@@ -536,9 +535,10 @@ def test_load_rejects_mismatched_witnesses(tmp_path, g5_closure):
     sidecar_path(tree_path).write_bytes(side_raw)
     with pytest.raises(ValueError):
         ClosureResult.load(tree_path, gens.without("gamma"))
+    by_label = gens.mapping()
     swapped = GeneratorSet(5, tuple(
-        (label, gens["alpha_1"] if label == "alpha_3" else
-         gens["alpha_3"] if label == "alpha_1" else element)
+        (label, by_label["alpha_1"] if label == "alpha_3" else
+         by_label["alpha_3"] if label == "alpha_1" else element)
         for label, element in gens))
     with pytest.raises(ValueError):
         ClosureResult.load(tree_path, swapped)

@@ -79,13 +79,6 @@ def test_sampled_sweep_par9(u9):
         assert not parity_points(dec.core)
 
 
-def test_decomposition_json(u5):
-    f = parse_map(5, "2,_,_,4,5")
-    doc = parity_reduce(f).to_json()
-    assert doc["recomposition_ok"] is True
-    assert doc["core"] and isinstance(doc["left"], list)
-
-
 def test_convex_extend_empty_map():
     ext = convex_extend(PartialInjection.empty(5))
     assert ext.w == 1 and ext.x == 1
@@ -134,8 +127,3 @@ def test_convex_extend_sweep_n7(u7):
         swept += 1
     assert swept == 128
 
-
-def test_extension_json():
-    doc = convex_extend(PartialInjection.empty(5)).to_json()
-    assert doc["recomposition_ok"] is True
-    assert doc["w"] == 1 and doc["x"] == 1

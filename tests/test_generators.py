@@ -4,6 +4,7 @@ import pytest
 
 from fenceinj import (
     GeneratorSet,
+    MapFormatError,
     PartialInjection,
     alpha,
     alpha_even,
@@ -14,6 +15,8 @@ from fenceinj import (
     build_G,
     build_J,
     compose,
+    decode,
+    encode,
     gamma,
     inverse,
     is_partial_automorphism,
@@ -183,7 +186,7 @@ def test_generator_set_validation():
 
 def test_generator_set_access_and_without():
     gens = build_G(5)
-    assert gens["gamma"] == gamma(5)
+    assert gens.mapping()["gamma"] == gamma(5)
     assert dict(gens.mapping())["alpha_2"] == alpha(5, 2)
     smaller = gens.without("gamma")
     assert len(smaller) == len(gens) - 1
@@ -228,6 +231,15 @@ def test_build_J(u3, u5):
         assert label == str(int(label))  # labels are decimal codes
     assert sum(1 for f in u5.members() if f.rank >= 3) == 68
     assert len(build_J(3, u3)) == 17  # everything but the empty map
+
+
+def test_generator_set_from_codes():
+    codes = [encode(gamma(5)), encode(alpha(5, 2)), 0]
+    gens = GeneratorSet.from_codes(5, codes)
+    assert gens.labels == tuple(str(c) for c in codes)
+    assert [f for _, f in gens] == [decode(5, c) for c in codes]
+    with pytest.raises(MapFormatError):
+        GeneratorSet.from_codes(3, [5])  # images 1,1,_ are not injective
 
 
 def test_G_is_contained_in_J():

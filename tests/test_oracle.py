@@ -1,6 +1,7 @@
 """Exhaustive enumeration: counts, histograms, invariants, cache format."""
 
 import hashlib
+import json
 import random
 
 import numpy as np
@@ -9,18 +10,15 @@ import pytest
 from fenceinj import (
     CapacityError,
     ElementUniverse,
-    MapFormatError,
     PartialInjection,
     compose,
     decode,
     encode,
     enumerate_FI,
     enumerate_naive,
-    enumeration_strategy,
     gamma,
     inverse,
     is_partial_automorphism,
-    universe_from_codes,
 )
 
 KNOWN_COUNTS = {1: 2, 3: 18, 5: 182, 7: 2288, 9: 34164}
@@ -149,12 +147,6 @@ def test_rank_one_maps_are_automorphisms():
             assert is_partial_automorphism(f)
 
 
-def test_enumeration_strategy_matches(u5):
-    seen = [encode(f) for f in enumeration_strategy(5)]
-    assert len(seen) == len(set(seen))
-    assert set(seen) == u5.code_set
-
-
 def test_capacity_cap():
     with pytest.raises(CapacityError) as err:
         enumerate_FI(11)
@@ -169,7 +161,12 @@ def test_save_load_roundtrip(tmp_path, u5):
     assert loaded.n == 5
     assert loaded.codes == u5.codes
     assert loaded.rank_histogram == u5.rank_histogram
-    assert loaded.mode == u5.mode
+    side = tmp_path / "u5.bin.json"
+    assert json.loads(side.read_text())["mode"] == "exhaustive"
+    # no other mode is written, so any other is refused
+    side.write_text(side.read_text().replace('"exhaustive"', '"closure-derived"'))
+    with pytest.raises(ValueError):
+        ElementUniverse.load(path)
 
 
 def test_load_rejects_corruption(tmp_path, u3):
@@ -200,19 +197,10 @@ def test_load_rejects_every_flipped_byte(tmp_path, u3):
     assert ElementUniverse.load(path).codes == u3.codes
 
 
-def test_universe_from_codes(u3):
-    u = universe_from_codes(3, u3.codes)
-    assert u.codes == u3.codes
-    assert u.mode == "closure-derived"
-    assert u.rank_histogram == u3.rank_histogram
-    with pytest.raises(MapFormatError):
-        universe_from_codes(3, [5])  # images 1,1,_ are not injective
-
-
 def test_members_sorted_and_contains(u3):
     assert list(u3.codes) == sorted(u3.codes)
-    assert u3.contains_code(u3.codes[0])
-    assert not u3.contains_code(-1)
+    assert u3.codes[0] in u3.code_set
+    assert -1 not in u3.code_set
 
 
 def test_images_matrix_is_uint8_image_rows(u7):

@@ -1,16 +1,33 @@
-"""The scripts under scripts/ run against the public API."""
+"""The public API: the package's export list, and the scripts under
+scripts/ that run against it."""
 
 import runpy
 import sys
 from pathlib import Path
+from types import ModuleType
+
+import fenceinj
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def test_scripts_run_at_n5(monkeypatch, capsys):
+def test_public_names():
+    """``__all__`` lists each public non-module attribute of the package
+    once, and nothing else, so every entry resolves."""
+    exported = fenceinj.__all__
+    assert len(exported) == len(set(exported))
+    public = {name for name, value in vars(fenceinj).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == set(exported)
+
+
+def test_scripts_run(monkeypatch, capsys):
     cases = [
         ("adjoin_sweep.py", ["--n", "5"],
          "  R_2 (|R_2| = 8): 4 reachable ×4, 8 reachable ×4"),
+        # closes n = 9's top layer through GeneratorSet.from_codes
+        ("adjoin_sweep.py", ["--n", "9"],
+         "  R_4 (|R_4| = 16): 4 reachable ×4, 8 reachable ×12"),
         ("census.py", ["--sizes", "5"], "  |J_5|         = 68   |J_5 ∩ Par_5| = 16"),
         ("word_lengths.py", ["--n", "5"],
          "   _,_,3,_,5  =  alpha_1·alpha_2·alpha_2·gamma·alpha_2·alpha_2·gamma"),
