@@ -12,7 +12,7 @@ Usage: python scripts/adjoin_sweep.py --n 9
 import argparse
 from collections import Counter
 
-from fenceinj import enumerate_FI, r_class, top_layer_closure
+from fenceinj import GeneratorSet, close, enumerate_FI, r_class
 
 
 def sweep(n: int) -> None:
@@ -25,7 +25,8 @@ def sweep(n: int) -> None:
         outside = [c for c in top if c not in in_class]
         counts = Counter()
         for a in cls.codes:
-            reached = top_layer_closure(n, outside + [a])
+            gens = GeneratorSet.from_codes(n, outside + [a])
+            reached = close(gens, min_rank=n - 1).members
             counts[len(reached & in_class)] += 1
         profile = ", ".join(f"{k} reachable ×{v}"
                             for k, v in sorted(counts.items()))

@@ -8,16 +8,13 @@ behind the minimality count, the unique-parity-point law on J_n ∩ Par_n,
 the exhaustive minimal-rank search at n = 3, and full sweeps of the two
 constructive decompositions.
 
-The two claims about the rank-(n−1) classes R_i (Lemma 6 and Prop 7) are
-checked through one closure, ``top_layer_closure``, floored at rank n−1.
-The floor is exact because rank(fg) ≤ min(rank f, rank g): a product that
-lands in R_i has every factor at rank ≥ n−1, so only the top layer of the
-universe needs closing, not the whole complement of R_i.
-
-The whole ``minimal-rank-n3`` claim runs without the closure engine: both
-the search over candidate subsets and the check that G_3 generates close
-their sets as bitmask fixpoints over FI_3's Cayley table, built from
-``compose`` alone, so its verdict does not rest on the engine.
+Only ``generates-Gn`` and ``generates-Jn`` run the closure engine.  Every
+other closure is a bitmask fixpoint over the Cayley table of a rank layer,
+built from ``compose`` alone (``_CayleyTable``), so its verdict does not
+rest on the engine: all of FI_3 for ``minimal-rank-n3``, and the rank-≥(n−1)
+layer for Lemma 6 and Prop 7 on the classes R_i.  That floor is exact
+because rank(fg) ≤ min(rank f, rank g): a product that lands in R_i has
+every factor at rank ≥ n−1, so only the top layer needs closing.
 
 Evidence grades distinguish how a value is certified: arithmetic from the
 stated closed form (PAPER-FORMULA), direct exhaustive or closure computation
@@ -32,12 +29,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .cache import load_universe
 from .fence import (
+    UNDEF,
     CapacityError,
     PartialInjection,
     check_fence_size,
@@ -46,7 +44,6 @@ from .fence import (
     encode,
 )
 from .generators import (
-    GeneratorSet,
     alpha,
     alpha_pair,
     beta_even,
@@ -115,16 +112,70 @@ def r_class(n: int, i: int, universe: ElementUniverse) -> RClass:
     return RClass(n, i, tuple(int(c) for c in np.sort(codes)))
 
 
-def top_layer_closure(n: int, codes) -> frozenset[int]:
-    """Rank-≥(n−1) members of the closure of the elements with these codes.
+class _CayleyTable:
+    """The right-multiplication table of the layer ``codes``, every element
+    of rank ≥ ``floor``, built from ``compose`` alone and closed as a bitmask.
 
-    Products that land at rank ≥ n−1 factor entirely through rank ≥ n−1,
-    since rank(fg) ≤ min(rank f, rank g), so the engine's rank floor gives
-    exactly the top layer of the full closure.
+    ``right[b][a]`` is the layer index of compose(a, b), or the sentinel
+    ``len(codes)`` when the product falls below the floor.  A product of
+    rank ≥ ``floor`` missing from the layer raises ValueError.
     """
-    from .closure import close
 
-    return close(GeneratorSet.from_codes(n, codes), min_rank=n - 1).members
+    def __init__(self, n: int, codes: Sequence[int], floor: int = 0) -> None:
+        elements = [decode(n, c) for c in codes]
+        self.index = {code: k for k, code in enumerate(codes)}
+        self.below = len(codes)
+
+        def lookup(f: PartialInjection) -> int:
+            # the rank; f.rank would cache a domain tuple on every product
+            if f.n - f.images.count(UNDEF) < floor:
+                return self.below
+            k = self.index.get(encode(f))
+            if k is None:
+                raise ValueError(f"{f} is missing from the rank-≥{floor} layer")
+            return k
+
+        self.right = [[lookup(compose(a, b)) for a in elements]
+                      for b in elements]
+
+    def closure(self, codes: Iterable[int]) -> int:
+        """The rank-≥floor members of the subsemigroup these codes generate,
+        as a bitmask over the layer.  The frontier is multiplied on the right
+        by each generator, with the sentinel's bit set so that no product
+        below the floor is new, until no new element appears."""
+        gens = sorted({self.index[int(c)] for c in codes})
+        rows = [self.right[g] for g in gens]
+        frontier = gens
+        mask = sum(1 << g for g in gens) | 1 << self.below
+        while frontier:
+            found = []
+            for a in frontier:
+                for row in rows:
+                    c = row[a]
+                    if not mask >> c & 1:
+                        mask |= 1 << c
+                        found.append(c)
+            frontier = found
+        return mask ^ 1 << self.below
+
+
+def _top_classes(n: int, universe: ElementUniverse) -> tuple[
+        _CayleyTable, list[tuple[RClass, int, list[int]]]]:
+    """The Cayley table of the rank-≥(n−1) layer, floored at n−1, and each
+    class R_i with its bitmask over the layer and the layer codes outside it.
+    """
+    check_fence_size(n)
+    if universe.n != n:
+        raise ValueError(f"universe is for n={universe.n}, expected {n}")
+    top = universe.codes_array[universe.ranks >= n - 1].tolist()
+    table = _CayleyTable(n, top, floor=n - 1)
+    classes = []
+    for i in range(1, (n + 1) // 2 + 1):
+        cls = r_class(n, i, universe)
+        in_class = set(cls.codes)
+        classes.append((cls, sum(1 << table.index[c] for c in in_class),
+                        [c for c in top if c not in in_class]))
+    return table, classes
 
 
 @dataclass(frozen=True)
@@ -139,29 +190,22 @@ class Lemma6Check:
 
 
 def verify_lemma6(n: int, universe: ElementUniverse) -> tuple[Lemma6Check, ...]:
-    """For each class: close the other rank-≥(n−1) elements, floored at
-    rank n−1, and intersect the result with R_i.
+    """For each class: close the other rank-≥(n−1) elements inside their
+    layer and intersect the result with R_i.
 
-    This is the top layer of ⟨FI_n ∖ R_i⟩ (see ``top_layer_closure``): the
+    This is the top layer of ⟨FI_n ∖ R_i⟩ (see the module docstring): the
     elements below rank n−1 cannot be factors of a product in R_i.  An empty
     intersection means no product of non-R_i elements lands in R_i, so every
     generating set must meet R_i.
     """
-    check_fence_size(n)
-    top = [int(c) for c in universe.codes_array[universe.ranks >= n - 1]]
+    table, classes = _top_classes(n, universe)
     checks = []
-    for i in range(1, (n + 1) // 2 + 1):
-        cls = r_class(n, i, universe)
-        in_class = set(cls.codes)
-        reached = top_layer_closure(n, [c for c in top if c not in in_class])
-        inter = reached & in_class
-        checks.append(Lemma6Check(
-            i=i,
-            r_size=len(cls),
-            closure_size=len(reached),
-            intersection_size=len(inter),
-            holds=not inter,
-        ))
+    for cls, in_class, outside in classes:
+        reached = table.closure(outside)
+        inter = (reached & in_class).bit_count()
+        checks.append(Lemma6Check(i=cls.i, r_size=len(cls), holds=not inter,
+                                  closure_size=reached.bit_count(),
+                                  intersection_size=inter))
     return tuple(checks)
 
 
@@ -207,32 +251,25 @@ def verify_prop7_claims(n: int, universe: ElementUniverse) -> Prop7Result:
     For every α ∈ R_i (even i in {4,…,(n−1)/2}), the R_i elements reachable
     from {α} ∪ (FI_n ∖ R_i) are exactly the words in α and γ_n that stay in
     R_i — at most 8 of the 16 members, so a single α cannot regenerate its
-    class.  The reachable set is a closure floored at rank n−1.
+    class.  The reachable set is closed in the rank-≥(n−1) layer.
     Below n = 9 the index range is empty and the result is vacuous.
     """
-    check_fence_size(n)
-    if universe.n != n:
-        raise ValueError(f"universe is for n={universe.n}, expected {n}")
+    table, classes = _top_classes(n, universe)
     gam = encode(gamma(n))
-    top = [int(c) for c in universe.codes_array[universe.ranks >= n - 1]]
-    classes = []
+    checks = []
     for i in range(4, (n - 1) // 2 + 1, 2):
-        cls = r_class(n, i, universe)
-        in_class = set(cls.codes)
-        outside = [c for c in top if c not in in_class]
+        cls, in_class, outside = classes[i - 1]
         alphas = []
         for a in cls.codes:
-            meet = top_layer_closure(n, outside + [a]) & in_class
-            pair_meet = top_layer_closure(n, (a, gam)) & in_class
+            meet = table.closure(outside + [a]) & in_class
+            pair_meet = table.closure((a, gam)) & in_class
             alphas.append(Prop7AlphaCheck(
-                alpha_code=a,
-                intersection_size=len(meet),
-                within_bound=len(meet) <= 8,
-                matches_pair_closure=meet == pair_meet,
-            ))
-        classes.append(Prop7ClassCheck(
+                alpha_code=a, intersection_size=meet.bit_count(),
+                within_bound=meet.bit_count() <= 8,
+                matches_pair_closure=meet == pair_meet))
+        checks.append(Prop7ClassCheck(
             i=i, r_size=len(cls), alphas=tuple(alphas)))
-    return Prop7Result(n, tuple(classes))
+    return Prop7Result(n, tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -269,44 +306,6 @@ def verify_lemma_bf4(n: int, universe: ElementUniverse) -> Bf4Check:
     return Bf4Check(n, checked, tuple(failures))
 
 
-class _CayleyTable:
-    """The right-multiplication table of a universe, closed as a bitmask.
-
-    ``right[b][a]`` is the index in ``universe.codes`` of compose(a, b),
-    built once from ``universe.members()`` and ``compose`` alone, so the
-    table shares no code with the closure engine.
-    """
-
-    def __init__(self, universe: ElementUniverse) -> None:
-        elements = list(universe.members())
-        self.index = {code: k for k, code in enumerate(universe.codes)}
-        self.right = [[self.index[encode(compose(a, b))] for a in elements]
-                      for b in elements]
-
-    def closure(self, codes: Iterable[int]) -> int:
-        """The subsemigroup these codes generate, as a bitmask over the
-        universe's indices.
-
-        Starting from a frontier of the generators, the frontier is
-        multiplied on the right by each generator through the table until
-        no new element appears.
-        """
-        gens = sorted({self.index[int(c)] for c in codes})
-        rows = [self.right[g] for g in gens]
-        frontier = gens
-        mask = sum(1 << g for g in gens)
-        while frontier:
-            found = []
-            for a in frontier:
-                for row in rows:
-                    c = row[a]
-                    if not mask >> c & 1:
-                        mask |= 1 << c
-                        found.append(c)
-            frontier = found
-        return mask
-
-
 def minimal_rank_exhaustive(universe: ElementUniverse) -> int:
     """Smallest k such that some k-subset of FI_3 generates FI_3.
 
@@ -320,7 +319,7 @@ def minimal_rank_exhaustive(universe: ElementUniverse) -> int:
         raise CapacityError(
             f"exhaustive minimal-rank search is offered at n = 3 only, "
             f"got n = {universe.n}")
-    table = _CayleyTable(universe)
+    table = _CayleyTable(3, universe.codes)
     whole = (1 << len(universe)) - 1
     gam = encode(gamma(3))
     others = [c for c in universe.codes if c != gam]
@@ -563,7 +562,7 @@ def _run_minimal_rank(n: int, ctx: VerifyContext) -> tuple[str, str]:
     if found != 5:
         return STATUS_FAIL, f"exhaustive search found a generating {found}-subset"
     g3 = (encode(g) for _, g in build_G(3))
-    if _CayleyTable(universe).closure(g3) != (1 << len(universe)) - 1:
+    if _CayleyTable(3, universe.codes).closure(g3) != (1 << len(universe)) - 1:
         return STATUS_FAIL, "G_3 does not generate FI_3"
     return STATUS_PASS, "no 4-subset generates; the 5-element G_3 does"
 

@@ -11,7 +11,7 @@ Five subcommands over the fence-automorphism toolkit:
 Exit codes: 0 on success (including a clean "not generated" answer from
 ``factor``), 1 when ``verify`` finds a failing machine-verified claim, and
 2 on usage errors (bad flags, malformed maps, out-of-range n, or a
-``verify`` at a size where no claim is designated).
+``verify`` at a size where none of the claims it would run is designated).
 
 Censuses and closures are cached under ``--cache-dir`` (default:
 ``$FENCEINJ_CACHE_DIR`` or ``./.fenceinj-cache``); the ``cache`` module names
@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .analysis import (
+    STATUS_SKIPPED,
     VerifyContext,
     claim_registry,
     rank_formula,
@@ -249,6 +250,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         claim_ids = tuple(s.strip() for s in args.claims.split(",") if s.strip())
     ctx = VerifyContext(workers=args.workers, cache_dir=args.cache_dir)
     report = run_verification(args.n, ctx, claim_ids)
+    if all(c.status == STATUS_SKIPPED for c in report.checks):
+        raise ValueError(f"none of the named claims is designated at n={args.n}")
     rows: list[Sequence[str]] = [("claim", "status", "grade", "seconds",
                                   "evidence")]
     rows += [(c.claim_id, c.status, c.grade, f"{c.seconds:.3f}", c.evidence)

@@ -31,12 +31,12 @@ from fenceinj import (
     rank_formula,
     restrict_identity,
     r_class,
-    top_layer_closure,
     verify_generates,
     verify_lemma6,
     verify_lemma_bf4,
     verify_prop7_claims,
 )
+from fenceinj.analysis import _CayleyTable
 from fenceinj.cli import main
 
 
@@ -142,7 +142,8 @@ def test_criterion_07_complement_closures(u5, u7, capsys):
     started = time.perf_counter()
     for u in (u5, u7):
         n = u.n
-        top = set(u.codes_array[u.ranks >= n - 1].tolist())
+        top = u.codes_array[u.ranks >= n - 1].tolist()
+        table = _CayleyTable(n, top, floor=n - 1)
         for check in verify_lemma6(n, u):
             assert check.holds, (n, check.i)
             assert check.intersection_size == 0
@@ -150,14 +151,15 @@ def test_criterion_07_complement_closures(u5, u7, capsys):
             in_class = set(r_class(n, check.i, u).codes)
             honest = close_excluding(u, in_class).members
             assert not honest & in_class, (n, check.i)
-            floored = top_layer_closure(n, sorted(top - in_class))
-            assert honest & top == floored, (n, check.i)
+            mask = table.closure(c for c in top if c not in in_class)
+            floored = {c for k, c in enumerate(top) if mask >> k & 1}
+            assert honest & set(top) == floored, (n, check.i)
             assert check.closure_size == len(floored)
     elapsed = time.perf_counter() - started
     assert elapsed < 600
     with capsys.disabled():
         print(f"criterion 7: PASS — close_excluding(FI_n, R_i) ∩ R_i = ∅ and its "
-              f"rank-≥(n−1) part is the floored closure, all i at n = 5,7 "
+              f"rank-≥(n−1) part is the layer table's closure, all i at n = 5,7 "
               f"({elapsed:.2f}s)")
 
 

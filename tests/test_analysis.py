@@ -7,6 +7,8 @@ import pytest
 
 from fenceinj import (
     CapacityError,
+    GeneratorSet,
+    PartialInjection,
     VerifyContext,
     build_G,
     claim_registry,
@@ -21,7 +23,6 @@ from fenceinj import (
     rank_formula,
     rank_grade,
     run_verification,
-    top_layer_closure,
     verify_lemma6,
     verify_lemma_bf4,
     verify_prop7_claims,
@@ -134,20 +135,74 @@ def test_prop7_at_nine(u9):
     assert all(a.within_bound and a.matches_pair_closure for a in cls.alphas)
 
 
+def _layer_members(table, mask):
+    return {c for c, k in table.index.items() if mask >> k & 1}
+
+
 def test_top_layer_fixpoint_matches_honest_closure(u5):
-    """``top_layer_closure`` must agree with a genuine closure of
+    """The rank-≥(n−1) layer table must agree with a genuine closure of
     {α} ∪ (FI_n ∖ R_i) for every class and every adjoined element."""
     n = 5
     top = [int(c) for c in u5.codes_array[u5.ranks >= n - 1]]
+    table = _CayleyTable(n, top, floor=n - 1)
     for i in (1, 2, 3):
         cls = r_class(n, i, u5)
         in_class = set(cls.codes)
         outside = [c for c in top if c not in in_class]
         for a in cls.codes:
-            meet = top_layer_closure(n, outside + [a]) & in_class
+            meet = _layer_members(table, table.closure(outside + [a])) & in_class
             honest = close_excluding(
                 u5, tuple(c for c in cls.codes if c != a))
             assert meet == honest.members & in_class, (i, a)
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_engine_floor_matches_the_layer_table(n, request, monkeypatch):
+    """Every set lemma6 and prop7 close at n, closed again by the engine
+    with ``min_rank`` = n−1: the same rank-≥(n−1) members.  No claim uses
+    the engine's floor, so this keeps it checked."""
+    universe = request.getfixturevalue(f"u{n}")
+    closed = []
+    closure = _CayleyTable.closure
+
+    def spy(self, codes):
+        codes = list(codes)
+        mask = closure(self, codes)
+        closed.append((codes, _layer_members(self, mask)))
+        return mask
+
+    monkeypatch.setattr(_CayleyTable, "closure", spy)
+    verify_lemma6(n, universe)
+    verify_prop7_claims(n, universe)
+    # lemma6 closes one complement per class; prop7 two sets per α in R_4
+    assert len(closed) == {7: 4, 9: 5 + 2 * 16}[n]
+    for codes, members in closed:
+        gens = GeneratorSet.from_codes(n, codes)
+        assert close(gens, min_rank=n - 1).members == members, codes
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_top_class_claims_do_not_use_the_engine(n, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closure engine was called")
+
+    monkeypatch.setattr(closure_module, "_close_rows", refuse)
+    report = run_verification(n, VerifyContext(), ("lemma6", "prop7-claims"))
+    ran = [c for c in report.checks if c.status != "skipped"]
+    assert [c.claim_id for c in ran] == ["lemma6", "prop7-claims"]
+    assert all(c.status == "pass" for c in ran), ran
+
+
+def test_layer_table_refuses_a_missing_product(u5):
+    """γ·γ = id: a rank-≥(n−1) layer without the identity misses a product
+    above the floor, and the table refuses it."""
+    n = 5
+    ident = encode(PartialInjection.identity(n))
+    top = [int(c) for c in u5.codes_array[u5.ranks >= n - 1]]
+    assert ident in top
+    _CayleyTable(n, top, floor=n - 1)
+    with pytest.raises(ValueError, match="missing from the rank-≥4 layer"):
+        _CayleyTable(n, [c for c in top if c != ident], floor=n - 1)
 
 
 def test_minimal_rank(u3, u5):
@@ -158,7 +213,7 @@ def test_minimal_rank(u3, u5):
 
 def test_cayley_table_multiplies_on_the_right(u3):
     """``right[b][a]`` is a·b: a first, then b."""
-    table = _CayleyTable(u3)
+    table = _CayleyTable(3, u3.codes)
     elements = list(u3.members())
     for b, f in enumerate(elements):
         for a, e in enumerate(elements):
@@ -183,13 +238,13 @@ def test_minimal_rank_search_order(u3, monkeypatch):
     assert minimal_rank_exhaustive(u3) == 5
     assert len(seen) > 834
     assert seen == expected[:len(seen)]
-    assert closure(_CayleyTable(u3), seen[-1]) == (1 << 18) - 1
+    assert closure(_CayleyTable(3, u3.codes), seen[-1]) == (1 << 18) - 1
 
 
 def test_cayley_closure_matches_engine_at_n3(u3):
     """Every subset of size ≤ 4 that contains γ_3: the table fixpoint and
     the engine close it to sets of the same size."""
-    closure = _CayleyTable(u3).closure
+    closure = _CayleyTable(3, u3.codes).closure
     gam = encode(gamma(3))
     others = [c for c in u3.codes if c != gam]
     checked = 0
@@ -205,7 +260,7 @@ def test_cayley_closure_matches_engine_at_n3(u3):
 def test_cayley_closure_matches_engine_at_n5(u5):
     """G_5 generates all 182 elements over the table, and each G_5 minus one
     generator closes to the same members as the engine gives."""
-    closure = _CayleyTable(u5).closure
+    closure = _CayleyTable(5, u5.codes).closure
 
     def members(mask):
         return {c for k, c in enumerate(u5.codes) if mask >> k & 1}

@@ -232,6 +232,16 @@ def test_verify_size_with_no_claim(tmp_path, capsys):
         assert err == f"error: no claim is designated at n={n}\n", n
 
 
+def test_verify_filter_with_no_designated_claim(tmp_path, capsys):
+    """A filter whose every claim is skipped at n is refused, not reported
+    PASS: lemma6 is designated at n = 5, 7, 9 only."""
+    for n in ("3", "11"):
+        code, out, err = run_cli(capsys, "verify", "--n", n, "--claims", "lemma6",
+                                 "--cache-dir", str(tmp_path / "cache"))
+        assert code == 2 and not out, n
+        assert err == f"error: none of the named claims is designated at n={n}\n", n
+
+
 def test_usage_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "rank", "--n", "4")
     assert code == 2 and "odd" in err
