@@ -84,6 +84,12 @@ def rank_grade(n: int) -> str:
     return GRADE_PROVED if n <= 3 else GRADE_FORMULA
 
 
+def _check_universe(n: int, universe: ElementUniverse) -> None:
+    check_fence_size(n)
+    if universe.n != n:
+        raise ValueError(f"universe is for n={universe.n}, expected {n}")
+
+
 @dataclass(frozen=True)
 class RClass:
     """Rank-(n−1) elements whose domain omits i or its mirror n−i+1."""
@@ -98,9 +104,7 @@ class RClass:
 
 def r_class(n: int, i: int, universe: ElementUniverse) -> RClass:
     """Extract R_i from the universe."""
-    check_fence_size(n)
-    if universe.n != n:
-        raise ValueError(f"universe is for n={universe.n}, expected {n}")
+    _check_universe(n, universe)
     if not 1 <= i <= (n + 1) // 2:
         raise ValueError(f"class index {i} out of range 1..{(n + 1) // 2}")
     mat = universe.images_matrix
@@ -164,9 +168,7 @@ def _top_classes(n: int, universe: ElementUniverse) -> tuple[
     """The Cayley table of the rank-≥(n−1) layer, floored at n−1, and each
     class R_i with its bitmask over the layer and the layer codes outside it.
     """
-    check_fence_size(n)
-    if universe.n != n:
-        raise ValueError(f"universe is for n={universe.n}, expected {n}")
+    _check_universe(n, universe)
     top = universe.codes_array[universe.ranks >= n - 1].tolist()
     table = _CayleyTable(n, top, floor=n - 1)
     classes = []
@@ -254,10 +256,14 @@ def verify_prop7_claims(n: int, universe: ElementUniverse) -> Prop7Result:
     class.  The reachable set is closed in the rank-≥(n−1) layer.
     Below n = 9 the index range is empty and the result is vacuous.
     """
+    _check_universe(n, universe)
+    indices = range(4, (n - 1) // 2 + 1, 2)
+    if not indices:
+        return Prop7Result(n, ())
     table, classes = _top_classes(n, universe)
     gam = encode(gamma(n))
     checks = []
-    for i in range(4, (n - 1) // 2 + 1, 2):
+    for i in indices:
         cls, in_class, outside = classes[i - 1]
         alphas = []
         for a in cls.codes:
@@ -288,9 +294,7 @@ class Bf4Check:
 def verify_lemma_bf4(n: int, universe: ElementUniverse) -> Bf4Check:
     """Every δ ∈ J_n ∩ Par_n has exactly one parity-changing point x,
     located at the boundary: x ∈ {1, n} or xδ ∈ {1, n}."""
-    check_fence_size(n)
-    if universe.n != n:
-        raise ValueError(f"universe is for n={universe.n}, expected {n}")
+    _check_universe(n, universe)
     checked = 0
     failures = []
     for code in universe.codes_array[universe.ranks >= n - 2].tolist():
@@ -571,19 +575,12 @@ def _run_minimal_rank(n: int, ctx: VerifyContext) -> tuple[str, str]:
 _PARITY_SAMPLE = 10_000
 
 
-def _par_codes(universe: ElementUniverse) -> np.ndarray:
-    n = universe.n
-    mat = universe.images_matrix
-    points = np.arange(1, n + 1, dtype=np.int64)[None, :]
-    changing = (mat > 0) & ((points - mat) % 2 == 1)
-    return universe.codes_array[changing.any(axis=1)]
-
-
 def _run_parity_sweep(n: int, ctx: VerifyContext) -> tuple[str, str]:
-    from .constructions import IDENTITY_LABEL, parity_reduce
+    from .constructions import _parity_mask, _recompose_rows, _reduce_rows
 
     universe = ctx.universe(n)
-    par = _par_codes(universe)
+    mat = universe.images_matrix
+    par = np.flatnonzero(_parity_mask(mat).any(axis=1))
     if len(par) <= _PARITY_SAMPLE:
         picked = par
         how = f"all {len(par)}"
@@ -591,32 +588,36 @@ def _run_parity_sweep(n: int, ctx: VerifyContext) -> tuple[str, str]:
         rng = np.random.default_rng(ctx.seed)
         picked = rng.choice(par, size=_PARITY_SAMPLE, replace=False)
         how = f"{_PARITY_SAMPLE} sampled of {len(par)}"
-    beta_labels_ok = True
-    for code in picked:
-        f = decode(n, int(code))
-        dec = parity_reduce(f)
-        if dec.recompose() != f or parity_points(dec.core):
-            return STATUS_FAIL, f"decomposition invalid for code {int(code)}"
-        for lab in dec.left_labels + dec.right_labels:
-            if lab != IDENTITY_LABEL and not lab.startswith("beta_"):
-                beta_labels_ok = False
-    if not beta_labels_ok:
-        return STATUS_FAIL, "a factor fell outside the id/beta alphabet"
+    rows = mat[picked]
+    cores, steps = _reduce_rows(rows)
+    bad = ((_recompose_rows(cores, steps) != rows).any(axis=1)
+           | _parity_mask(cores).any(axis=1))
+    if bad.any():
+        code = universe.codes_array[picked[bad.argmax()]]
+        return STATUS_FAIL, f"decomposition invalid for code {code}"
     return STATUS_PASS, f"{how} parity-changers decompose and recompose exactly"
+
+
+def _convex_domain_mask(images: np.ndarray) -> np.ndarray:
+    """True for the image rows whose domain is an interval (or empty): the
+    defined points form at most one run, i.e. at most one defined point
+    follows an undefined one or starts the row."""
+    defined = images != 0
+    starts = np.count_nonzero(defined[:, 1:] > defined[:, :-1], axis=1)
+    return starts + defined[:, 0] <= 1
 
 
 def _run_convex_sweep(n: int, ctx: VerifyContext) -> tuple[str, str]:
     from .constructions import convex_extend
-    from .fence import is_convex
 
     universe = ctx.universe(n)
+    picked = (universe.ranks <= n - 3) & _convex_domain_mask(universe.images_matrix)
     count = 0
-    for f in universe.members():
-        if f.rank > n - 3 or not is_convex(f.domain):
-            continue
+    for code in universe.codes_array[picked].tolist():
+        f = decode(n, code)
         ext = convex_extend(f)
         if ext.recompose() != f or ext.extended.rank != f.rank + 1:
-            return STATUS_FAIL, f"extension invalid for code {encode(f)}"
+            return STATUS_FAIL, f"extension invalid for code {code}"
         count += 1
     return STATUS_PASS, f"all {count} convex-domain elements of rank ≤ {n - 3} extend"
 

@@ -8,6 +8,16 @@ if x is even then x±1 are outside dom δ and δ = β_x^even·(β_x^odd·δ).
 Iterating yields δ = l_1⋯l_p · core · r_1⋯r_p with every l/r factor either
 id_{n̄} or a β-family element and the core parity-preserving.
 
+The reduction runs as one batch kernel over an m × n uint8 image matrix
+(``_reduce_rows``): each pass takes every live row's smallest parity-changing
+point x and applies core·β_i^even (x odd, i = xδ) as a gather through the
+table of β^even image rows, or β_x^odd·core (x even) as a gather of the
+row's own columns.  A pass records one signed int8 step per row: +i for an
+odd step, −x for an even one, 0 once the row is parity-preserving.
+``_recompose_rows`` multiplies the recorded β_i^odd / β_x^even factors back
+on with the same two gathers.  ``parity_reduce`` is this kernel run on one
+row, its steps spelled out as factors and labels.
+
 Convex extension grows a convex-domain element of rank ≤ n−3 by one point:
 pick w with w−1, w, w+1 all outside dom δ and x likewise outside im δ (both
 exist because the complement of an interval of length ≤ n−3 inside {0..n+1}
@@ -20,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+import numpy as np
+
 from .fence import (
     PartialInjection,
     compose,
@@ -27,7 +39,7 @@ from .fence import (
     is_partial_automorphism,
     restrict_identity,
 )
-from .generators import beta_even, beta_odd, parity_points
+from .generators import beta_even, beta_odd
 
 IDENTITY_LABEL = "id"
 
@@ -36,6 +48,99 @@ IDENTITY_LABEL = "id"
 def _identity(n: int) -> PartialInjection:
     """id_{n̄}, one shared value per n (n is an already validated size)."""
     return PartialInjection.identity(n)
+
+
+@cache
+def _beta_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The β^even and β^odd tables: row i is (0, 1β_i, …, nβ_i) for even i,
+    with 0 for an undefined point; row 0 is the identity (0, 1, …, n), so a
+    step 0 gathers a row unchanged, and the rows of odd i > 0 are all 0.
+
+    For a padded row r = (0, images…), r·β is ``table[i][r]`` and β·r is
+    ``r[table[i]]``.  The tables are read-only: every caller shares them.
+    """
+    tables = []
+    for family in (beta_even, beta_odd):
+        table = np.zeros((n + 1, n + 1), dtype=np.uint8)
+        table[0] = np.arange(n + 1)
+        for i in range(2, n, 2):
+            table[i, 1:] = family(n, i).images
+        table.flags.writeable = False
+        tables.append(table)
+    return tables[0], tables[1]
+
+
+def _parity_mask(images: np.ndarray) -> np.ndarray:
+    """Entry [r, x−1] is True iff point x of image row r is parity-changing:
+    y = xδ > 0 and x − y odd, i.e. the low bit of x ^ y is set."""
+    points = np.arange(1, images.shape[1] + 1, dtype=np.uint8)
+    return ((images ^ points) & 1).view(bool) & (images != 0)
+
+
+def _padded(images: np.ndarray) -> np.ndarray:
+    """The rows behind a leading 0 column, the form the β tables gather."""
+    rows = np.zeros((len(images), images.shape[1] + 1), dtype=np.uint8)
+    rows[:, 1:] = images
+    return rows
+
+
+def _multiply(rows: np.ndarray, step: np.ndarray, left: np.ndarray,
+              right: np.ndarray) -> np.ndarray:
+    """Each padded row r becomes r·right[s] for a step s > 0 and left[−s]·r
+    for a step s < 0; row 0 of both tables is the identity, so the other
+    gather, and both at s = 0, leave the row unchanged."""
+    rows = right[np.maximum(step, 0)[:, None], rows]
+    return np.take_along_axis(rows, left[np.maximum(-step, 0)], axis=1)
+
+
+def _reduce_rows(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parity-reduce every row of an m × n uint8 image matrix at once.
+
+    Returns the parity-preserving cores (m × n uint8) and the steps
+    (m × p int8, p the largest step count): +i where core ← core·β_i^even,
+    −x where core ← β_x^odd·core, 0 after a row's last step.  A pass that
+    fails to shrink a live row's parity-changing set raises RuntimeError.
+    With the β tables of ``_beta_rows`` every step removes the chosen point
+    and moves no other point across parity, so the check guards the tables
+    and the step rule, and bounds the passes by n.
+    """
+    m, n = images.shape
+    evens, odds = _beta_rows(n)
+    core = _padded(images)
+    every = np.arange(m)
+    mask = _parity_mask(images)
+    counts = np.count_nonzero(mask, axis=1)
+    # each pass removes at least one of the ≤ n changing points of a row
+    steps = np.zeros((m, n), dtype=np.int8)
+    passes = 0
+    while counts.any():
+        live = counts > 0
+        x = mask.argmax(axis=1) + 1
+        # an odd x has an even image i: step +i; an even x: step −x
+        step = np.where(x % 2 == 1, core[every, x], -x) * live
+        core = _multiply(core, step, odds, evens)
+        mask = _parity_mask(core[:, 1:])
+        remaining = np.count_nonzero(mask, axis=1)
+        stuck = live & (remaining >= counts)
+        if stuck.any():
+            r = stuck.argmax()
+            raise RuntimeError(
+                f"parity reduction failed to shrink at point {x[r]}: "
+                f"{counts[r]} -> {remaining[r]} changing points")
+        steps[:, passes] = step
+        passes += 1
+        counts = remaining
+    return core[:, 1:], steps[:, :passes]
+
+
+def _recompose_rows(cores: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Multiply the factors recorded by ``_reduce_rows`` back onto the cores,
+    last step first: ·β_i^odd for a step +i, β_x^even· for a step −x."""
+    evens, odds = _beta_rows(cores.shape[1])
+    rows = _padded(cores)
+    for step in steps.T[::-1]:
+        rows = _multiply(rows, step, evens, odds)
+    return rows[:, 1:]
 
 
 @dataclass(frozen=True)
@@ -65,43 +170,34 @@ class ParityDecomposition:
 def parity_reduce(delta: PartialInjection) -> ParityDecomposition:
     """Peel parity-changing points off δ, smallest domain point first.
 
-    Each step removes at least the chosen point from the parity-changing
-    set; the step count is bounded by |dom δ|.  A step that fails to shrink
-    the set indicates a corrupted input (not a partial automorphism) and
-    raises RuntimeError.
+    The batch kernel ``_reduce_rows`` on δ's one image row; step k becomes
+    the left factor l_k and the right factor r_k, so the right factors run
+    from the last step to the first.  Each step removes at least the chosen
+    point from the parity-changing set; the step count is bounded by
+    |dom δ|.  A step that fails to shrink the set raises RuntimeError.
     """
     n = delta.n
     ident = _identity(n)
+    cores, steps = _reduce_rows(np.array([delta.images], dtype=np.uint8))
     left: list[PartialInjection] = []
     right: list[PartialInjection] = []
     left_labels: list[str] = []
     right_labels: list[str] = []
-    core = delta
-    points = parity_points(core)
-    while points:
-        x = points[0]
-        if x % 2 == 1:
-            i = core.images[x - 1]  # even image of an odd point
+    for step in steps[0].tolist():
+        if step > 0:
             left.append(ident)
             left_labels.append(IDENTITY_LABEL)
-            right.insert(0, beta_odd(n, i))
-            right_labels.insert(0, f"beta_{i}_odd")
-            core = compose(core, beta_even(n, i))
+            right.append(beta_odd(n, step))
+            right_labels.append(f"beta_{step}_odd")
         else:
-            left.append(beta_even(n, x))
-            left_labels.append(f"beta_{x}_even")
-            right.insert(0, ident)
-            right_labels.insert(0, IDENTITY_LABEL)
-            core = compose(beta_odd(n, x), core)
-        remaining = parity_points(core)
-        if len(remaining) >= len(points):
-            raise RuntimeError(
-                f"parity reduction failed to shrink at point {x}: "
-                f"{len(points)} -> {len(remaining)} changing points")
-        points = remaining
+            left.append(beta_even(n, -step))
+            left_labels.append(f"beta_{-step}_even")
+            right.append(ident)
+            right_labels.append(IDENTITY_LABEL)
+    core = PartialInjection(n, tuple(cores[0].tolist()))
     return ParityDecomposition(
-        delta, tuple(left), core, tuple(right),
-        tuple(left_labels), tuple(right_labels))
+        delta, tuple(left), core, tuple(reversed(right)),
+        tuple(left_labels), tuple(reversed(right_labels)))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,9 @@ from fenceinj import (
     verify_lemma_bf4,
     verify_prop7_claims,
 )
+from fenceinj import analysis
 from fenceinj import closure as closure_module
+from fenceinj import constructions
 from fenceinj.analysis import (
     GRADE_FORMULA,
     GRADE_MACHINE,
@@ -122,6 +124,18 @@ def test_bf4(u5, u7, u9):
 def test_prop7_vacuous_below_nine(u5, u7):
     assert verify_prop7_claims(5, u5).vacuous
     assert verify_prop7_claims(7, u7).vacuous
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_vacuous_prop7_builds_no_layer_table(n, request, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_top_classes was called")
+
+    monkeypatch.setattr(analysis, "_top_classes", refuse)
+    result = verify_prop7_claims(n, request.getfixturevalue(f"u{n}"))
+    assert result.vacuous and result.holds
+    with pytest.raises(ValueError, match="universe is for n=3"):
+        verify_prop7_claims(5, request.getfixturevalue("u3"))
 
 
 def test_prop7_at_nine(u9):
@@ -351,6 +365,27 @@ def test_run_verification_filter():
     assert sweep.status == "pass"
     assert sweep.evidence == ("10000 sampled of 23312 parity-changers "
                               "decompose and recompose exactly")
+
+
+def test_parity_sweep_reports_the_first_bad_code(monkeypatch):
+    """Drop every step of two sampled rows: their recomposition is the
+    parity-preserving core, and the sweep names the earlier of the two."""
+    reduce_rows = constructions._reduce_rows
+    seen = []
+
+    def wrong(images):
+        cores, steps = reduce_rows(images)
+        steps[[40, 10]] = 0
+        seen.append(images)
+        return cores, steps
+
+    monkeypatch.setattr(constructions, "_reduce_rows", wrong)
+    report = run_verification(5, VerifyContext(), ("parity-reduce-sweep",))
+    sweep = {c.claim_id: c for c in report.checks}["parity-reduce-sweep"]
+    (images,) = seen
+    first = encode(PartialInjection(5, tuple(images[10].tolist())))
+    assert sweep.status == "fail"
+    assert sweep.evidence == f"decomposition invalid for code {first}"
 
 
 def test_report_serialization():

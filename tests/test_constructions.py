@@ -1,19 +1,33 @@
 """Parity reduction and convex one-point extension."""
 
+import hashlib
 import re
+from functools import reduce
 
+import numpy as np
 import pytest
 
 from fenceinj import (
     PartialInjection,
+    VerifyContext,
     beta_even,
     beta_odd,
+    compose,
     convex_extend,
     decode,
+    encode,
     is_convex,
     parity_points,
     parity_reduce,
     parse_map,
+    run_verification,
+)
+from fenceinj import constructions
+from fenceinj.constructions import (
+    _beta_rows,
+    _parity_mask,
+    _recompose_rows,
+    _reduce_rows,
 )
 
 BETA_LABEL = re.compile(r"beta_(\d+)_(odd|even)")
@@ -79,6 +93,138 @@ def test_sampled_sweep_par9(u9):
         assert not parity_points(dec.core)
 
 
+def reference_peel(delta):
+    """The scalar peel loop: (core, signed steps), one compose per step."""
+    n = delta.n
+    core, steps = delta, []
+    while points := parity_points(core):
+        x = points[0]
+        if x % 2 == 1:
+            i = core.images[x - 1]
+            core = compose(core, beta_even(n, i))
+            steps.append(i)
+        else:
+            core = compose(beta_odd(n, x), core)
+            steps.append(-x)
+    return core, steps
+
+
+def par_rows(universe):
+    mat = universe.images_matrix
+    return mat[_parity_mask(mat).any(axis=1)]
+
+
+# SHA-256 of the comma-joined sorted codes that the n = 9 sweep samples
+# with seed 20240801, as the per-element sweep sampled them
+PAR9_SAMPLE_SHA256 = (
+    "1a68c050df332907c63ba527850cbbe0d689fce2b0a88472bcc953ca4876dba1")
+
+
+@pytest.fixture(scope="module")
+def par9_sample():
+    """The image rows that the registry's n = 9 sweep reduces."""
+    captured = []
+
+    def spy(images):
+        captured.append(images.copy())
+        return _reduce_rows(images)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constructions, "_reduce_rows", spy)
+        report = run_verification(9, VerifyContext(), ("parity-reduce-sweep",))
+    assert {c.claim_id: c.status for c in report.checks}[
+        "parity-reduce-sweep"] == "pass"
+    (rows,) = captured
+    return rows
+
+
+def test_par9_sample_is_pinned(par9_sample):
+    codes = sorted(encode(PartialInjection(9, tuple(r))) for r in par9_sample.tolist())
+    assert len(codes) == len(set(codes)) == 10_000
+    digest = hashlib.sha256(",".join(map(str, codes)).encode()).hexdigest()
+    assert digest == PAR9_SAMPLE_SHA256
+
+
+def test_parity_mask_matches_parity_points(u7):
+    mask = _parity_mask(u7.images_matrix)
+    for row, f in zip(mask, u7.members()):
+        assert tuple(np.flatnonzero(row) + 1) == parity_points(f)
+
+
+def check_kernel(rows):
+    """The batch kernel against the scalar peel loop and ``parity_reduce``,
+    row by row, and its recomposition against the input."""
+    n = rows.shape[1]
+    cores, steps = _reduce_rows(rows)
+    assert cores.dtype == np.uint8 and steps.dtype == np.int8
+    longest = 0
+    for images, core, step in zip(rows.tolist(), cores.tolist(), steps.tolist()):
+        delta = PartialInjection(n, tuple(images))
+        ref_core, ref_steps = reference_peel(delta)
+        assert tuple(core) == ref_core.images
+        assert step == ref_steps + [0] * (len(step) - len(ref_steps))
+        dec = parity_reduce(delta)
+        assert dec.core == ref_core and dec.steps == len(ref_steps)
+        longest = max(longest, len(ref_steps))
+    assert steps.shape[1] == longest
+    assert not _parity_mask(cores).any()
+    assert np.array_equal(_recompose_rows(cores, steps), rows)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_kernel_matches_the_peel_loop_on_par_n(n, request):
+    rows = par_rows(request.getfixturevalue(f"u{n}"))
+    assert len(rows) == {5: 76, 7: 1292}[n]
+    check_kernel(rows)
+
+
+def test_kernel_matches_the_peel_loop_on_the_n9_sample(par9_sample):
+    check_kernel(par9_sample)
+
+
+def test_kernel_leaves_parity_preserving_rows_alone(u5):
+    mat = u5.images_matrix
+    keep = mat[~_parity_mask(mat).any(axis=1)]
+    cores, steps = _reduce_rows(keep)
+    assert np.array_equal(cores, keep) and steps.shape == (len(keep), 0)
+    assert np.array_equal(_recompose_rows(cores, steps), keep)
+
+
+def test_batch_recompose_matches_a_compose_fold(u7):
+    rows = par_rows(u7)
+    cores, steps = _reduce_rows(rows)
+    batch = _recompose_rows(cores, steps)
+    for images, out in zip(rows.tolist(), batch.tolist()):
+        dec = parity_reduce(PartialInjection(7, tuple(images)))
+        folded = reduce(compose, (*dec.left, dec.core, *dec.right))
+        assert tuple(out) == folded.images == tuple(images)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 15])
+def test_beta_rows_match_the_beta_families(n):
+    evens, odds = _beta_rows(n)
+    identity = tuple(range(n + 1))
+    for table, family in ((evens, beta_even), (odds, beta_odd)):
+        assert table.shape == (n + 1, n + 1) and not table.flags.writeable
+        assert tuple(table[0]) == identity
+        for i in range(1, n + 1):
+            if i % 2 == 0 and i < n:
+                assert tuple(table[i]) == (0,) + family(n, i).images
+            else:
+                assert not table[i].any()
+
+
+def test_kernel_refuses_a_step_that_does_not_shrink(monkeypatch):
+    """With identity tables no step removes a point: the shrink check
+    raises, as the peel loop did, instead of looping past n steps."""
+    n = 5
+    identity = np.tile(np.arange(n + 1, dtype=np.uint8), (n + 1, 1))
+    monkeypatch.setattr(constructions, "_beta_rows", lambda n: (identity, identity))
+    with pytest.raises(RuntimeError,
+                       match=r"failed to shrink at point 1: 1 -> 1 changing points"):
+        parity_reduce(beta_odd(n, 2))
+
+
 def test_convex_extend_empty_map():
     ext = convex_extend(PartialInjection.empty(5))
     assert ext.w == 1 and ext.x == 1
@@ -127,3 +273,11 @@ def test_convex_extend_sweep_n7(u7):
         swept += 1
     assert swept == 128
 
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_convex_domain_mask_matches_is_convex(n, request):
+    from fenceinj.analysis import _convex_domain_mask
+
+    universe = request.getfixturevalue(f"u{n}")
+    mask = _convex_domain_mask(universe.images_matrix)
+    assert mask.tolist() == [is_convex(f.domain) for f in universe.members()]
