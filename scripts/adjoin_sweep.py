@@ -17,7 +17,7 @@ from fenceinj import GeneratorSet, close, enumerate_FI, r_class
 
 def sweep(n: int) -> None:
     universe = enumerate_FI(n)
-    top = [int(c) for c in universe.codes_array[universe.ranks >= n - 1]]
+    top = universe.codes[universe.ranks >= n - 1].tolist()
     print(f"n = {n}: rank-≥(n−1) layer has {len(top)} elements")
     for i in range(1, (n + 1) // 2 + 1):
         cls = r_class(n, i, universe)

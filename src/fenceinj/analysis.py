@@ -112,8 +112,8 @@ def r_class(n: int, i: int, universe: ElementUniverse) -> RClass:
     rows = mat[mask]
     omitted = (rows == 0).argmax(axis=1) + 1
     hit = (omitted == i) | (omitted == n - i + 1)
-    codes = universe.codes_array[mask][hit]
-    return RClass(n, i, tuple(int(c) for c in np.sort(codes)))
+    # a boolean mask of the sorted codes is sorted
+    return RClass(n, i, tuple(universe.codes[mask][hit].tolist()))
 
 
 class _CayleyTable:
@@ -169,7 +169,7 @@ def _top_classes(n: int, universe: ElementUniverse) -> tuple[
     class R_i with its bitmask over the layer and the layer codes outside it.
     """
     _check_universe(n, universe)
-    top = universe.codes_array[universe.ranks >= n - 1].tolist()
+    top = universe.codes[universe.ranks >= n - 1].tolist()
     table = _CayleyTable(n, top, floor=n - 1)
     classes = []
     for i in range(1, (n + 1) // 2 + 1):
@@ -297,7 +297,7 @@ def verify_lemma_bf4(n: int, universe: ElementUniverse) -> Bf4Check:
     _check_universe(n, universe)
     checked = 0
     failures = []
-    for code in universe.codes_array[universe.ranks >= n - 2].tolist():
+    for code in universe.codes[universe.ranks >= n - 2].tolist():
         f = decode(n, code)
         pts = parity_points(f)
         if not pts:
@@ -323,10 +323,11 @@ def minimal_rank_exhaustive(universe: ElementUniverse) -> int:
         raise CapacityError(
             f"exhaustive minimal-rank search is offered at n = 3 only, "
             f"got n = {universe.n}")
-    table = _CayleyTable(3, universe.codes)
+    codes = universe.codes.tolist()
+    table = _CayleyTable(3, codes)
     whole = (1 << len(universe)) - 1
     gam = encode(gamma(3))
-    others = [c for c in universe.codes if c != gam]
+    others = [c for c in codes if c != gam]
     for size in range(1, 6):
         for extra in combinations(others, size - 1):
             if table.closure((gam,) + extra) == whole:
@@ -566,7 +567,7 @@ def _run_minimal_rank(n: int, ctx: VerifyContext) -> tuple[str, str]:
     if found != 5:
         return STATUS_FAIL, f"exhaustive search found a generating {found}-subset"
     g3 = (encode(g) for _, g in build_G(3))
-    if _CayleyTable(3, universe.codes).closure(g3) != (1 << len(universe)) - 1:
+    if _CayleyTable(3, universe.codes.tolist()).closure(g3) != (1 << len(universe)) - 1:
         return STATUS_FAIL, "G_3 does not generate FI_3"
     return STATUS_PASS, "no 4-subset generates; the 5-element G_3 does"
 
@@ -593,7 +594,7 @@ def _run_parity_sweep(n: int, ctx: VerifyContext) -> tuple[str, str]:
     bad = ((_recompose_rows(cores, steps) != rows).any(axis=1)
            | _parity_mask(cores).any(axis=1))
     if bad.any():
-        code = universe.codes_array[picked[bad.argmax()]]
+        code = universe.codes[picked[bad.argmax()]]
         return STATUS_FAIL, f"decomposition invalid for code {code}"
     return STATUS_PASS, f"{how} parity-changers decompose and recompose exactly"
 
@@ -613,7 +614,7 @@ def _run_convex_sweep(n: int, ctx: VerifyContext) -> tuple[str, str]:
     universe = ctx.universe(n)
     picked = (universe.ranks <= n - 3) & _convex_domain_mask(universe.images_matrix)
     count = 0
-    for code in universe.codes_array[picked].tolist():
+    for code in universe.codes[picked].tolist():
         f = decode(n, code)
         ext = convex_extend(f)
         if ext.recompose() != f or ext.extended.rank != f.rank + 1:

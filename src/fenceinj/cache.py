@@ -6,9 +6,7 @@ This is the only module that names cache files.  Under one directory:
   census of FI_n;
 * ``closure_n{n}_{key}.tree`` and its sidecar: the BFS witness tree of a
   generating set and a digest of the member codes it rebuilds, keyed by
-  ``generator_cache_key`` so distinct sets never collide.  Writing one
-  removes ``closure_n{n}_{key}.bin`` and its sidecar, the sorted codes an
-  earlier layout kept beside the tree, which nothing reads.
+  ``generator_cache_key`` so distinct sets never collide.
 
 Each file is written under a temporary name in the same directory and then
 moved into place with ``os.replace``, so a reader never sees half a file.
@@ -55,19 +53,16 @@ def load_universe(cache_dir: str | Path, n: int) -> ElementUniverse:
 def load_closure(cache_dir: str | Path, gens: GeneratorSet) -> ClosureResult:
     """⟨gens⟩ with its witnesses from the cache, closed and stored on a miss."""
     path = closure_path(cache_dir, gens)
-    codes = path.with_suffix(".bin")
     return _cached(path, lambda: ClosureResult.load(path, gens),
-                   lambda: close(gens), ClosureResult.save,
-                   stale=(codes, sidecar_path(codes)))
+                   lambda: close(gens), ClosureResult.save)
 
 
 def _cached(path: Path, load: Callable[[], T], build: Callable[[], T],
-            save: Callable[[T, Path], None], stale: tuple[Path, ...] = ()) -> T:
+            save: Callable[[T, Path], None]) -> T:
     """Load the entry in ``path`` and its sidecar; on a miss build and store it.
 
     ``save`` gets a temporary path; its sidecar follows it into place
-    because the prefix leaves the suffixes alone.  Once the entry is in
-    place, the ``stale`` files are removed.
+    because the prefix leaves the suffixes alone.
     """
     files = (path, sidecar_path(path))
     if any(f.exists() for f in files):
@@ -86,6 +81,4 @@ def _cached(path: Path, load: Callable[[], T], build: Callable[[], T],
     finally:
         for temp in temps:
             temp.unlink(missing_ok=True)
-    for leftover in stale:
-        leftover.unlink(missing_ok=True)
     return value

@@ -569,7 +569,7 @@ def close_excluding(
         raise ValueError(
             f"excluded codes not in the universe: {sorted(stray)[:5]}")
     return close(GeneratorSet.from_codes(
-        universe.n, (c for c in universe.codes if c not in excluded_codes)))
+        universe.n, (c for c in universe.codes.tolist() if c not in excluded_codes)))
 
 
 @dataclass(eq=False)
@@ -588,7 +588,7 @@ def verify_generates(gens: GeneratorSet, universe: ElementUniverse) -> Generatio
     if gens.n != universe.n:
         raise ValueError(f"size mismatch: gens n={gens.n}, universe n={universe.n}")
     result = close(gens)
-    codes = universe.codes_array
+    codes = universe.codes
     missing = tuple(np.setdiff1d(codes, result.member_codes, assume_unique=True).tolist())
     extra = tuple(np.setdiff1d(result.member_codes, codes, assume_unique=True).tolist())
     return GenerationCheck(gens.n, not missing and not extra, missing, extra, result)

@@ -261,7 +261,7 @@ def build_J(n: int, universe) -> GeneratorSet:
     if universe.n != n:
         raise ValueError(f"universe is for n={universe.n}, expected {n}")
     return GeneratorSet.from_codes(
-        n, universe.codes_array[universe.ranks >= n - 2].tolist())
+        n, universe.codes[universe.ranks >= n - 2].tolist())
 
 
 def parity_points(f: PartialInjection) -> tuple[int, ...]:

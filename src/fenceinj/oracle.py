@@ -8,6 +8,10 @@ is d−1, so the pruning state is two integers: the image of d−1, which fixes
 the side on which d's image must lie, and a bitmask of the images within
 distance 1 of the images of the earlier, non-adjacent points.
 
+The census is one sorted, read-only int64 array: the search appends to an
+``array("q")`` that ``enumerate_FI`` wraps without a copy and sorts in
+place.  The code set, the image rows and the ranks are derived from it.
+
 Every node of the pruned search is a prefix of an element of FI_n, so its
 cost grows with |FI_n|: the 586,650 elements of FI_11 take about 0.7 s on
 one Xeon core, but FI_13 has 11,333,302.  The exhaustive mode is capped at
@@ -20,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -46,7 +51,7 @@ _HEADER = struct.Struct("<4sIIQ32s")
 MODE_EXHAUSTIVE = "exhaustive"
 
 
-def _assignments(n: int) -> list[int]:
+def _assignments(n: int) -> array:
     """The code of every element of FI_n, in depth-first order.
 
     Points 1..n are decided in turn: first undefined, then each legal image
@@ -56,7 +61,7 @@ def _assignments(n: int) -> list[int]:
     distance ≥ 2 from every earlier image, so the maps are injective.
     """
     powers = code_powers(n)
-    codes: list[int] = []
+    codes = array("q")
 
     def rec(d: int, banned: int, u: int, code: int) -> None:
         if d > n:
@@ -80,23 +85,20 @@ def _assignments(n: int) -> list[int]:
     return codes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array has no value equality or hash
 class ElementUniverse:
-    """The complete, sorted code list of FI_n."""
+    """The census of FI_n: ``codes`` is one sorted, read-only int64 array,
+    and ``code_set`` and the other properties are derived from it."""
 
     n: int
-    codes: tuple[int, ...]
+    codes: np.ndarray
 
     def __len__(self) -> int:
         return len(self.codes)
 
     @cached_property
     def code_set(self) -> frozenset[int]:
-        return frozenset(self.codes)
-
-    @cached_property
-    def codes_array(self) -> np.ndarray:
-        return np.asarray(self.codes, dtype=np.int64)
+        return frozenset(self.codes.tolist())
 
     @cached_property
     def images_matrix(self) -> np.ndarray:
@@ -106,7 +108,7 @@ class ElementUniverse:
         """
         base = self.n + 1
         digits = np.empty((len(self.codes), self.n), dtype=np.uint8)
-        c = self.codes_array.copy()
+        c = self.codes.copy()
         digit = np.empty_like(c)
         for k in range(self.n):
             np.divmod(c, base, out=(c, digit))
@@ -123,11 +125,11 @@ class ElementUniverse:
         return tuple(np.bincount(self.ranks, minlength=self.n + 1).tolist())
 
     def members(self) -> Iterator[PartialInjection]:
-        for code in self.codes:
+        for code in self.codes.tolist():
             yield decode(self.n, code)
 
     def save(self, path: str | Path) -> None:
-        write_code_file(path, self.n, self.codes_array)
+        write_code_file(path, self.n, self.codes)
         write_sidecar(path, {
             "n": self.n,
             "count": len(self.codes),
@@ -143,7 +145,8 @@ class ElementUniverse:
         if (meta["n"] != n or meta["count"] != len(codes)
                 or meta["mode"] != MODE_EXHAUSTIVE):
             raise ValueError(f"sidecar of {path} disagrees with the binary header")
-        universe = cls(n, tuple(codes.tolist()))
+        codes.flags.writeable = False
+        universe = cls(n, codes)
         if sidecar_ints(meta, "rank_histogram") != universe.rank_histogram:
             raise ValueError(f"sidecar of {path} has the wrong rank histogram")
         return universe
@@ -238,9 +241,10 @@ def enumerate_FI(n: int) -> ElementUniverse:
         raise CapacityError(
             f"exhaustive enumeration is capped at n = {ENUMERATION_CAP}; "
             f"obtain FI_{n} as the closure of build_G({n}) instead")
-    codes = _assignments(n)
+    codes = np.frombuffer(_assignments(n), dtype=np.int64)
     codes.sort()
-    return ElementUniverse(n, tuple(codes))
+    codes.flags.writeable = False
+    return ElementUniverse(n, codes)
 
 
 def enumerate_naive(n: int) -> tuple[int, ...]:

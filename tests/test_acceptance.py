@@ -142,7 +142,7 @@ def test_criterion_07_complement_closures(u5, u7, capsys):
     started = time.perf_counter()
     for u in (u5, u7):
         n = u.n
-        top = u.codes_array[u.ranks >= n - 1].tolist()
+        top = u.codes[u.ranks >= n - 1].tolist()
         table = _CayleyTable(n, top, floor=n - 1)
         for check in verify_lemma6(n, u):
             assert check.holds, (n, check.i)

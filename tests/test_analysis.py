@@ -3,10 +3,12 @@
 import json
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from fenceinj import (
     CapacityError,
+    ElementUniverse,
     GeneratorSet,
     PartialInjection,
     VerifyContext,
@@ -19,6 +21,7 @@ from fenceinj import (
     encode,
     gamma,
     minimal_rank_exhaustive,
+    parse_map,
     r_class,
     rank_formula,
     rank_grade,
@@ -121,6 +124,20 @@ def test_bf4(u5, u7, u9):
         assert check.failures == ()
 
 
+def test_bf4_reports_planted_violations(u5):
+    """Two rank-≥3 non-members planted among FI_5's codes: 2,1,3,4,5 has
+    two parity-changing points, 1,2,4,_,_ one at the interior point 3 ↦ 4.
+    The sweep counts both and names exactly them, in ascending order."""
+    planted = sorted(encode(parse_map(5, text))
+                     for text in ("2,1,3,4,5", "1,2,4,_,_"))
+    assert not set(planted) & u5.code_set
+    codes = np.sort(np.concatenate([u5.codes, planted]))
+    check = verify_lemma_bf4(5, ElementUniverse(5, codes))
+    assert check.checked == 18
+    assert check.failures == tuple(planted)
+    assert not check.holds
+
+
 def test_prop7_vacuous_below_nine(u5, u7):
     assert verify_prop7_claims(5, u5).vacuous
     assert verify_prop7_claims(7, u7).vacuous
@@ -157,7 +174,7 @@ def test_top_layer_fixpoint_matches_honest_closure(u5):
     """The rank-≥(n−1) layer table must agree with a genuine closure of
     {α} ∪ (FI_n ∖ R_i) for every class and every adjoined element."""
     n = 5
-    top = [int(c) for c in u5.codes_array[u5.ranks >= n - 1]]
+    top = u5.codes[u5.ranks >= n - 1].tolist()
     table = _CayleyTable(n, top, floor=n - 1)
     for i in (1, 2, 3):
         cls = r_class(n, i, u5)
@@ -212,7 +229,7 @@ def test_layer_table_refuses_a_missing_product(u5):
     above the floor, and the table refuses it."""
     n = 5
     ident = encode(PartialInjection.identity(n))
-    top = [int(c) for c in u5.codes_array[u5.ranks >= n - 1]]
+    top = u5.codes[u5.ranks >= n - 1].tolist()
     assert ident in top
     _CayleyTable(n, top, floor=n - 1)
     with pytest.raises(ValueError, match="missing from the rank-≥4 layer"):
@@ -414,4 +431,4 @@ def test_context_universe_caching(tmp_path):
     assert (tmp_path / "universe_n3.bin").exists()
     assert ctx.universe(3) is first
     fresh = VerifyContext(cache_dir=str(tmp_path))
-    assert fresh.universe(3).codes == first.codes
+    assert fresh.universe(3).codes.tolist() == first.codes.tolist()

@@ -11,7 +11,6 @@ import pytest
 from fenceinj import ClosureResult, build_G, close
 from fenceinj.cache import load_closure
 from fenceinj.cli import main
-from fenceinj.oracle import write_code_file, write_sidecar
 
 
 def run_cli(capsys, *argv):
@@ -329,34 +328,6 @@ def test_bad_cache_file_is_rebuilt(tmp_path, capsys, damage):
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("warning:"), err
             assert _snapshot(cache) == clean, (name, command)
-
-
-def test_previous_layout_cache_is_rebuilt(tmp_path, capsys, g5_closure):
-    """A closure cached in the older layout, which also kept the sorted codes
-    in a ``.bin`` code file with its own sidecar and had no tree sidecar, is
-    rebuilt with one warning into the files a clean run writes, and the code
-    file and its sidecar are removed."""
-    clean_dir = tmp_path / "clean"
-    assert run_cli(capsys, *CACHE_COMMANDS["closure"], "--cache-dir",
-                   str(clean_dir))[0] == 0
-    clean = _snapshot(clean_dir)
-    (tree_name,) = [name for name in clean if name.endswith(".tree")]
-    meta = json.loads(clean[tree_name + ".json"])
-    code_name = tree_name.removesuffix(".tree") + ".bin"
-    for command in ("closure", "factor"):
-        cache = tmp_path / command
-        cache.mkdir()
-        (cache / tree_name).write_bytes(clean[tree_name])
-        write_code_file(cache / code_name, 5, g5_closure.member_codes)
-        write_sidecar(cache / code_name, {
-            key: meta[key] for key in ("n", "count", "labels", "level_sizes")})
-        code, _, err = run_cli(capsys, *CACHE_COMMANDS[command],
-                               "--cache-dir", str(cache))
-        assert code == 0, command
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("warning:"), err
-        # the old code file and its sidecar are gone
-        assert _snapshot(cache) == clean, command
 
 
 def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def test_extremal_layers(u3, u5, u7, u9):
 
 def test_agrees_with_naive_filter():
     for n in (1, 3, 5, 7):
-        assert enumerate_naive(n) == enumerate_FI(n).codes
+        assert enumerate_naive(n) == tuple(enumerate_FI(n).codes.tolist())
 
 
 def test_fi9_codes_digest(u9):
@@ -159,7 +160,7 @@ def test_save_load_roundtrip(tmp_path, u5):
     assert (tmp_path / "u5.bin.json").exists()
     loaded = ElementUniverse.load(path)
     assert loaded.n == 5
-    assert loaded.codes == u5.codes
+    assert np.array_equal(loaded.codes, u5.codes)
     assert loaded.rank_histogram == u5.rank_histogram
     side = tmp_path / "u5.bin.json"
     assert json.loads(side.read_text())["mode"] == "exhaustive"
@@ -194,13 +195,53 @@ def test_load_rejects_every_flipped_byte(tmp_path, u3):
                 with pytest.raises(ValueError):
                     ElementUniverse.load(path)
         target.write_bytes(raw)
-    assert ElementUniverse.load(path).codes == u3.codes
+    assert np.array_equal(ElementUniverse.load(path).codes, u3.codes)
 
 
 def test_members_sorted_and_contains(u3):
     assert list(u3.codes) == sorted(u3.codes)
     assert u3.codes[0] in u3.code_set
     assert -1 not in u3.code_set
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+def test_codes_are_one_sorted_read_only_int64_array(tmp_path, n):
+    """Enumerated and loaded alike, the census is a strictly increasing,
+    read-only int64 array, and the two copies are equal."""
+    enumerated = enumerate_FI(n)
+    path = tmp_path / f"u{n}.bin"
+    enumerated.save(path)
+    loaded = ElementUniverse.load(path)
+    for codes in (enumerated.codes, loaded.codes):
+        assert isinstance(codes, np.ndarray) and codes.dtype == np.int64
+        assert (np.diff(codes) > 0).all()
+        with pytest.raises(ValueError):
+            codes[0] = -1
+    assert np.array_equal(enumerated.codes, loaded.codes)
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_fi9_peak_memory(tmp_path, u9):
+    """Loading keeps the one copy read_code_file makes: no Python-int tuple
+    or list of the 34,164 codes."""
+    path = tmp_path / "u9.bin"
+    u9.save(path)
+    peak = _peak_bytes(lambda: ElementUniverse.load(path))
+    assert peak < 2_000_000, peak
+
+
+def test_enumerate_fi9_peak_memory():
+    """The search appends to one int64 buffer that becomes the census."""
+    peak = _peak_bytes(lambda: enumerate_FI(9))
+    assert peak < 1_000_000, peak
 
 
 def test_images_matrix_is_uint8_image_rows(u7):
