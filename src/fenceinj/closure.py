@@ -37,17 +37,30 @@ n-wide index stays narrow, and numpy casts it to intp in buffered chunks;
 int64 temporary is made.  Each candidate block is deduped by array
 operations alone: an argsort groups equal codes, and the least flat index
 of each group is its first occurrence, which keeps the lexicographic
-tie-break.  The unique codes are looked up in a sorted ``visited`` array
-with ``searchsorted``, and the new ones are merged into it before the next
-block, so a later block of the same level sees them.  The next frontier is
-the images of the new candidates, already computed.  ``stats.products``
-counts the candidates formed.
+tie-break.  The unique codes are looked up with ``searchsorted`` in two
+sorted arrays: ``seen``, the codes of the levels before, fixed within a
+level, and ``fresh``, the codes this level has found so far.  The new codes
+are merged into ``fresh`` before the next block, so a later block of the
+same level sees them, and ``fresh`` is folded into ``seen`` once the level
+ends; a block's merge copies only the level's codes, not every code.  The
+final ``seen`` is the sorted ``member_codes``.  The next frontier is the
+images of the new candidates, already computed.  ``stats.products`` counts
+the candidates formed.
 
-The engine runs in the calling thread.  A level's candidates are cut into
-blocks of at most ``_BLOCK_ENTRIES``, and blocks are deduplicated in order.
-This bounds a block's temporaries: n-wide matrices of one byte per entry
-(gathered frontier, images) or one to four (gather index), and a handful of
-int64 vectors (the codes and the arrays that dedupe them).
+The engine runs in the calling thread.  A level's frontier is cut into runs
+of whole nodes, one block each, at the nodes where the running count of
+candidates passes a multiple of ``_BLOCK_ENTRIES``, and blocks are
+deduplicated in order.  A block builds its own candidate index (each
+candidate's node and child) and frees every temporary when it returns its
+new rows: n-wide matrices of one byte per entry (gathered frontier, images)
+or one to four (gather index), and a handful of int32 and int64 vectors
+(the candidate index, the codes and the arrays that dedupe them).  The
+candidates' images are freed before the dedupe, and the new rows' products
+are formed again after it, so the two never peak together.  So the
+engine's memory is one block plus the tree it builds, its per-node int32
+arrays and the two code arrays, never a level's candidates.  The tree's
+columns are joined one at a time at the end, after the last frontier is
+freed.
 
 Witnesses are kept as the BFS tree itself (Froidure & Pin, 1997): each node
 stores its parent node and last generator (int32 each), and a word is read
@@ -55,9 +68,10 @@ off by walking to the root.  ``witness_items`` walks a block of nodes at a
 time, one vector gather per letter, and zips the block's per-letter label
 columns into words.  ``ClosureResult.save`` writes that tree, with a sidecar
 holding a SHA-256 of the sorted codes.  ``load`` replays the tree over the
-generators in one walk of its levels, which rebuilds the codes, checks that
-every node's suffix is a node and counts the products the engine formed;
-it accepts the tree only if the rebuilt codes match that digest.
+generators in one walk of its levels, which rebuilds the codes in blocks
+of ``_BLOCK_ENTRIES`` nodes, checks that every node's suffix is a node and
+counts the products the engine formed; it accepts the tree only if the
+rebuilt codes match that digest.
 """
 
 from __future__ import annotations
@@ -83,11 +97,14 @@ from .oracle import (
     write_sidecar,
 )
 
-# cap on the candidates of one block; a candidate's temporaries are its n
-# image bytes, n narrow gather indices and a few int64 scalars
+# the candidates of one block, plus at most one node's, since a block is a
+# run of whole frontier nodes (a replay block holds this many nodes); a
+# candidate's temporaries are its n image bytes, n narrow gather indices
+# and a few int64 scalars
 _BLOCK_ENTRIES = 1 << 20
 
-# sentinel that ends the sorted ``visited`` array, above every code
+# sentinel that ends the sorted code arrays ``seen`` and ``fresh``, above
+# every code
 _NO_CODE = np.iinfo(np.int64).max
 
 # magic of the witness-tree file: parent indices, then generator indices
@@ -161,7 +178,8 @@ class ClosureResult:
     ``_genidx[k]``, or that generator alone when ``_parents[k]`` is -1.
     Levels are contiguous in BFS order, with ``stats.level_sizes`` nodes each.
     Codes are int64; parent and generator indices are int32, as in the tree
-    file.
+    file.  ``member_codes`` holds the same codes in ascending order,
+    read-only.
     """
 
     n: int
@@ -170,6 +188,7 @@ class ClosureResult:
     _order_codes: np.ndarray
     _parents: np.ndarray
     _genidx: np.ndarray
+    member_codes: np.ndarray
 
     def __len__(self) -> int:
         return len(self._order_codes)
@@ -179,10 +198,6 @@ class ClosureResult:
         """Node indices in ascending code order; only ``witness_items``
         needs them."""
         return np.argsort(self._order_codes)
-
-    @cached_property
-    def member_codes(self) -> np.ndarray:
-        return np.sort(self._order_codes)
 
     @cached_property
     def members(self) -> frozenset[int]:
@@ -295,12 +310,13 @@ class ClosureResult:
         parents, genidx = tree[:count], tree[count:]
         level_sizes = sidecar_ints(meta, "level_sizes")
         order, products = _replay_tree(n, rows, parents, genidx, level_sizes)
-        result = cls(n, labels, ClosureStats(level_sizes, products, 0.0), order,
-                     parents, genidx)
+        member_codes = np.sort(order)
         # the saved codes were distinct, so a match also rules out duplicates
-        if _codes_digest(result.member_codes) != meta["codes_sha256"]:
+        if _codes_digest(member_codes) != meta["codes_sha256"]:
             raise ValueError(f"{tree_path} does not rebuild the recorded codes")
-        return result
+        member_codes.flags.writeable = False
+        return cls(n, labels, ClosureStats(level_sizes, products, 0.0), order,
+                   parents, genidx, member_codes)
 
 
 def _codes_digest(codes: np.ndarray) -> str:
@@ -343,7 +359,7 @@ def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
             if np.any(local != -1):
                 raise ValueError("a first-level node has a parent")
             level = rows.T.take(gen, axis=1)
-            codes = _codes(powers, level)
+            order[start:stop] = _codes(powers, level)
             # a seed's suffix is the empty word, -1, whose children are the seeds
             products += size * size
             found = local
@@ -354,13 +370,22 @@ def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
             found = keys.searchsorted(want).clip(max=len(keys) - 1)
             if np.any(keys[found] != want):
                 raise ValueError("a node's suffix is not in the tree")
+            del want
             # the children of the level before are this level's nodes
             products += int(np.bincount(local, minlength=len(keys))[found].sum())
-            level, codes = _products(lookup, prev, local, bases.take(gen), powers)
+            # a block of nodes at a time, so that the gather index and the
+            # images stay block-sized, written into the level's arrays
+            level = np.empty((n, size), dtype=np.uint8)
+            for lo in range(0, size, _BLOCK_ENTRIES):
+                hi = min(lo + _BLOCK_ENTRIES, size)
+                images, codes = _products(
+                    lookup, prev, local[lo:hi], bases.take(gen[lo:hi]), powers)
+                level[:, lo:hi] = images
+                order[start + lo:start + hi] = codes
+            del images, codes
         # suffixes, local to the level before, and the keys the level is
         # sorted by, (local parent + 1, generator)
         suffix, keys = found, (local + 1) * len(rows) + gen
-        order[start:stop] = codes
         prev, prev_start, start = level, start, stop
     return order, products
 
@@ -411,34 +436,88 @@ def _sorted_rows(gens: GeneratorSet) -> tuple[tuple[str, ...], np.ndarray]:
     return labels, rows
 
 
-def _first_new(flat: np.ndarray, visited: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _first_new(flat: np.ndarray, seen: np.ndarray,
+               fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending flat indices of the first occurrence of each new code.
 
-    A code is new unless it is a floor mark (-1) or lies in ``visited``, a
-    sorted array that ends in a sentinel above every code.  Also returns
-    ``visited`` with the new codes merged in.
+    A code is new unless it is a floor mark (-1), lies in ``seen``, the
+    codes of the levels before, or lies in ``fresh``, the codes this level
+    has found so far; both are sorted and end in a sentinel above every
+    code.  Also returns ``fresh`` with the new codes merged in.
     """
+    # each block-sized array is freed once it is used
     perm = flat.argsort()
     ordered = flat[perm]
     head = np.empty(len(ordered), dtype=bool)
     head[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
     starts = head.nonzero()[0]
+    del head
     unique = ordered[starts]
+    del ordered
     first = np.minimum.reduceat(perm, starts)
-    new = (visited[visited.searchsorted(unique)] != unique) & (unique >= 0)
+    del perm
+    new = ((unique >= 0) & (seen[seen.searchsorted(unique)] != unique)
+           & (fresh[fresh.searchsorted(unique)] != unique))
     unique = unique[new]
-    # a stable sort of two sorted runs is a linear merge
-    visited = np.concatenate((visited, unique))
-    visited.sort(kind="stable")
     first = first[new]
     first.sort()
-    return first, visited
+    return first, _merged(fresh, unique)
 
 
-def _joined(parts: list[np.ndarray], axis: int = 0) -> np.ndarray:
-    """The parts concatenated; a level of one block needs no copy."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+def _merged(codes: np.ndarray, more: np.ndarray) -> np.ndarray:
+    """A sorted, sentinel-ended code array with the sorted ``more`` merged
+    in; a stable sort of two sorted runs is a linear merge."""
+    merged = np.concatenate((codes, more))
+    merged.sort(kind="stable")
+    return merged
+
+
+def _drained(parts: list[np.ndarray], axis: int = 0) -> np.ndarray:
+    """The parts concatenated, and the list emptied, so that they are freed
+    once the joined copy exists; a level of one block needs no copy."""
+    joined = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+    parts.clear()
+    return joined
+
+
+def _run_rows(
+    lookup: np.ndarray,
+    powers: np.ndarray,
+    min_rank: int,
+    frontier: np.ndarray,
+    bases: np.ndarray,
+    lo: int,
+    count: np.ndarray,
+    first_child: np.ndarray,
+    seen: np.ndarray,
+    fresh: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The new rows that a run of whole frontier nodes forms.
+
+    Node lo + i of the run is multiplied by the generators of ``count[i]``
+    frontier children, from ``first_child[i]`` on; ``bases`` holds each
+    child's generator offset.  Returns the new rows' codes, images, nodes
+    and suffixes (their children), in candidate order, and ``fresh`` with
+    their codes merged in.  Every other array of the run is freed on
+    return.
+    """
+    x = np.repeat(np.arange(lo, lo + len(count), dtype=np.int32), count)
+    # candidate p of the run multiplies x[p] by the generator of child[p],
+    # its owner's first child plus p's place among the owner's candidates
+    child = np.repeat(first_child - (count.cumsum(dtype=np.int32) - count), count)
+    child += np.arange(len(child), dtype=np.int32)
+    images, codes = _products(lookup, frontier, x, bases.take(child), powers)
+    if min_rank > 0:
+        codes[np.count_nonzero(images, axis=0) < min_rank] = -1
+    # the new rows' products are formed again below, so that no candidate's
+    # images are held through the dedupe
+    del images
+    first, fresh = _first_new(codes, seen, fresh)
+    del codes
+    x, child = x[first], child[first]
+    images, codes = _products(lookup, frontier, x, bases.take(child), powers)
+    return codes, images, x, child, fresh
 
 
 def _close_rows(
@@ -457,80 +536,82 @@ def _close_rows(
     powers = np.asarray(code_powers(n), dtype=np.int64)
     lookup, gen_bases = _lookup(n, rows)
 
-    visited = np.array([_NO_CODE])
+    empty = np.array([_NO_CODE])  # no codes: the sentinel alone
     seed_codes = _codes(powers, rows.T)
     if min_rank > 0:
         seed_codes[np.count_nonzero(rows, axis=1) < min_rank] = -1
-    first, visited = _first_new(seed_codes, visited)
+    first, seen = _first_new(seed_codes, empty, empty)
     order_codes = [seed_codes[first]]
+    frontier_gens = first.astype(np.int32)
     parents = [np.full(len(first), -1, dtype=np.int32)]
-    genidx = [first.astype(np.int32)]
+    genidx = [frontier_gens]
     level_sizes = [len(first)] if len(first) else []
     products = 0
     frontier = rows.T.take(first, axis=1)
-    frontier_gens = first
     frontier_start = 0
     # every seed's suffix is the empty word, whose children are the seeds
-    suffix = np.zeros(len(first), dtype=np.intp)
-    child_start = np.zeros(1, dtype=np.intp)
-    child_count = np.array([len(first)])
+    suffix = np.zeros(len(first), dtype=np.int32)
+    child_start = np.zeros(1, dtype=np.int32)
+    child_count = np.array([len(first)], dtype=np.int32)
+    # a level's new codes, and its new rows block by block, drained as the
+    # level ends
+    fresh, new_images, new_parents, new_suffix = empty, [], [], []
     while len(suffix):
-        # emptied first, so the last level's parts are freed before this
-        # level's arrays are built
-        new_images, new_parents, new_suffix = [], [], []
         # frontier node x is multiplied by the generators of the children
-        # of its suffix, in order: candidate p of the level multiplies node
-        # owners[p] by the generator of node children[p], both of the
-        # frontier, and x's candidates are a run of count[x]
+        # of its suffix, in order: count[x] candidates
         count = child_count[suffix]
-        total = int(count.sum())
+        ends = count.cumsum()
+        total = int(ends[-1])
         if not total:
             break
         products += total
-        # children[p] = child_start[suffix[x]] + p - (x's first candidate)
-        first_child = child_start[suffix]
-        first_child -= count.cumsum() - count
-        owners = np.repeat(np.arange(len(count), dtype=np.int32), count)
-        children = np.repeat(first_child, count)
-        children += np.arange(total)
+        # runs of whole nodes, cut after the last node that ends by each
+        # multiple of the block size, so the candidates keep the (x, k)
+        # order of a full sweep, and with it every first occurrence; a node
+        # that spans a whole block makes two cuts equal, and the set drops
+        # the empty run between them
+        cuts = ends.searchsorted(
+            np.arange(_BLOCK_ENTRIES, total, _BLOCK_ENTRIES), side="right")
+        edges = sorted({0, len(count), *cuts.tolist()})
+        del ends
         bases = gen_bases.take(frontier_gens)
-        for start in range(0, total, _BLOCK_ENTRIES):
-            x = owners[start:start + _BLOCK_ENTRIES]
-            child = children[start:start + _BLOCK_ENTRIES]
-            images, codes = _products(lookup, frontier, x, bases.take(child), powers)
-            if min_rank > 0:
-                codes[np.count_nonzero(images, axis=0) < min_rank] = -1
-            first, visited = _first_new(codes, visited)
-            order_codes.append(codes[first])
-            new_images.append(images[:, first])
-            new_parents.append(x[first])
-            new_suffix.append(child[first])
-        local = _joined(new_parents)
+        for lo, hi in zip(edges, edges[1:]):
+            codes, images, nodes, children, fresh = _run_rows(
+                lookup, powers, min_rank, frontier, bases, lo, count[lo:hi],
+                child_start[suffix[lo:hi]], seen, fresh)
+            order_codes.append(codes)
+            new_images.append(images)
+            new_parents.append(nodes)
+            new_suffix.append(children)
+        local = _drained(new_parents)
         if not len(local):
             break
-        suffix = _joined(new_suffix)
+        suffix = _drained(new_suffix)
         # a node's last generator is that of the child it was formed for
         frontier_gens = frontier_gens[suffix]
         parents.append(np.add(local, frontier_start, dtype=np.int32))
-        genidx.append(frontier_gens.astype(np.int32))
+        genidx.append(frontier_gens)
         level_sizes.append(len(local))
         # the children of each frontier node, a run of the sorted parents
-        child_count = np.bincount(local, minlength=frontier.shape[1])
-        child_start = child_count.cumsum()
+        width = frontier.shape[1]
+        child_count = np.bincount(local, minlength=width).astype(np.int32)
+        child_start = child_count.cumsum(dtype=np.int32)
         child_start -= child_count
-        frontier_start += frontier.shape[1]
-        frontier = _joined(new_images, axis=1)
+        frontier_start += width
+        # the next frontier and the codes seen are joined last, once this
+        # level's arrays are freed
+        del count, bases, frontier, codes, images, nodes, children
+        frontier = _drained(new_images, axis=1)
+        seen, fresh = _merged(seen[:-1], fresh), empty
 
     stats = ClosureStats(tuple(level_sizes), products,
                          time.perf_counter() - started)
-    return ClosureResult(
-        n,
-        labels,
-        stats,
-        np.concatenate(order_codes),
-        np.concatenate(parents),
-        np.concatenate(genidx),
-    )
+    # the tree's columns are joined one at a time, once the frontier is freed
+    del frontier
+    member_codes = seen[:-1]
+    member_codes.flags.writeable = False
+    return ClosureResult(n, labels, stats, _drained(order_codes),
+                         _drained(parents), _drained(genidx), member_codes)
 
 
 def close(gens: GeneratorSet, workers: int = 1, min_rank: int = 0) -> ClosureResult:

@@ -233,19 +233,47 @@ def assert_same_tree(a, b):
     assert a.stats.level_sizes == b.stats.level_sizes
 
 
+def assert_sorted_members(result):
+    """``member_codes`` is the BFS-order codes sorted, and read-only."""
+    codes = result.member_codes
+    assert not codes.flags.writeable
+    assert codes.dtype == np.int64
+    assert codes.tobytes() == np.sort(result._order_codes).tobytes()
+
+
 @pytest.mark.parametrize("n, block", [(7, 128), (9, 1 << 14)])
-def test_small_blocks_split_rows_identically(n, block, monkeypatch):
-    """With small blocks a level's candidates span several blocks, cut
-    through the candidates of one frontier node, and must still give the
-    arrays and product count of the default block size."""
+def test_small_blocks_split_rows_identically(n, block, monkeypatch, tmp_path):
+    """With small blocks a level's candidates span several blocks, each
+    holding the candidates of a run of whole frontier nodes, and must still
+    give the arrays and product count of the default block size; so must a
+    replay of the saved tree, whose products are formed in blocks too."""
     gens = build_G(n)
     for floor in (0, n - 1):
         reference = close(gens, min_rank=floor)
+        tree_path = tmp_path / f"floor{floor}.tree"
+        reference.save(tree_path)
         with monkeypatch.context() as patch:
             patch.setattr(closure_module, "_BLOCK_ENTRIES", block)
             result = close(gens, min_rank=floor)
-        assert_same_tree(reference, result)
-        assert result.stats.products == reference.stats.products
+            loaded = ClosureResult.load(tree_path, gens)
+        for copy in (reference, result, loaded):
+            assert_same_tree(reference, copy)
+            assert copy.stats.products == reference.stats.products
+            assert_sorted_members(copy)
+
+
+def test_blocks_smaller_than_one_node_split_rows_identically(u7, monkeypatch):
+    """A seed of J_7 forms 166 candidates, so with 16-entry blocks a run of
+    one frontier node outgrows its block, and several block multiples fall
+    within one node."""
+    gens = build_J(7, u7)
+    reference = close(gens)
+    with monkeypatch.context() as patch:
+        patch.setattr(closure_module, "_BLOCK_ENTRIES", 16)
+        result = close(gens)
+    assert_same_tree(reference, result)
+    assert result.stats.products == reference.stats.products
+    assert_sorted_members(result)
 
 
 @pytest.mark.parametrize("n, k, dtype", [
@@ -284,7 +312,8 @@ def test_product_kernel_at_index_dtype_boundaries(n, k, dtype):
 
 def test_close_G11_peak_memory():
     """No n-wide int64 copy of a candidate block: the product step gathers
-    through a narrow index and sums codes in buffered chunks."""
+    through a narrow index and sums codes in buffered chunks.  No array
+    grows with a level's candidates, and a block's arrays die with it."""
     gens = build_G(11)
     tracemalloc.start()
     try:
@@ -293,7 +322,7 @@ def test_close_G11_peak_memory():
     finally:
         tracemalloc.stop()
     assert len(result) == 586650
-    assert peak < 80_000_000, peak
+    assert peak < 55_000_000, peak
 
 
 @settings(max_examples=25, deadline=None)
@@ -442,7 +471,6 @@ def test_tree_product_count_refuses_a_missing_suffix(g5_closure):
 def test_tree_save_holds_one_copy(tmp_path, g9_closure):
     """Saving a closure hashes and writes its tree from one array; the
     digest of the codes reads them in place."""
-    g9_closure.member_codes  # cached before tracing, as after any lookup
     payload = 8 * len(g9_closure)
     tracemalloc.start()
     try:
