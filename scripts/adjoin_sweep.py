@@ -12,6 +12,8 @@ Usage: python scripts/adjoin_sweep.py --n 9
 import argparse
 from collections import Counter
 
+import numpy as np
+
 from fenceinj import GeneratorSet, close, enumerate_FI, r_class
 
 
@@ -26,8 +28,8 @@ def sweep(n: int) -> None:
         counts = Counter()
         for a in cls.codes:
             gens = GeneratorSet.from_codes(n, outside + [a])
-            reached = close(gens, min_rank=n - 1).members
-            counts[len(reached & in_class)] += 1
+            reached = close(gens, min_rank=n - 1).member_codes
+            counts[len(np.intersect1d(reached, cls.codes, assume_unique=True))] += 1
         profile = ", ".join(f"{k} reachable ×{v}"
                             for k, v in sorted(counts.items()))
         print(f"  R_{i} (|R_{i}| = {len(cls)}): {profile}")

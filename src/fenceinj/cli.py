@@ -39,7 +39,7 @@ from .analysis import (
     run_verification,
 )
 from .cache import closure_path, load_closure, load_universe, universe_path
-from .closure import evaluate_word
+from .closure import NotGeneratedError, evaluate_word
 from .fence import (
     CapacityError,
     MapFormatError,
@@ -213,13 +213,14 @@ def cmd_factor(args: argparse.Namespace) -> int:
             f"break the order relation")
     result = load_closure(cache_dir, gens)
     code = encode(target)
-    if code not in result:
+    try:
+        word = result.witness(code)
+    except NotGeneratedError:
         doc = {"n": args.n, "map": format_map(target), "code": code,
                "generated": False}
         lines = [f"{format_map(target)} is not generated by the given set"]
         _emit(args.format, doc, lines, [("generated",), ("false",)])
         return 0
-    word = result.witness(code)
     verified = evaluate_word(word, gens) == target
     doc = {
         "n": args.n,

@@ -199,10 +199,6 @@ class ClosureResult:
         needs them."""
         return np.argsort(self._order_codes)
 
-    @cached_property
-    def members(self) -> frozenset[int]:
-        return frozenset(self.member_codes.tolist())
-
     def _node(self, target: int | PartialInjection) -> tuple[int, int]:
         """The target's code and its node index, or -1 if not a member.
 
@@ -262,7 +258,7 @@ class ClosureResult:
         new_word, set_labels = object.__new__, Word.labels.__set__
         for start in range(0, len(self), step):
             k = self._code_order[start:start + step]
-            codes = self._order_codes[k].tolist()
+            codes = self.member_codes[start:start + step].tolist()
             letters = np.empty((width, len(k)), dtype=np.int32)
             for col in range(width - 1, -1, -1):
                 live = k >= 0
@@ -352,8 +348,7 @@ def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
     start, prev_start, prev = 0, 0, None
     for size in level_sizes:
         stop = start + size
-        # in int64, so that no corrupt int32 parent can wrap around
-        local = parents[start:stop].astype(np.int64) - prev_start
+        local = parents[start:stop]
         gen = genidx[start:stop]
         if prev is None:
             if np.any(local != -1):
@@ -364,13 +359,16 @@ def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
             products += size * size
             found = local
         else:
-            if np.any((local < 0) | (local >= prev.shape[1])):
+            # checked on the int32 parents, so that no corrupt one wraps around
+            if np.any((local < prev_start) | (local >= start)):
                 raise ValueError("a node's parent is not in the level before")
-            want = (suffix[local] + 1) * len(rows) + gen
+            local = local - prev_start
+            want = np.multiply(suffix[local] + 1, len(rows), dtype=np.int64) + gen
             found = keys.searchsorted(want).clip(max=len(keys) - 1)
             if np.any(keys[found] != want):
                 raise ValueError("a node's suffix is not in the tree")
             del want
+            found = found.astype(np.int32)
             # the children of the level before are this level's nodes
             products += int(np.bincount(local, minlength=len(keys))[found].sum())
             # a block of nodes at a time, so that the gather index and the
@@ -384,8 +382,8 @@ def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
                 order[start + lo:start + hi] = codes
             del images, codes
         # suffixes, local to the level before, and the keys the level is
-        # sorted by, (local parent + 1, generator)
-        suffix, keys = found, (local + 1) * len(rows) + gen
+        # sorted by, (local parent + 1, generator), which can pass int32
+        suffix, keys = found, np.multiply(local + 1, len(rows), dtype=np.int64) + gen
         prev, prev_start, start = level, start, stop
     return order, products
 
@@ -643,14 +641,15 @@ def close_excluding(
     acceptance criterion 7, a closure of the whole complement of each R_i,
     and as the engine side of the n = 3 minimal-rank cross-check.
     """
-    excluded_codes = {
-        encode(e) if isinstance(e, PartialInjection) else int(e) for e in excluded}
-    stray = excluded_codes - universe.code_set
+    excluded_codes = sorted({
+        encode(e) if isinstance(e, PartialInjection) else int(e) for e in excluded})
+    codes = universe.codes
+    # a code past int64 turns the search into one over Python ints
+    pos = codes.searchsorted(excluded_codes).tolist()
+    stray = [c for c, p in zip(excluded_codes, pos) if codes[min(p, len(codes) - 1)] != c]
     if stray:
-        raise ValueError(
-            f"excluded codes not in the universe: {sorted(stray)[:5]}")
-    return close(GeneratorSet.from_codes(
-        universe.n, (c for c in universe.codes.tolist() if c not in excluded_codes)))
+        raise ValueError(f"excluded codes not in the universe: {stray[:5]}")
+    return close(GeneratorSet.from_codes(universe.n, np.delete(codes, pos).tolist()))
 
 
 @dataclass(eq=False)

@@ -10,7 +10,7 @@ distance 1 of the images of the earlier, non-adjacent points.
 
 The census is one sorted, read-only int64 array: the search appends to an
 ``array("q")`` that ``enumerate_FI`` wraps without a copy and sorts in
-place.  The code set, the image rows and the ranks are derived from it.
+place.  The image rows and the ranks are derived from it.
 
 Every node of the pruned search is a prefix of an element of FI_n, so its
 cost grows with |FI_n|: the 586,650 elements of FI_11 take about 0.7 s on
@@ -88,17 +88,13 @@ def _assignments(n: int) -> array:
 @dataclass(frozen=True, eq=False)  # an array has no value equality or hash
 class ElementUniverse:
     """The census of FI_n: ``codes`` is one sorted, read-only int64 array,
-    and ``code_set`` and the other properties are derived from it."""
+    and the other properties are derived from it."""
 
     n: int
     codes: np.ndarray
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    @cached_property
-    def code_set(self) -> frozenset[int]:
-        return frozenset(self.codes.tolist())
 
     @cached_property
     def images_matrix(self) -> np.ndarray:

@@ -110,7 +110,7 @@ def test_evaluate_word():
 def test_close_G_reaches_everything(n, u3, u5, u7):
     u = {3: u3, 5: u5, 7: u7}[n]
     result = close(build_G(n))
-    assert result.members == u.code_set
+    assert np.array_equal(result.member_codes, u.codes)
     assert len(result) == len(u)
 
 
@@ -140,7 +140,7 @@ def test_witnesses_reevaluate_exhaustive(g5_closure):
 def test_witnesses_reevaluate_sampled(g9_closure):
     gens = build_G(9)
     rng = random.Random(9)
-    for code in rng.sample(sorted(g9_closure.members), 250):
+    for code in rng.sample(g9_closure.member_codes.tolist(), 250):
         word = g9_closure.witness(code)
         assert encode(evaluate_word(word, gens)) == code
 
@@ -150,7 +150,7 @@ def test_witnesses_minimal_and_lex_least():
         gens = build_G(n)
         result = close(gens)
         reference = brute_force_words(gens)
-        assert set(reference) == result.members
+        assert sorted(reference) == result.member_codes.tolist()
         for code, word in reference.items():
             assert result.witness(code).labels == word, (n, code)
 
@@ -200,26 +200,24 @@ def test_lookups_do_not_build_the_member_set(g7_closure):
     for lookup in (result.__contains__, result.witness):
         with pytest.raises(ValueError, match="size mismatch"):
             lookup(small)
-    assert "members" not in vars(result)
-    assert result.members == g7_closure.members
 
 
 def test_members_closed_under_composition(g5_closure):
     rng = random.Random(5)
-    pool = sorted(g5_closure.members)
+    pool = g5_closure.member_codes.tolist()
     for _ in range(400):
         f = decode(5, rng.choice(pool))
         g = decode(5, rng.choice(pool))
-        assert encode(compose(f, g)) in g5_closure.members
+        assert encode(compose(f, g)) in g5_closure
 
 
 def test_workers_determinism():
     a = close(build_G(7), workers=1)
     b = close(build_G(7), workers=4)
-    assert a.members == b.members
+    assert np.array_equal(a._order_codes, b._order_codes)
     assert a.stats.level_sizes == b.stats.level_sizes
     assert list(a.member_codes) == list(b.member_codes)
-    for code in a.members:
+    for code in a.member_codes.tolist():
         assert a.witness(code) == b.witness(code)
 
 
@@ -331,7 +329,7 @@ def test_closure_monotone_in_generators(labels):
     gens = build_G(5)
     drop = [lab for lab in gens.labels if lab not in labels]
     sub = gens.without(*drop) if drop else gens
-    assert close(sub).members <= close(gens).members
+    assert set(close(sub).member_codes.tolist()) <= set(close(gens).member_codes.tolist())
 
 
 def test_factorize_and_not_generated():
@@ -350,7 +348,8 @@ def test_verify_generates(u5):
     assert check.generates and not check.missing and not check.extra
     partial = verify_generates(build_G(5).without("gamma"), u5)
     assert not partial.generates
-    assert partial.missing == tuple(sorted(u5.code_set - partial.closure.members))
+    missing = set(u5.codes.tolist()) - set(partial.closure.member_codes.tolist())
+    assert partial.missing == tuple(sorted(missing))
     assert not partial.extra
     lone = GeneratorSet(5, (("id", PartialInjection.identity(5)),))
     assert not verify_generates(lone, u5).generates
@@ -359,20 +358,22 @@ def test_verify_generates(u5):
 def test_close_excluding_complement(u5):
     cls = r_class(5, 1, u5)
     result = close_excluding(u5, cls.codes)
-    assert result.members == u5.code_set - set(cls.codes)
-    with pytest.raises(ValueError):
-        close_excluding(u5, (10 ** 9,))
+    assert result.member_codes.tolist() == sorted(set(u5.codes.tolist()) - set(cls.codes))
+    # a code past int64 is refused like any other stray code
+    for stray in (10 ** 9, 2 ** 70):
+        with pytest.raises(ValueError, match=rf"^excluded codes not in the universe: \[{stray}\]$"):
+            close_excluding(u5, (stray,))
 
 
 def test_close_excluding_nothing_is_identity_map(u5):
     # FI_n is closed, so excluding nothing reproduces the universe
-    assert close_excluding(u5, ()).members == u5.code_set
+    assert np.array_equal(close_excluding(u5, ()).member_codes, u5.codes)
 
 
 def test_close_excluding_gamma_keeps_identity(u5):
     result = close_excluding(u5, (encode(gamma(5)),))
-    assert encode(PartialInjection.identity(5)) in result.members
-    assert encode(gamma(5)) not in result.members
+    assert encode(PartialInjection.identity(5)) in result
+    assert encode(gamma(5)) not in result
 
 
 def test_generators_have_length_one_witnesses(g9_closure):
@@ -382,7 +383,7 @@ def test_generators_have_length_one_witnesses(g9_closure):
 
 def test_witnesses_reproduce_members_n7(g7_closure):
     gens = dict(build_G(7).mapping())
-    for code in sorted(g7_closure.members):
+    for code in g7_closure.member_codes.tolist():
         word = g7_closure.witness(code)
         assert encode(evaluate_word(word, gens)) == code
 
@@ -393,12 +394,12 @@ def test_save_load_roundtrip(tmp_path, g5_closure):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.tree", "c.tree.json"]
     loaded = ClosureResult.load(tree_path, build_G(5))
     assert loaded.n == 5
-    assert loaded.members == g5_closure.members
+    assert np.array_equal(loaded.member_codes, g5_closure.member_codes)
     assert loaded.labels == g5_closure.labels
     assert loaded.stats.level_sizes == g5_closure.stats.level_sizes
     assert loaded.stats.products == g5_closure.stats.products
     assert_same_tree(g5_closure, loaded)
-    for code in sorted(g5_closure.members):
+    for code in g5_closure.member_codes.tolist():
         assert loaded.witness(code) == g5_closure.witness(code)
     # saving the loaded closure reproduces the files byte for byte
     loaded.save(tmp_path / "d.tree")
@@ -466,6 +467,19 @@ def test_tree_product_count_refuses_a_missing_suffix(g5_closure):
             assert "suffix" in str(error)
             refused += 1
     assert 0 < refused < len(g5_closure.labels)
+
+
+def test_tree_replay_refuses_a_parent_outside_the_level_before(g5_closure):
+    """A corrupt int32 parent is refused, not wrapped around into the
+    level before."""
+    sizes = g5_closure.stats.level_sizes
+    rows = closure_module._sorted_rows(build_G(5))[1]
+    node = sizes[0] + sizes[1]  # the first node of the third level
+    for parent in (np.iinfo(np.int32).min, node):  # node: one past the level
+        parents = g5_closure._parents.copy()
+        parents[node] = parent
+        with pytest.raises(ValueError, match="a node's parent is not in the level before"):
+            closure_module._replay_tree(5, rows, parents, g5_closure._genidx, sizes)
 
 
 def test_tree_save_holds_one_copy(tmp_path, g9_closure):
@@ -570,7 +584,8 @@ def test_load_rejects_mismatched_witnesses(tmp_path, g5_closure):
         for label, element in gens))
     with pytest.raises(ValueError):
         ClosureResult.load(tree_path, swapped)
-    assert ClosureResult.load(tree_path, gens).members == g5_closure.members
+    assert np.array_equal(
+        ClosureResult.load(tree_path, gens).member_codes, g5_closure.member_codes)
 
 
 def test_load_rejects_every_flipped_byte(tmp_path):
@@ -619,8 +634,8 @@ def test_min_rank_floor_keeps_rank_layers(n):
     full = close(gens)
     for r in range(n + 1):
         floored = close(gens, min_rank=r)
-        expected = {c for c in full.members if decode(n, c).rank >= r}
-        assert floored.members == expected, r
+        expected = [c for c in full.member_codes.tolist() if decode(n, c).rank >= r]
+        assert floored.member_codes.tolist() == expected, r
         for code in expected:
             assert floored.witness(code) == full.witness(code), (r, code)
     assert len(close(gens, min_rank=n + 1)) == 0
