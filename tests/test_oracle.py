@@ -12,6 +12,8 @@ from fenceinj import (
     CapacityError,
     ElementUniverse,
     PartialInjection,
+    build_G,
+    close,
     compose,
     decode,
     encode,
@@ -21,6 +23,7 @@ from fenceinj import (
     inverse,
     is_partial_automorphism,
 )
+from fenceinj.oracle import _census_codes
 
 KNOWN_COUNTS = {1: 2, 3: 18, 5: 182, 7: 2288, 9: 34164}
 KNOWN_HISTOGRAMS = {
@@ -151,6 +154,14 @@ def test_rank_one_maps_are_automorphisms():
             assert is_partial_automorphism(f)
 
 
+def test_census_of_fi11_is_the_closure_of_g11():
+    """Past the public cap, the search and the closure engine, which share
+    no code, find the same 586,650 elements: ⟨G_11⟩ = FI_11."""
+    codes = np.sort(_census_codes(11))
+    assert len(codes) == 586650
+    assert np.array_equal(codes, close(build_G(11)).member_codes)
+
+
 def test_capacity_cap():
     with pytest.raises(CapacityError) as err:
         enumerate_FI(11)
@@ -243,9 +254,17 @@ def test_load_fi9_peak_memory(tmp_path, u9):
 
 
 def test_enumerate_fi9_peak_memory():
-    """The search appends to one int64 buffer that becomes the census."""
+    """The level-wise search holds one array per field of a level, and its
+    last level, the codes alone, becomes the census."""
     peak = _peak_bytes(lambda: enumerate_FI(9))
     assert peak < 1_000_000, peak
+
+
+def test_census_fi11_peak_memory():
+    """Each level's fields are held once: the 4.69 MB census of FI_11 and
+    the level before it fit in 20 MB."""
+    peak = _peak_bytes(lambda: _census_codes(11))
+    assert peak < 20_000_000, peak
 
 
 def test_images_matrix_is_uint8_image_rows(u7):
