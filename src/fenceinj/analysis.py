@@ -38,6 +38,7 @@ from .fence import (
     UNDEF,
     CapacityError,
     PartialInjection,
+    _check_int,
     check_fence_size,
     compose,
     decode,
@@ -105,7 +106,7 @@ class RClass:
 def r_class(n: int, i: int, universe: ElementUniverse) -> RClass:
     """Extract R_i from the universe."""
     _check_universe(n, universe)
-    if not 1 <= i <= (n + 1) // 2:
+    if not 1 <= _check_int(i, "class index") <= (n + 1) // 2:
         raise ValueError(f"class index {i} out of range 1..{(n + 1) // 2}")
     mat = universe.images_matrix
     mask = universe.ranks == n - 1
@@ -684,7 +685,7 @@ def claim_registry() -> tuple[ClaimSpec, ...]:
 
 def run_verification(
     n: int,
-    ctx: VerifyContext | None = None,
+    ctx: VerifyContext,
     claim_ids: tuple[str, ...] | None = None,
 ) -> VerificationReport:
     """Run the registry at a given n.  Claims outside their designated sizes
@@ -693,7 +694,6 @@ def run_verification(
     least one claim; without one, ValueError unless some claim is designated
     at n, so a run never passes by checking nothing."""
     check_fence_size(n)
-    ctx = ctx or VerifyContext()
     if claim_ids is None:
         if not any(n in spec.designated_ns for spec in _REGISTRY):
             raise ValueError(f"no claim is designated at n={n}")

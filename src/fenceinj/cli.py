@@ -41,7 +41,6 @@ from .analysis import (
 from .cache import closure_path, load_closure, load_universe, universe_path
 from .closure import NotGeneratedError, evaluate_word
 from .fence import (
-    CapacityError,
     MapFormatError,
     check_fence_size,
     encode,
@@ -146,7 +145,6 @@ def _resolve_gens(spec: str, n: int, cache_dir: Path) -> GeneratorSet:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    check_fence_size(args.n)
     cache_dir = Path(args.cache_dir)
     universe = load_universe(cache_dir, args.n)
     path = universe_path(cache_dir, args.n)
@@ -169,7 +167,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_closure(args: argparse.Namespace) -> int:
-    check_fence_size(args.n)
     cache_dir = Path(args.cache_dir)
     gens = _resolve_gens(args.gens, args.n, cache_dir)
     result = load_closure(cache_dir, gens)
@@ -201,7 +198,6 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
-    check_fence_size(args.n)
     cache_dir = Path(args.cache_dir)
     gens = _resolve_gens(args.gens, args.n, cache_dir)
     target = parse_map(args.n, args.map_text)
@@ -245,7 +241,6 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    check_fence_size(args.n)
     claim_ids = None
     if args.claims is not None:
         claim_ids = tuple(s.strip() for s in args.claims.split(",") if s.strip())
@@ -297,8 +292,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_fence_size(args.n)
         return _COMMANDS[args.command](args)
-    except (ValueError, CapacityError, MapFormatError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

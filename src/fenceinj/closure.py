@@ -42,10 +42,13 @@ sorted arrays: ``seen``, the codes of the levels before, fixed within a
 level, and ``fresh``, the codes this level has found so far.  The new codes
 are merged into ``fresh`` before the next block, so a later block of the
 same level sees them, and ``fresh`` is folded into ``seen`` once the level
-ends; a block's merge copies only the level's codes, not every code.  The
-final ``seen`` is the sorted ``member_codes``.  The next frontier is the
-images of the new candidates, already computed.  ``stats.products`` counts
-the candidates formed.
+ends; a block's merge copies only the level's codes, not every code.
+Merging each block straight into ``seen`` copies every code per block: a
+cold closure of G_13 then peaked at 616 MB RSS against 588 MB, in the same
+time (2-core host, Python 3.11, numpy 2.4).  The final ``seen`` is the
+sorted ``member_codes``.  The next frontier is the images of the new
+candidates, already computed.  ``stats.products`` counts the candidates
+formed.
 
 The engine runs in the calling thread.  A level's frontier is cut into runs
 of whole nodes, one block each, at the nodes where the running count of
@@ -82,11 +85,11 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .fence import PartialInjection, code_powers, compose, encode
+from .fence import PartialInjection, _check_int, code_powers, compose, encode
 from .generators import GeneratorSet
 from .oracle import (
     ElementUniverse,
@@ -146,9 +149,9 @@ class Word:
         return cls(tuple(text.split("·")))
 
 
-def evaluate_word(word: Word, gens: GeneratorSet | Mapping[str, PartialInjection]) -> PartialInjection:
-    """Left-to-right product of the word's generators."""
-    mapping = gens.mapping() if isinstance(gens, GeneratorSet) else gens
+def evaluate_word(word: Word, gens: GeneratorSet) -> PartialInjection:
+    """Left-to-right product of the generators of ``gens`` the word names."""
+    mapping = gens.mapping()
     result: PartialInjection | None = None
     for label in word.labels:
         try:
@@ -205,7 +208,8 @@ class ClosureResult:
         Membership is a binary search of the sorted codes; the node index of
         a member is one scan of the BFS-order codes, so a lookup needs no
         argsort of every code.  A ``PartialInjection`` of another size
-        raises ValueError instead of matching whatever its code encodes.
+        raises ValueError instead of matching whatever its code encodes, and
+        so does a code that is not a Python or numpy integer.
         """
         if isinstance(target, PartialInjection):
             if target.n != self.n:
@@ -213,7 +217,7 @@ class ClosureResult:
                     f"size mismatch: target n={target.n}, closure n={self.n}")
             code = encode(target)
         else:
-            code = int(target)
+            code = _check_int(target, "code")
         codes = self.member_codes
         pos = int(np.searchsorted(codes, code))
         if pos < len(codes) and codes[pos] == code:
@@ -442,6 +446,11 @@ def _first_new(flat: np.ndarray, seen: np.ndarray,
     codes of the levels before, or lies in ``fresh``, the codes this level
     has found so far; both are sorted and end in a sentinel above every
     code.  Also returns ``fresh`` with the new codes merged in.
+
+    The least index of each group of equal codes is its first occurrence.
+    ``np.unique(..., return_index=True)``, or a stable argsort and the
+    index at each group's start, give the same indices, but took 0.26-0.33 s
+    over close(G_11)'s 1.67 M candidates against 0.11-0.17 s for this.
     """
     # each block-sized array is freed once it is used
     perm = flat.argsort()
@@ -509,7 +518,9 @@ def _run_rows(
     if min_rank > 0:
         codes[np.count_nonzero(images, axis=0) < min_rank] = -1
     # the new rows' products are formed again below, so that no candidate's
-    # images are held through the dedupe
+    # images are held through the dedupe; slicing the new columns out of the
+    # kept images raised close(G_11)'s tracemalloc peak from 38.0 to 44.8 MB
+    # and saved no time
     del images
     first, fresh = _first_new(codes, seen, fresh)
     del codes
@@ -522,7 +533,7 @@ def _close_rows(
     n: int,
     labels: tuple[str, ...],
     rows: np.ndarray,
-    min_rank: int = 0,
+    min_rank: int,
 ) -> ClosureResult:
     """BFS closure over image-row matrices.  ``labels`` must be sorted.
 
@@ -632,17 +643,17 @@ def close(gens: GeneratorSet, workers: int = 1, min_rank: int = 0) -> ClosureRes
 
 def close_excluding(
     universe: ElementUniverse,
-    excluded: Iterable[int] | Iterable[PartialInjection],
+    excluded: Iterable[int],
 ) -> ClosureResult:
     """Closure of (universe ∖ excluded), elements labeled by decimal code
-    (``GeneratorSet.from_codes``).
+    (``GeneratorSet.from_codes``).  ValueError unless each excluded value
+    is an integer code of a universe member.
 
     No claim runner calls it; the tests use it as the honest reference for
     acceptance criterion 7, a closure of the whole complement of each R_i,
     and as the engine side of the n = 3 minimal-rank cross-check.
     """
-    excluded_codes = sorted({
-        encode(e) if isinstance(e, PartialInjection) else int(e) for e in excluded})
+    excluded_codes = sorted({_check_int(e, "excluded code") for e in excluded})
     codes = universe.codes
     # a code past int64 turns the search into one over Python ints
     pos = codes.searchsorted(excluded_codes).tolist()

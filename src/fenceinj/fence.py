@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable, Iterator
 
 MAX_N = 15
@@ -54,8 +55,18 @@ def check_fence_size(n: int) -> int:
     return n
 
 
+def _check_int(value: int, name: str) -> int:
+    """``value`` as an int.  Python and numpy integers pass; bool, float,
+    str and every other type raise ValueError naming ``name``, where
+    ``int()`` would truncate or parse them."""
+    # an exact int, the common case, skips the slower ABC check
+    if type(value) is int or (isinstance(value, Integral) and type(value) is not bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_point(n: int, x: int, name: str = "point") -> None:
-    if not 1 <= x <= n:
+    if not 1 <= _check_int(x, name) <= n:
         raise ValueError(f"{name} {x} out of range 1..{n}")
 
 

@@ -34,6 +34,7 @@ from typing import Iterable, Iterator
 from .fence import (
     PartialInjection,
     UNDEF,
+    _check_int,
     check_fence_size,
     decode,
     format_map,
@@ -56,7 +57,7 @@ def gamma(n: int) -> PartialInjection:
 def alpha_even(n: int, i: int) -> PartialInjection:
     """α_i for even i: fix below i, drop i, reverse the tail above i."""
     check_fence_size(n)
-    if i % 2 or not 2 <= i <= n - 1:
+    if _check_int(i, "i") % 2 or not 2 <= i <= n - 1:
         raise ValueError(f"alpha_even needs even i in 2..{n - 1}, got {i}")
     images = [UNDEF] * n
     for k in range(1, i):
@@ -69,7 +70,7 @@ def alpha_even(n: int, i: int) -> PartialInjection:
 def alpha_odd(n: int, i: int) -> PartialInjection:
     """α_i for odd i: the partial identity id_{n̄∖{i}}."""
     check_fence_size(n)
-    if i % 2 == 0 or not 1 <= i <= n:
+    if _check_int(i, "i") % 2 == 0 or not 1 <= i <= n:
         raise ValueError(f"alpha_odd needs odd i in 1..{n}, got {i}")
     return PartialInjection(
         n, tuple(UNDEF if k == i else k for k in range(1, n + 1)))
@@ -78,7 +79,7 @@ def alpha_odd(n: int, i: int) -> PartialInjection:
 @_memoize
 def alpha(n: int, i: int) -> PartialInjection:
     """α_i, dispatching on the parity of i."""
-    return alpha_odd(n, i) if i % 2 else alpha_even(n, i)
+    return alpha_odd(n, i) if _check_int(i, "i") % 2 else alpha_even(n, i)
 
 
 @_memoize
@@ -92,7 +93,7 @@ def alpha_pair(n: int, i: int, j: int) -> PartialInjection:
     check_fence_size(n)
     if n < 5:
         raise ValueError(f"alpha_pair needs n >= 5, got {n}")
-    if not 1 <= i < j <= n:
+    if not 1 <= _check_int(i, "i") < _check_int(j, "j") <= n:
         raise ValueError(f"alpha_pair needs 1 <= i < j <= {n}, got ({i},{j})")
     if (i - j) % 2:
         raise ValueError(f"alpha_pair needs i, j of equal parity, got ({i},{j})")
@@ -111,7 +112,7 @@ def beta_odd(n: int, i: int) -> PartialInjection:
     """β_i^odd for even i; the single parity-changing point is 1 ↦ i.  The
     boundary shapes i = 2 and i = n−1 are given by the same assignment."""
     check_fence_size(n)
-    if i % 2 or not 2 <= i <= n - 1:
+    if _check_int(i, "i") % 2 or not 2 <= i <= n - 1:
         raise ValueError(f"beta_odd needs even i in 2..{n - 1}, got {i}")
     images = [UNDEF] * n
     images[0] = i
@@ -127,7 +128,7 @@ def beta_even(n: int, i: int) -> PartialInjection:
     """β_i^even for even i; the single parity-changing point is i ↦ 1.  The
     boundary shapes i = 2 and i = n−1 are given by the same assignment."""
     check_fence_size(n)
-    if i % 2 or not 2 <= i <= n - 1:
+    if _check_int(i, "i") % 2 or not 2 <= i <= n - 1:
         raise ValueError(f"beta_even needs even i in 2..{n - 1}, got {i}")
     images = [UNDEF] * n
     for k in range(1, i - 1):

@@ -1,5 +1,6 @@
 """Rank values, R_i classes, lemma checks, and the claim registry."""
 
+import hashlib
 import json
 from itertools import combinations
 
@@ -89,6 +90,16 @@ def test_r_class_partition_n3(u3):
     classes = [r_class(3, i, u3) for i in (1, 2)]
     all_codes = [c for cls in classes for c in cls.codes]
     assert len(all_codes) == len(set(all_codes)) == u3.rank_histogram[2]
+
+
+def test_r_class_index_must_be_an_integer(u5):
+    # 1.5 used to give an empty class and True the class R_1
+    for bad in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="^class index must be an integer"):
+            r_class(5, bad, u5)
+    assert r_class(5, np.int64(2), u5).codes == r_class(5, 2, u5).codes
+    with pytest.raises(ValueError, match=r"^class index 4 out of range 1\.\.3$"):
+        r_class(5, 4, u5)
 
 
 def test_r_class_validation(u5):
@@ -363,6 +374,27 @@ def test_verify_context_workers_must_be_positive():
     for workers in (0, -1):
         with pytest.raises(ValueError):
             VerifyContext(workers=workers)
+
+
+# SHA-256 of each registry report as JSON, "seconds" removed, keys sorted
+# and compact: every claim's status and evidence string at each size
+REPORT_DIGESTS = {
+    3: "d992b4bd39d8c797845ecd43e6bc1d8987338f3f9e2fd1b6d741fde0ca3024a4",
+    5: "474a6a82e0450ba422a13cc471a6a28a35e5e4b9f28981523e53c214131a72ac",
+    7: "d941509d494afb0b750d19d1620d0f5a9deec59e53a62472f4290913bac2c63a",
+    9: "ab67ca52f1e9c06095c0a6b82234b5f8e755d66e9bef2ce062f1911ef3865bd0",
+    11: "ff127f50b01891e4d489f9cc41bccfae6f75ab0c85f48d2245ffb983b14315db",
+    13: "07f8bbeda238c7f6914951c9333a382aeae5dc23893a3971d678999007de73f7",
+}
+
+
+@pytest.mark.parametrize("n", sorted(REPORT_DIGESTS))
+def test_registry_reports_are_pinned(n):
+    doc = run_verification(n, VerifyContext()).to_json()
+    for check in doc["checks"]:
+        del check["seconds"]
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[n], text
 
 
 def test_run_verification_filter():

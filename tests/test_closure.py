@@ -365,6 +365,29 @@ def test_close_excluding_complement(u5):
             close_excluding(u5, (stray,))
 
 
+@pytest.mark.parametrize("bad", [1.5, "7", True])
+def test_lookups_refuse_non_integer_codes(g5_closure, u5, bad):
+    # int() would read 1.5 and True as code 1 and "7" as code 7
+    with pytest.raises(ValueError, match="^code must be an integer"):
+        bad in g5_closure
+    with pytest.raises(ValueError, match="^code must be an integer"):
+        g5_closure.witness(bad)
+    with pytest.raises(ValueError, match="^excluded code must be an integer"):
+        close_excluding(u5, (bad,))
+
+
+def test_lookups_take_numpy_codes_and_refuse_elements(g5_closure, u5):
+    code = int(g5_closure.member_codes[7])
+    assert np.int64(code) in g5_closure
+    assert g5_closure.witness(np.int64(code)) == g5_closure.witness(code)
+    gam = encode(gamma(5))
+    assert np.array_equal(close_excluding(u5, (np.int64(gam),)).member_codes,
+                          close_excluding(u5, (gam,)).member_codes)
+    # excluded elements are given by code only
+    with pytest.raises(ValueError, match="^excluded code must be an integer"):
+        close_excluding(u5, [gamma(5)])
+
+
 def test_close_excluding_nothing_is_identity_map(u5):
     # FI_n is closed, so excluding nothing reproduces the universe
     assert np.array_equal(close_excluding(u5, ()).member_codes, u5.codes)
@@ -382,7 +405,7 @@ def test_generators_have_length_one_witnesses(g9_closure):
 
 
 def test_witnesses_reproduce_members_n7(g7_closure):
-    gens = dict(build_G(7).mapping())
+    gens = build_G(7)
     for code in g7_closure.member_codes.tolist():
         word = g7_closure.witness(code)
         assert encode(evaluate_word(word, gens)) == code

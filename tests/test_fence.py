@@ -1,5 +1,6 @@
 """Order relation, partial injections, composition, and codes."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -49,6 +50,22 @@ def test_fence_less_is_odd_up_even():
         fence_less(5, 0, 1)
     with pytest.raises(ValueError):
         comparable(5, 1, 6)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "2"])
+def test_points_must_be_integers(bad):
+    """A point that is not a Python or numpy integer is refused, where a
+    float would compare as itself and True as 1."""
+    uses = [lambda x: fence_less(5, x, 2), lambda x: comparable(5, x, 2),
+            lambda x: restrict_identity(5, [x]),
+            lambda x: PartialInjection.from_pairs(5, {x: 2}),
+            lambda x: PartialInjection.identity(5)(x)]
+    for use in uses:
+        with pytest.raises(ValueError, match=r"point must be an integer, got "):
+            use(bad)
+    assert fence_less(5, np.int64(1), 2) and comparable(5, np.int64(3), 2)
+    with pytest.raises(ValueError, match=r"^point 0 out of range 1\.\.5$"):
+        comparable(5, 0, 2)
 
 
 def test_check_fence_size():

@@ -1,5 +1,6 @@
 """Named generator families, G_n/J_n assembly, and the identity table."""
 
+import numpy as np
 import pytest
 
 from fenceinj import (
@@ -288,6 +289,26 @@ def test_memoized_families_raise_on_every_call(family, args):
     for _ in range(3):
         with pytest.raises(ValueError):
             family(*args)
+
+
+INDEXED_CALLS = [
+    (alpha_even, (9, 4)), (alpha_odd, (9, 3)), (alpha, (9, 3)),
+    (alpha_pair, (9, 1, 5)), (beta_odd, (9, 4)), (beta_even, (9, 4)),
+]
+
+
+@pytest.mark.parametrize("family, args", INDEXED_CALLS)
+def test_family_indices_must_be_integers(family, args):
+    """An index of type float, bool or str is refused, not read as the
+    integer it equals or truncates to; a numpy integer builds the same
+    element."""
+    n, *indices = args
+    for k, name in enumerate("ij"[:len(indices)]):
+        for bad in (float(indices[k]), True, str(indices[k])):
+            changed = indices[:k] + [bad] + indices[k + 1:]
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+                family(n, *changed)
+    assert family(n, *map(np.int64, indices)) == family(*args)
 
 
 def test_parity_points_matches_items_definition(u7):

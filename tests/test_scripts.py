@@ -1,6 +1,7 @@
 """The public API: the package's export list, and the scripts under
-scripts/ that run against it."""
+scripts/ and README's quickstart that run against it."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -19,6 +20,14 @@ def test_public_names():
     public = {name for name, value in vars(fenceinj).items()
               if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert public == set(exported)
+
+
+def test_readme_quickstart_runs():
+    """README's one ``python`` block, the library quickstart, runs as is."""
+    readme = (SCRIPTS.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def test_scripts_run(monkeypatch, capsys):
