@@ -10,7 +10,7 @@ constructive decompositions.
 
 Only ``generates-Gn`` and ``generates-Jn`` run the closure engine.  Every
 other closure is a bitmask fixpoint over the Cayley table of a rank layer,
-built from ``compose`` alone (``_CayleyTable``), so its verdict does not
+one gather over its image rows (``_CayleyTable``), so its verdict does not
 rest on the engine: all of FI_3 for ``minimal-rank-n3``, and the rank-≥(n−1)
 layer for Lemma 6 and Prop 7 on the classes R_i.  That floor is exact
 because rank(fg) ≤ min(rank f, rank g): a product that lands in R_i has
@@ -35,12 +35,11 @@ import numpy as np
 
 from .cache import load_universe
 from .fence import (
-    UNDEF,
     CapacityError,
     PartialInjection,
     _check_int,
     check_fence_size,
-    compose,
+    code_powers,
     decode,
     encode,
 )
@@ -119,29 +118,32 @@ def r_class(n: int, i: int, universe: ElementUniverse) -> RClass:
 
 class _CayleyTable:
     """The right-multiplication table of the layer ``codes``, every element
-    of rank ≥ ``floor``, built from ``compose`` alone and closed as a bitmask.
+    of rank ≥ ``floor``, closed as a bitmask.
 
-    ``right[b][a]`` is the layer index of compose(a, b), or the sentinel
+    ``right[b][a]`` is the layer index of a·b, or the sentinel
     ``len(codes)`` when the product falls below the floor.  A product of
-    rank ≥ ``floor`` missing from the layer raises ValueError.
+    rank ≥ ``floor`` missing from the layer raises ValueError.  The L²
+    products are one gather over the uint8 image rows, ``padded[b][rows[a]]``
+    (x ↦ (xa)b, 0 kept), coded by one dot and indexed by one searchsorted.
     """
 
     def __init__(self, n: int, codes: Sequence[int], floor: int = 0) -> None:
-        elements = [decode(n, c) for c in codes]
-        self.index = {code: k for k, code in enumerate(codes)}
+        codes = np.asarray(codes, dtype=np.int64)
+        self.index = {code: k for k, code in enumerate(codes.tolist())}
         self.below = len(codes)
-
-        def lookup(f: PartialInjection) -> int:
-            # the rank; f.rank would cache a domain tuple on every product
-            if f.n - f.images.count(UNDEF) < floor:
-                return self.below
-            k = self.index.get(encode(f))
-            if k is None:
-                raise ValueError(f"{f} is missing from the rank-≥{floor} layer")
-            return k
-
-        self.right = [[lookup(compose(a, b)) for a in elements]
-                      for b in elements]
+        powers = np.array(code_powers(n), dtype=np.int64)
+        padded = np.zeros((self.below, n + 1), dtype=np.uint8)
+        padded[:, 1:] = codes[:, None] // powers % (n + 1)
+        products = padded[:, padded[:, 1:]].reshape(-1, n)  # row b·L + a: a·b
+        found = products @ powers
+        order = codes.argsort()
+        at = order[codes[order].searchsorted(found).clip(max=self.below - 1)]
+        above = np.count_nonzero(products, axis=1) >= floor
+        missing = above & (codes[at] != found)
+        if missing.any():
+            f = PartialInjection(n, tuple(products[missing.argmax()].tolist()))
+            raise ValueError(f"{f} is missing from the rank-≥{floor} layer")
+        self.right = np.where(above, at, self.below).reshape(self.below, self.below).tolist()
 
     def closure(self, codes: Iterable[int]) -> int:
         """The rank-≥floor members of the subsemigroup these codes generate,
@@ -162,6 +164,32 @@ class _CayleyTable:
                         found.append(c)
             frontier = found
         return mask ^ 1 << self.below
+
+    def closures(self, gens: np.ndarray) -> np.ndarray:
+        """``closure`` of each row of ``gens`` (B × k layer indices) as one
+        bit-parallel batch of uint64 masks, for layers of ≤ 63 elements.
+        ``spread[g, c, v]`` is the mask of a·g over a = 8c + j, j a set bit of
+        v; each round ORs onto every mask the spread of each of its bytes
+        under each of its generators, one flat gather, until none grows."""
+        if self.below > 63:
+            raise ValueError(f"a batch closes at most 63 elements, not {self.below}")
+        chunks, one = self.below // 8 + 1, np.uint64(1)  # with the sentinel's bit
+        bits = one << np.array(self.right, dtype=np.uint64)
+        bits = np.pad(bits, ((0, 0), (0, 8 * chunks - self.below)))
+        spread = np.zeros((self.below, chunks, 256), dtype=np.uint64)
+        for j in range(8):
+            spread[:, :, 1 << j:2 << j] = spread[:, :, :1 << j] | bits[:, j::8, None]
+        # [i, c, r]: the flat offset of spread[gens[r, i], c]
+        starts = ((gens.T * chunks)[:, None, :] + np.arange(chunks)[:, None]) * 256
+        sentinel = one << np.uint64(self.below)
+        masks = np.bitwise_or.reduce(one << gens.T.astype(np.uint64), axis=0) | sentinel
+        while True:
+            parts = masks.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :chunks]
+            products = spread.ravel()[starts + parts.T]
+            grown = masks | np.bitwise_or.reduce(products.reshape(-1, len(masks)), axis=0)
+            if np.array_equal(grown, masks):
+                return masks ^ sentinel
+            masks = grown
 
 
 def _top_classes(n: int, universe: ElementUniverse) -> tuple[
@@ -317,22 +345,22 @@ def minimal_rank_exhaustive(universe: ElementUniverse) -> int:
     Exhaustive over subsets containing γ_3.  The pruning is lossless: the
     only rank-3 elements are id and γ_3, a product has rank at most the
     minimum rank of its factors, and products of {id} alone never reach γ_3,
-    so every generating set contains γ_3.  Each subset is closed over FI_3's
-    Cayley table (``_CayleyTable``), not by the closure engine.
+    so every generating set contains γ_3.  The subsets of each size, in
+    ``combinations`` order, are closed in one batch over FI_3's Cayley table
+    (``_CayleyTable.closures``), not by the closure engine.
     """
     if universe.n != 3:
         raise CapacityError(
             f"exhaustive minimal-rank search is offered at n = 3 only, "
             f"got n = {universe.n}")
-    codes = universe.codes.tolist()
-    table = _CayleyTable(3, codes)
+    table = _CayleyTable(3, universe.codes)
     whole = (1 << len(universe)) - 1
-    gam = encode(gamma(3))
-    others = [c for c in codes if c != gam]
+    gam = table.index[encode(gamma(3))]
+    others = [k for k in range(len(universe)) if k != gam]
     for size in range(1, 6):
-        for extra in combinations(others, size - 1):
-            if table.closure((gam,) + extra) == whole:
-                return size
+        extras = np.array(list(combinations(others, size - 1)), dtype=np.intp)
+        if (table.closures(np.insert(extras, 0, gam, axis=1)) == whole).any():
+            return size
     raise RuntimeError("no generating subset of size <= 5 found")
 
 
@@ -568,7 +596,7 @@ def _run_minimal_rank(n: int, ctx: VerifyContext) -> tuple[str, str]:
     if found != 5:
         return STATUS_FAIL, f"exhaustive search found a generating {found}-subset"
     g3 = (encode(g) for _, g in build_G(3))
-    if _CayleyTable(3, universe.codes.tolist()).closure(g3) != (1 << len(universe)) - 1:
+    if _CayleyTable(3, universe.codes).closure(g3) != (1 << len(universe)) - 1:
         return STATUS_FAIL, "G_3 does not generate FI_3"
     return STATUS_PASS, "no 4-subset generates; the 5-element G_3 does"
 

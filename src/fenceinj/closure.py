@@ -680,6 +680,8 @@ def verify_generates(gens: GeneratorSet, universe: ElementUniverse) -> Generatio
         raise ValueError(f"size mismatch: gens n={gens.n}, universe n={universe.n}")
     result = close(gens)
     codes = universe.codes
+    if np.array_equal(codes, result.member_codes):  # both sorted
+        return GenerationCheck(gens.n, True, (), (), result)
     missing = tuple(np.setdiff1d(codes, result.member_codes, assume_unique=True).tolist())
     extra = tuple(np.setdiff1d(result.member_codes, codes, assume_unique=True).tolist())
     return GenerationCheck(gens.n, not missing and not extra, missing, extra, result)

@@ -88,9 +88,14 @@ def _multiply(rows: np.ndarray, step: np.ndarray, left: np.ndarray,
               right: np.ndarray) -> np.ndarray:
     """Each padded row r becomes r·right[s] for a step s > 0 and left[−s]·r
     for a step s < 0; row 0 of both tables is the identity, so the other
-    gather, and both at s = 0, leave the row unchanged."""
-    rows = right[np.maximum(step, 0)[:, None], rows]
-    return np.take_along_axis(rows, left[np.maximum(-step, 0)], axis=1)
+    gather, and both at s = 0, leave the row unchanged.  Both are flat 1-D
+    gathers with a narrow index: entry s(n+1) + y ≤ 239 of the raveled table
+    (uint8), and the row's own columns in the raveled rows."""
+    m, width = rows.shape
+    rows = right.ravel()[
+        (np.maximum(step, 0).astype(np.uint8) * np.uint8(width))[:, None] + rows]
+    starts = np.arange(0, m * width, width, dtype=np.min_scalar_type(m * width))
+    return rows.ravel()[left[np.maximum(-step, 0)] + starts[:, None]]
 
 
 def _reduce_rows(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -55,14 +55,14 @@ def check_fence_size(n: int) -> int:
     return n
 
 
-def _check_int(value: int, name: str) -> int:
+def _check_int(value: int, name: str, error: type[ValueError] = ValueError) -> int:
     """``value`` as an int.  Python and numpy integers pass; bool, float,
-    str and every other type raise ValueError naming ``name``, where
+    str and every other type raise ``error`` naming ``name``, where
     ``int()`` would truncate or parse them."""
     # an exact int, the common case, skips the slower ABC check
     if type(value) is int or (isinstance(value, Integral) and type(value) is not bool):
         return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def _check_point(n: int, x: int, name: str = "point") -> None:
@@ -123,6 +123,10 @@ class PartialInjection:
                 f"expected {self.n} image entries, got {len(self.images)}")
         seen = 0
         for v in self.images:
+            if type(v) is not int:  # refuse bool, float, str; numpy ints become int
+                object.__setattr__(self, "images", tuple(
+                    _check_int(w, "image value") for w in self.images))
+                return self.__post_init__()
             if v == UNDEF:
                 continue
             if not 1 <= v <= self.n:
@@ -270,8 +274,9 @@ def encode(f: PartialInjection) -> int:
 
 
 def decode(n: int, code: int) -> PartialInjection:
-    """Inverse of encode.  Rejects out-of-range digits and collisions."""
+    """Inverse of encode.  Rejects non-integer codes, bad digits and collisions."""
     check_fence_size(n)
+    code = _check_int(code, "code", MapFormatError)
     if code < 0:
         raise MapFormatError(f"negative code {code}")
     base = n + 1

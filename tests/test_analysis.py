@@ -262,25 +262,75 @@ def test_cayley_table_multiplies_on_the_right(u3):
             assert u3.codes[table.right[b][a]] == encode(compose(e, f))
 
 
+def _compose_table(n, codes, floor):
+    """The reference table, one ``compose`` per pair."""
+    elements = [decode(n, c) for c in codes]
+    index = {c: k for k, c in enumerate(codes)}
+    return [[len(codes) if (ab := compose(a, b)).rank < floor
+             else index[encode(ab)] for a in elements] for b in elements]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+def test_row_built_table_matches_compose(n, request):
+    """``right[b][a]`` is the index of compose(a, b), or the sentinel: all
+    of FI_3 and the rank-≥(n−1) layer at n = 5, 7, 9, and at n = 11, which
+    has no census, the top layer of the closure of G_11 floored at 10."""
+    if n == 3:
+        codes, floor = request.getfixturevalue("u3").codes.tolist(), 0
+    elif n == 11:
+        floor = n - 1
+        codes = close(build_G(n), min_rank=floor).member_codes.tolist()
+    else:
+        universe, floor = request.getfixturevalue(f"u{n}"), n - 1
+        codes = universe.codes[universe.ranks >= floor].tolist()
+    assert _CayleyTable(n, codes, floor).right == _compose_table(n, codes, floor)
+
+
 def test_minimal_rank_search_order(u3, monkeypatch):
-    """γ_3 alone first, then every subset containing γ_3 by size and in
-    ``combinations`` order, up to the first generating one."""
+    """One batch per size, in order: γ_3 alone first, then every subset
+    containing γ_3 of the next size in ``combinations`` order.  The search
+    stops after the size-5 batch, whose first generating subset is the
+    1,108th (index 1,107)."""
     gam = encode(gamma(3))
-    others = [c for c in u3.codes if c != gam]
-    expected = [(gam,) + extra for size in range(1, 6)
-                for extra in combinations(others, size - 1)]
-    seen = []
-    closure = _CayleyTable.closure
+    others = [c for c in u3.codes.tolist() if c != gam]
+    batches = []
+    closures = _CayleyTable.closures
 
-    def spy(self, codes):
-        seen.append(tuple(codes))
-        return closure(self, seen[-1])
+    def spy(self, gens):
+        masks = closures(self, gens)
+        batches.append(([tuple(u3.codes[row].tolist()) for row in gens], masks))
+        return masks
 
-    monkeypatch.setattr(_CayleyTable, "closure", spy)
+    monkeypatch.setattr(_CayleyTable, "closures", spy)
     assert minimal_rank_exhaustive(u3) == 5
-    assert len(seen) > 834
-    assert seen == expected[:len(seen)]
-    assert closure(_CayleyTable(3, u3.codes), seen[-1]) == (1 << 18) - 1
+    assert len(batches) == 5
+    for size, (subsets, masks) in enumerate(batches, 1):
+        assert subsets == [(gam,) + extra
+                           for extra in combinations(others, size - 1)]
+        generating = np.flatnonzero(masks == (1 << 18) - 1).tolist()
+        assert generating[:1] == ([1107] if size == 5 else [])
+
+
+def test_batch_closures_match_the_per_set_closure(u3):
+    """Every subset the search closes at n = 3: the batch mask equals the
+    per-set ``closure`` bitmask."""
+    table = _CayleyTable(3, u3.codes)
+    gam = table.index[encode(gamma(3))]
+    others = [k for k in range(18) if k != gam]
+    checked = 0
+    for size in range(1, 6):
+        gens = np.array([(gam,) + extra
+                         for extra in combinations(others, size - 1)])
+        masks = table.closures(gens)
+        for row, mask in zip(gens, masks.tolist()):
+            assert mask == table.closure(u3.codes[row].tolist()), row
+            checked += 1
+    assert checked == 1 + 17 + 136 + 680 + 2380
+
+
+def test_batch_closures_refuse_a_layer_wider_than_a_mask(u5):
+    with pytest.raises(ValueError, match="at most 63 elements, not 182"):
+        _CayleyTable(5, u5.codes).closures(np.zeros((1, 1), dtype=np.intp))
 
 
 def test_cayley_closure_matches_engine_at_n3(u3):

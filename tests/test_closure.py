@@ -353,6 +353,10 @@ def test_verify_generates(u5):
     assert not partial.extra
     lone = GeneratorSet(5, (("id", PartialInjection.identity(5)),))
     assert not verify_generates(lone, u5).generates
+    # a closure larger than the universe: the codes it adds are extra
+    short = verify_generates(build_G(5), ElementUniverse(5, u5.codes[1:]))
+    assert not short.generates and not short.missing
+    assert short.extra == (u5.codes[0],)
 
 
 def test_close_excluding_complement(u5):

@@ -218,6 +218,29 @@ def test_decode_rejects_bad_codes():
         decode(3, 1 + 1 * 4)  # digit collision: two points map to 1
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "2"])
+def test_codes_and_images_must_be_integers(bad):
+    """A code or an image that is not a Python or numpy integer is refused:
+    ``decode`` raises MapFormatError naming it, where True decoded as code 1;
+    the constructor and ``from_pairs`` refuse it, where True passed as the
+    image 1 and printed as ``True``."""
+    with pytest.raises(MapFormatError, match=r"^code must be an integer, got "):
+        decode(5, bad)
+    for build in (lambda: PartialInjection(5, (bad, 0, 0, 0, 0)),
+                  lambda: PartialInjection.from_pairs(5, {1: bad})):
+        with pytest.raises(ValueError, match=r"^image value must be an integer, got "):
+            build()
+
+
+def test_numpy_images_and_codes_become_int():
+    f = PartialInjection(5, (np.int64(2), np.uint8(0), 1, 0, 0))
+    assert f == parse_map(5, "2,_,1,_,_") and format_map(f) == "2,_,1,_,_"
+    assert all(type(v) is int for v in f.images)
+    assert all(type(v) is int for v in decode(5, np.int64(2 + 6)).images)
+    with pytest.raises(ValueError, match=r"^image value 2 repeated"):
+        PartialInjection(5, (np.int64(2), 2, 0, 0, 0))
+
+
 def test_parse_and_format_map():
     f = parse_map(5, "2,_,_,4,5")
     assert f.images == (2, UNDEF, UNDEF, 4, 5)
