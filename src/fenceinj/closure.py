@@ -24,52 +24,53 @@ pairs (x, child of u) in the order (x, k), the order a full frontier ×
 generators sweep would visit them in, so the first occurrence of each code,
 and with it every witness, is the one the full sweep picks.
 
-The hot path is table-driven.  A frontier is an n × m ``uint8`` image
-matrix (column j holds the images of points 1..n under element j, 0 for
-undefined), and a flat ``uint8`` lookup holds the image of each point a
-under each generator k, 0 sticky, at offset k·(n+1) + a.  One product
-kernel, ``_products``, serves both the closure and the replay of a saved
-tree.  It gathers a block's frontier columns, adds each candidate's
-generator offset, and fancy-indexes the lookup with the sum.  The offsets
-take the smallest unsigned dtype that holds the lookup's length, so the
-n-wide index stays narrow, and numpy casts it to intp in buffered chunks;
-``einsum`` sums the codes, casting the images in chunks too.  So no n-wide
-int64 temporary is made.  Each candidate block is deduped by array
-operations alone: an argsort groups equal codes, and the least flat index
+The hot path is table-driven.  An element (n ≤ 15) is held as one packed
+word, a little-endian u64 with the image of point k, 0 for undefined, in
+nibble k−1; the top nibble is always 0.  A word rises with its base-(n+1)
+code, since both read the images from point n down.  A flat ``uint8``
+table maps byte b of a word, two images, through generator k, 0 sticky, at
+offset k·256 + b.  One product kernel, ``_times``, serves both the closure
+and the replay of a saved tree: it gathers the candidates' frontier words,
+adds each one's generator offset to its eight bytes, and gathers the
+product's bytes from the table.  The offsets take the narrowest unsigned
+dtype that holds the table's last index, and the gather runs in pieces of
+``_PIECE`` products, so its index and the intp copy that ``take`` makes
+stay small.  Each candidate block is deduped on its words by array
+operations alone: an argsort groups equal words, and the least flat index
 of each group is its first occurrence, which keeps the lexicographic
-tie-break.  The unique codes are looked up with ``searchsorted`` in two
-sorted arrays: ``seen``, the codes of the levels before, fixed within a
-level, and ``fresh``, the codes this level has found so far.  The new codes
-are merged into ``fresh`` before the next block, so a later block of the
-same level sees them, and ``fresh`` is folded into ``seen`` once the level
-ends; a block's merge copies only the level's codes, not every code.
-Merging each block straight into ``seen`` copies every code per block: a
-cold closure of G_13 then peaked at 616 MB RSS against 588 MB, in the same
-time (2-core host, Python 3.11, numpy 2.4).  The final ``seen`` is the
-sorted ``member_codes``.  The next frontier is the images of the new
-candidates, already computed.  ``stats.products`` counts the candidates
-formed.
+tie-break.  The unique words are looked up with ``searchsorted`` in two
+sorted arrays: ``seen``, the words of the levels before, fixed within a
+level, and ``fresh``, the words this level has found so far.  Both end in
+``_NO_WORD``, 2^64 − 1, which no packed word equals; a product below the
+``min_rank`` floor is set to it too (a 256-entry table counts a byte's
+nonzero images), so the lookup drops it.  The new words are merged into
+``fresh`` before the next block, so a later block of the same level sees
+them, and ``fresh`` is folded into ``seen`` once the level ends; a block's
+merge copies only the level's words, not every word.  Merging each block
+straight into ``seen`` copies every word per block: when these arrays held
+the codes, also 8 bytes each, a cold closure of G_13 then peaked at 616 MB
+RSS against 588 MB, in the same time (2-core host, Python 3.11, numpy 2.4).
+A new node's product is its frontier word, and its code is formed once,
+one table gather per byte (``_byte_sums``).  At the end ``seen`` becomes
+the sorted ``member_codes`` in place.
+``stats.products`` counts the candidates formed.
 
 The engine runs in the calling thread.  A level's frontier is cut into runs
 of whole nodes, one block each, at the nodes where the running count of
 candidates passes a multiple of ``_BLOCK_ENTRIES``, and blocks are
 deduplicated in order.  A block builds its own candidate index (each
 candidate's node and child) and frees every temporary when it returns its
-new rows: n-wide matrices of one byte per entry (gathered frontier, images)
-or one to four (gather index), and a handful of int32 and int64 vectors
-(the candidate index, the codes and the arrays that dedupe them).  The
-candidates' images are freed before the dedupe, and the new rows' products
-are formed again after it, so the two never peak together.  So the
+new rows: a handful of vectors of four or eight bytes per candidate (the
+candidate index, the words and the arrays that dedupe them).  So the
 engine's memory is one block plus the tree it builds, its per-node int32
-arrays and the two code arrays, never a level's candidates.  The tree's
-columns are joined one at a time at the end, after the last frontier is
-freed.
+arrays, the codes and the two word arrays, never a level's candidates.
+The tree's columns are joined one at a time at the end.
 
 Witnesses are kept as the BFS tree itself (Froidure & Pin, 1997): each node
 stores its parent node and last generator (int32 each), and a word is read
 off by walking to the root.  ``witness_items`` walks a block of nodes at a
-time, one vector gather per letter, and zips the block's per-letter label
-columns into words.  ``ClosureResult.save`` writes that tree, with a sidecar
+time, grouped by word length, one vector gather per letter, and zips each
+group's per-letter label columns into words of exactly that length.  ``ClosureResult.save`` writes that tree, with a sidecar
 holding a SHA-256 of the sorted codes.  ``load`` replays the tree over the
 generators in one walk of its levels, which rebuilds the codes in blocks
 of ``_BLOCK_ENTRIES`` nodes, checks that every node's suffix is a node and
@@ -102,13 +103,16 @@ from .oracle import (
 
 # the candidates of one block, plus at most one node's, since a block is a
 # run of whole frontier nodes (a replay block holds this many nodes); a
-# candidate's temporaries are its n image bytes, n narrow gather indices
-# and a few int64 scalars
+# candidate's temporaries are a few 8-byte scalars
 _BLOCK_ENTRIES = 1 << 20
 
-# sentinel that ends the sorted code arrays ``seen`` and ``fresh``, above
-# every code
-_NO_CODE = np.iinfo(np.int64).max
+# the products one gather forms; its index holds eight entries per product
+_PIECE = 1 << 13
+
+# no packed word has a nonzero top nibble, so this one ends the sorted word
+# arrays ``seen`` and ``fresh``, above every word, and marks a product below
+# the ``min_rank`` floor, which the dedupe then finds in ``seen``
+_NO_WORD = np.uint64(2 ** 64 - 1)
 
 # magic of the witness-tree file: parent indices, then generator indices
 TREE_MAGIC = b"FTRE"
@@ -244,17 +248,19 @@ class ClosureResult:
     def witness_items(self) -> Iterator[tuple[int, Word]]:
         """(code, word) pairs in ascending code order.
 
-        Nodes are taken in blocks of that order.  A block's words are read
-        off together, one letter per step from the last back to the first:
-        a vector gather of the nodes' generators, then of their parents, for
-        at most ``max_word_length`` steps.  Each step's letters become one
-        list of label strings, and zipping those columns yields every word
-        of the block as a tuple, left-padded with blanks that are sliced
-        off.  Memory is bounded by the block.
+        Nodes are taken in blocks of that order.  A word's length is its
+        level's number, so a block's nodes are grouped by length, and each
+        group's words are read off together, one letter per step from the
+        last back to the first: a vector gather of the nodes' generators,
+        then of their parents, for exactly that many steps.  Zipping a
+        group's label columns yields its words as tuples of that length,
+        and ``map(next, ...)`` over the block's lengths puts them back into
+        code order.  Each ``Word`` is made as it is yielded.  Memory is
+        bounded by the block.
         """
         width = self.max_word_length
-        blank = len(self.labels)  # pads words shorter than ``width`` on the left
-        names = np.array(self.labels + ("",), dtype=object)
+        names = np.array(self.labels, dtype=object)
+        level_ends = np.cumsum(self.stats.level_sizes)
         # a block of words holds as many letters as a candidate block holds
         # candidates, each letter a Python object slot
         step = max(1, _BLOCK_ENTRIES // max(width, 1))
@@ -263,16 +269,24 @@ class ClosureResult:
         for start in range(0, len(self), step):
             k = self._code_order[start:start + step]
             codes = self.member_codes[start:start + step].tolist()
-            letters = np.empty((width, len(k)), dtype=np.int32)
-            for col in range(width - 1, -1, -1):
-                live = k >= 0
-                letters[col] = np.where(live, self._genidx[k], blank)
-                k = np.where(live, self._parents[k], -1)
-            skips = np.count_nonzero(letters == blank, axis=0).tolist()
-            columns = [names[row].tolist() for row in letters]
-            for code, word, skip in zip(codes, zip(*columns), skips):
+            # narrow, so that the stable argsort below is a radix sort
+            lengths = (level_ends.searchsorted(k, side="right") + 1).astype(
+                np.min_scalar_type(width))
+            # the nodes grouped by length, code order kept within a group
+            k = k[lengths.argsort(kind="stable")]
+            bounds = np.bincount(lengths, minlength=width + 1).cumsum().tolist()
+            groups = [None]  # no word has length 0
+            for length in range(1, width + 1):
+                nodes = k[bounds[length - 1]:bounds[length]]
+                columns = []
+                for _ in range(length):
+                    columns.append(names[self._genidx[nodes]].tolist())
+                    nodes = self._parents[nodes]
+                groups.append(zip(*reversed(columns)))
+            words = map(next, map(groups.__getitem__, lengths.tolist()))
+            for code, word in zip(codes, words):
                 item = new_word(Word)
-                set_labels(item, word[skip:])
+                set_labels(item, word)
                 yield code, item
 
     def save(self, tree_path: str | Path) -> None:
@@ -345,8 +359,8 @@ def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
         raise ValueError(f"level sizes {level_sizes} do not cover the tree")
     if len(genidx) and (genidx.min() < 0 or genidx.max() >= len(rows)):
         raise ValueError("tree names a generator index out of range")
-    powers = np.asarray(code_powers(n), dtype=np.int64)
-    lookup, bases = _lookup(n, rows)
+    table, gen_offsets = _byte_table(rows)
+    code_tables = _sum_tables(n)
     order = np.empty(len(parents), dtype=np.int64)
     products = 0
     start, prev_start, prev = 0, 0, None
@@ -357,8 +371,7 @@ def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
         if prev is None:
             if np.any(local != -1):
                 raise ValueError("a first-level node has a parent")
-            level = rows.T.take(gen, axis=1)
-            order[start:stop] = _codes(powers, level)
+            level = _pack(rows).take(gen)
             # a seed's suffix is the empty word, -1, whose children are the seeds
             products += size * size
             found = local
@@ -375,16 +388,8 @@ def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
             found = found.astype(np.int32)
             # the children of the level before are this level's nodes
             products += int(np.bincount(local, minlength=len(keys))[found].sum())
-            # a block of nodes at a time, so that the gather index and the
-            # images stay block-sized, written into the level's arrays
-            level = np.empty((n, size), dtype=np.uint8)
-            for lo in range(0, size, _BLOCK_ENTRIES):
-                hi = min(lo + _BLOCK_ENTRIES, size)
-                images, codes = _products(
-                    lookup, prev, local[lo:hi], bases.take(gen[lo:hi]), powers)
-                level[:, lo:hi] = images
-                order[start + lo:start + hi] = codes
-            del images, codes
+            level = _times(table, gen_offsets, prev, local, gen)
+        _write_codes(code_tables, level, order[start:stop])
         # suffixes, local to the level before, and the keys the level is
         # sorted by, (local parent + 1, generator), which can pass int32
         suffix, keys = found, np.multiply(local + 1, len(rows), dtype=np.int64) + gen
@@ -392,42 +397,81 @@ def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
     return order, products
 
 
-def _lookup(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat composition lookup and each generator's offset into it.
+def _byte_table(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat product table of the generators' image rows, and each
+    generator's offset into it.
 
-    ``lookup[bases[k] + a]`` is the image of point a under generator k, 0
-    sticky (a = 0 stands for undefined).  The offsets take the smallest
-    unsigned dtype that holds the length of ``lookup``, so an offset plus an
-    image, a block's gather index, fits it too.
+    ``table[offsets[k] + b]`` is byte b of a packed word, the images of two
+    points, mapped through generator k, 0 sticky.  The offsets take the
+    narrowest unsigned dtype that holds the last index, so an offset plus a
+    byte, a product's gather index, fits it too.
     """
-    table = np.zeros((len(rows), n + 1), dtype=np.uint8)
-    table[:, 1:] = rows
-    lookup = table.ravel()
-    bases = np.arange(len(rows)) * (n + 1)
-    return lookup, bases.astype(np.min_scalar_type(len(lookup)))
+    images = np.zeros((len(rows), 16), dtype=np.uint8)
+    images[:, 1:rows.shape[1] + 1] = rows
+    byte = np.arange(256)
+    table = (images[:, byte & 15] | images[:, byte >> 4] << 4).ravel()
+    offsets = np.arange(0, len(table), 256)
+    return table, offsets.astype(np.min_scalar_type(len(table) - 1))
 
 
-def _codes(powers: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """Codes of the columns of a uint8 image matrix, as int64.
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """Packed words of uint8 image rows: the image of point k in bits
+    4(k−1) to 4k−1 of a little-endian u64."""
+    nibbles = np.zeros((len(rows), 16), dtype=np.uint8)
+    nibbles[:, :rows.shape[1]] = rows
+    return (nibbles[:, 0::2] | nibbles[:, 1::2] << 4).view("<u8").ravel()
 
-    ``einsum`` casts the images to int64 in buffered chunks, so no n-wide
-    int64 copy of the matrix is made.
+
+def _times(table: np.ndarray, offsets: np.ndarray, frontier: np.ndarray,
+           nodes: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Packed products frontier[nodes[j]] · the generator at offset
+    ``offsets[gens[j]]`` into ``table`` (see ``_byte_table``).
+
+    The products are formed in pieces of ``_PIECE``, so the gather index,
+    eight narrow entries per product, and its intp copy stay piece-sized.
     """
-    return np.einsum("v,vb->b", powers, images)
+    words = np.empty(len(nodes), dtype="<u8")
+    out = words.view(np.uint8).reshape(-1, 8)
+    for lo in range(0, len(nodes), _PIECE):
+        hi = lo + _PIECE
+        index = frontier.take(nodes[lo:hi]).view(np.uint8).reshape(-1, 8)
+        out[lo:hi] = table.take(index + offsets.take(gens[lo:hi])[:, None])
+    return words
 
 
-def _products(lookup: np.ndarray, frontier: np.ndarray, cols: np.ndarray,
-              offsets: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Images and codes of the products frontier[:, cols[j]] · generator j.
+def _sum_tables(n: int, ranks: bool = False) -> np.ndarray:
+    """Tables for ``_byte_sums``: row p, entry b is the share of byte b, at
+    byte p of a packed word, in the word's code, or with ``ranks`` in its
+    rank.  Bytes from (n+1)//2 on hold no point and get no row."""
+    byte = np.arange(256)
+    digit = np.arange(16)
+    weights = np.zeros(16, dtype=np.int64)
+    if ranks:
+        digit, weights[:n] = digit > 0, 1
+    else:
+        weights[:n] = code_powers(n)
+    tables = digit[byte & 15] * weights[0::2, None] + digit[byte >> 4] * weights[1::2, None]
+    return tables[:(n + 1) // 2]
 
-    Generator j is given by its offset ``offsets[j]`` into ``lookup`` (see
-    ``_lookup``).  The gather index keeps the offsets' narrow dtype; fancy
-    indexing casts it to intp in buffered chunks, where ``take`` would copy
-    the whole index first.  Returns the n × len(cols) uint8 image matrix and
-    the int64 codes.
-    """
-    images = lookup[frontier.take(cols, axis=1) + offsets]
-    return images, _codes(powers, images)
+
+def _byte_sums(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Σ_p tables[p][byte p] of each packed word, as int64: with
+    ``_sum_tables`` weighted by the code powers, the words' codes; with
+    unit weights on nonzero images, their ranks."""
+    data = words.view(np.uint8).reshape(-1, 8)
+    sums = tables[0].take(data[:, 0])
+    for p in range(1, len(tables)):
+        sums += tables[p].take(data[:, p])
+    return sums
+
+
+def _write_codes(tables: np.ndarray, words: np.ndarray, out: np.ndarray) -> None:
+    """The codes of packed words written into ``out``, by ``_byte_sums``
+    over ``tables``, a block at a time, so that the temporaries stay
+    block-sized; ``out`` may be the words' own memory."""
+    for lo in range(0, len(words), _BLOCK_ENTRIES):
+        hi = lo + _BLOCK_ENTRIES
+        out[lo:hi] = _byte_sums(tables, words[lo:hi])
 
 
 def _sorted_rows(gens: GeneratorSet) -> tuple[tuple[str, ...], np.ndarray]:
@@ -440,14 +484,14 @@ def _sorted_rows(gens: GeneratorSet) -> tuple[tuple[str, ...], np.ndarray]:
 
 def _first_new(flat: np.ndarray, seen: np.ndarray,
                fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending flat indices of the first occurrence of each new code.
+    """Ascending flat indices of the first occurrence of each new word.
 
-    A code is new unless it is a floor mark (-1), lies in ``seen``, the
-    codes of the levels before, or lies in ``fresh``, the codes this level
-    has found so far; both are sorted and end in a sentinel above every
-    code.  Also returns ``fresh`` with the new codes merged in.
+    A word is new unless it lies in ``seen``, the words of the levels
+    before, or in ``fresh``, the words this level has found so far; both
+    are sorted and end in ``_NO_WORD``, so a floor mark is never new.  Also
+    returns ``fresh`` with the new words merged in.
 
-    The least index of each group of equal codes is its first occurrence.
+    The least index of each group of equal words is its first occurrence.
     ``np.unique(..., return_index=True)``, or a stable argsort and the
     index at each group's start, give the same indices, but took 0.26-0.33 s
     over close(G_11)'s 1.67 M candidates against 0.11-0.17 s for this.
@@ -464,7 +508,7 @@ def _first_new(flat: np.ndarray, seen: np.ndarray,
     del ordered
     first = np.minimum.reduceat(perm, starts)
     del perm
-    new = ((unique >= 0) & (seen[seen.searchsorted(unique)] != unique)
+    new = ((seen[seen.searchsorted(unique)] != unique)
            & (fresh[fresh.searchsorted(unique)] != unique))
     unique = unique[new]
     first = first[new]
@@ -472,61 +516,54 @@ def _first_new(flat: np.ndarray, seen: np.ndarray,
     return first, _merged(fresh, unique)
 
 
-def _merged(codes: np.ndarray, more: np.ndarray) -> np.ndarray:
-    """A sorted, sentinel-ended code array with the sorted ``more`` merged
+def _merged(words: np.ndarray, more: np.ndarray) -> np.ndarray:
+    """A sorted, sentinel-ended word array with the sorted ``more`` merged
     in; a stable sort of two sorted runs is a linear merge."""
-    merged = np.concatenate((codes, more))
+    merged = np.concatenate((words, more))
     merged.sort(kind="stable")
     return merged
 
 
-def _drained(parts: list[np.ndarray], axis: int = 0) -> np.ndarray:
+def _drained(parts: list[np.ndarray]) -> np.ndarray:
     """The parts concatenated, and the list emptied, so that they are freed
     once the joined copy exists; a level of one block needs no copy."""
-    joined = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+    joined = parts[0] if len(parts) == 1 else np.concatenate(parts)
     parts.clear()
     return joined
 
 
 def _run_rows(
-    lookup: np.ndarray,
-    powers: np.ndarray,
+    table: np.ndarray,
+    offsets: np.ndarray,
+    rank_tables: np.ndarray,
     min_rank: int,
     frontier: np.ndarray,
-    bases: np.ndarray,
     lo: int,
     count: np.ndarray,
     first_child: np.ndarray,
     seen: np.ndarray,
     fresh: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The new rows that a run of whole frontier nodes forms.
 
     Node lo + i of the run is multiplied by the generators of ``count[i]``
-    frontier children, from ``first_child[i]`` on; ``bases`` holds each
-    child's generator offset.  Returns the new rows' codes, images, nodes
-    and suffixes (their children), in candidate order, and ``fresh`` with
-    their codes merged in.  Every other array of the run is freed on
-    return.
+    frontier children, from ``first_child[i]`` on; ``offsets`` holds each
+    child's generator offset into ``table``.  Products of rank below
+    ``min_rank``, by ``rank_tables``, are marked ``_NO_WORD``.  Returns the
+    new rows' words, nodes and suffixes (their children), in candidate
+    order, and ``fresh`` with their words merged in.  Every other array of
+    the run is freed on return.
     """
     x = np.repeat(np.arange(lo, lo + len(count), dtype=np.int32), count)
     # candidate p of the run multiplies x[p] by the generator of child[p],
     # its owner's first child plus p's place among the owner's candidates
     child = np.repeat(first_child - (count.cumsum(dtype=np.int32) - count), count)
     child += np.arange(len(child), dtype=np.int32)
-    images, codes = _products(lookup, frontier, x, bases.take(child), powers)
+    words = _times(table, offsets, frontier, x, child)
     if min_rank > 0:
-        codes[np.count_nonzero(images, axis=0) < min_rank] = -1
-    # the new rows' products are formed again below, so that no candidate's
-    # images are held through the dedupe; slicing the new columns out of the
-    # kept images raised close(G_11)'s tracemalloc peak from 38.0 to 44.8 MB
-    # and saved no time
-    del images
-    first, fresh = _first_new(codes, seen, fresh)
-    del codes
-    x, child = x[first], child[first]
-    images, codes = _products(lookup, frontier, x, bases.take(child), powers)
-    return codes, images, x, child, fresh
+        words[_byte_sums(rank_tables, words) < min_rank] = _NO_WORD
+    first, fresh = _first_new(words, seen, fresh)
+    return words[first], x[first], child[first], fresh
 
 
 def _close_rows(
@@ -537,34 +574,35 @@ def _close_rows(
 ) -> ClosureResult:
     """BFS closure over image-row matrices.  ``labels`` must be sorted.
 
-    Seeds and products of rank below ``min_rank`` are marked -1 and dropped.
-    A generator below it is then no seed, so the suffix rule never
-    multiplies by it.
+    Seeds and products of rank below ``min_rank`` are marked ``_NO_WORD``
+    and dropped.  A generator below it is then no seed, so the suffix rule
+    never multiplies by it.
     """
     started = time.perf_counter()
-    powers = np.asarray(code_powers(n), dtype=np.int64)
-    lookup, gen_bases = _lookup(n, rows)
+    table, gen_offsets = _byte_table(rows)
+    code_tables = _sum_tables(n)
+    rank_tables = _sum_tables(n, ranks=True)
 
-    empty = np.array([_NO_CODE])  # no codes: the sentinel alone
-    seed_codes = _codes(powers, rows.T)
+    empty = np.array([_NO_WORD])  # no words: the sentinel alone
+    seed_words = _pack(rows)
     if min_rank > 0:
-        seed_codes[np.count_nonzero(rows, axis=1) < min_rank] = -1
-    first, seen = _first_new(seed_codes, empty, empty)
-    order_codes = [seed_codes[first]]
+        seed_words[np.count_nonzero(rows, axis=1) < min_rank] = _NO_WORD
+    first, seen = _first_new(seed_words, empty, empty)
+    frontier = seed_words[first]
+    order_codes = [_byte_sums(code_tables, frontier)]
     frontier_gens = first.astype(np.int32)
     parents = [np.full(len(first), -1, dtype=np.int32)]
     genidx = [frontier_gens]
     level_sizes = [len(first)] if len(first) else []
     products = 0
-    frontier = rows.T.take(first, axis=1)
     frontier_start = 0
     # every seed's suffix is the empty word, whose children are the seeds
     suffix = np.zeros(len(first), dtype=np.int32)
     child_start = np.zeros(1, dtype=np.int32)
     child_count = np.array([len(first)], dtype=np.int32)
-    # a level's new codes, and its new rows block by block, drained as the
+    # a level's new words, and its new rows block by block, drained as the
     # level ends
-    fresh, new_images, new_parents, new_suffix = empty, [], [], []
+    fresh, new_words, new_parents, new_suffix = empty, [], [], []
     while len(suffix):
         # frontier node x is multiplied by the generators of the children
         # of its suffix, in order: count[x] candidates
@@ -583,13 +621,14 @@ def _close_rows(
             np.arange(_BLOCK_ENTRIES, total, _BLOCK_ENTRIES), side="right")
         edges = sorted({0, len(count), *cuts.tolist()})
         del ends
-        bases = gen_bases.take(frontier_gens)
+        offsets = gen_offsets.take(frontier_gens)
         for lo, hi in zip(edges, edges[1:]):
-            codes, images, nodes, children, fresh = _run_rows(
-                lookup, powers, min_rank, frontier, bases, lo, count[lo:hi],
-                child_start[suffix[lo:hi]], seen, fresh)
-            order_codes.append(codes)
-            new_images.append(images)
+            words, nodes, children, fresh = _run_rows(
+                table, offsets, rank_tables, min_rank, frontier, lo,
+                count[lo:hi], child_start[suffix[lo:hi]], seen, fresh)
+            # a new node's code is formed once, from its word
+            order_codes.append(_byte_sums(code_tables, words))
+            new_words.append(words)
             new_parents.append(nodes)
             new_suffix.append(children)
         local = _drained(new_parents)
@@ -602,23 +641,26 @@ def _close_rows(
         genidx.append(frontier_gens)
         level_sizes.append(len(local))
         # the children of each frontier node, a run of the sorted parents
-        width = frontier.shape[1]
+        width = len(frontier)
         child_count = np.bincount(local, minlength=width).astype(np.int32)
         child_start = child_count.cumsum(dtype=np.int32)
         child_start -= child_count
         frontier_start += width
-        # the next frontier and the codes seen are joined last, once this
+        # the next frontier and the words seen are joined last, once this
         # level's arrays are freed
-        del count, bases, frontier, codes, images, nodes, children
-        frontier = _drained(new_images, axis=1)
+        del count, offsets, frontier, words, nodes, children
+        frontier = _drained(new_words)
         seen, fresh = _merged(seen[:-1], fresh), empty
 
     stats = ClosureStats(tuple(level_sizes), products,
                          time.perf_counter() - started)
-    # the tree's columns are joined one at a time, once the frontier is freed
     del frontier
-    member_codes = seen[:-1]
+    # the sorted words become the sorted codes in place, since a word's code
+    # rises with the word
+    member_codes = seen[:-1].view(np.int64)
+    _write_codes(code_tables, seen[:-1], member_codes)
     member_codes.flags.writeable = False
+    # the tree's columns are joined one at a time
     return ClosureResult(n, labels, stats, _drained(order_codes),
                          _drained(parents), _drained(genidx), member_codes)
 

@@ -32,7 +32,6 @@ from fenceinj import (
 from fenceinj import closure as closure_module
 from fenceinj.analysis import r_class
 from fenceinj.closure import TREE_MAGIC
-from fenceinj.fence import code_powers
 from fenceinj.oracle import (
     read_binary_file,
     sidecar_path,
@@ -176,14 +175,23 @@ def test_witness_stream_matches_brute_force_at_every_floor(n, block, monkeypatch
     assert not expected and result.stats.level_sizes == ()
 
 
-def test_witness_stream_matches_lookups_on_wide_generator_sets(u7):
+def test_witness_stream_matches_lookups_on_wide_generator_sets(u7, monkeypatch):
     """J_7 has 166 generators and FI_7 ∖ R_1 has over 2000, so the tree names
-    generator indices that no 8-bit dtype holds."""
-    wide = close_excluding(u7, r_class(7, 1, u7).codes)
-    assert wide._genidx.max() > 255
-    for result in (close(build_J(7, u7)), wide):
-        expected = [(int(c), result.witness(int(c))) for c in result.member_codes]
-        assert list(result.witness_items()) == expected
+    generator indices that no 8-bit dtype holds, and the product table's
+    index is uint32.  With 64-entry blocks, each block of the stream holds
+    words of only a few lengths."""
+    excluded = r_class(7, 1, u7).codes
+    for block in (None, 64):
+        with monkeypatch.context() as patch:
+            if block is not None:
+                patch.setattr(closure_module, "_BLOCK_ENTRIES", block)
+            wide = close_excluding(u7, excluded)
+            # 257 generators or more pass a uint16 index (see the kernel test)
+            assert wide._genidx.max() > 256
+            for result in (close(build_J(7, u7)), wide):
+                expected = [(int(c), result.witness(int(c)))
+                            for c in result.member_codes]
+                assert list(result.witness_items()) == expected, block
 
 
 def test_lookups_do_not_build_the_member_set(g7_closure):
@@ -274,38 +282,71 @@ def test_blocks_smaller_than_one_node_split_rows_identically(u7, monkeypatch):
     assert_sorted_members(result)
 
 
+def random_injection(rng, n):
+    """A partial injection on {1..n}, not always a fence automorphism,
+    with a random share of its points defined."""
+    images = rng.permutation(n) + 1
+    images[rng.random(n) >= rng.random()] = 0
+    return PartialInjection(n, tuple(images.tolist()))
+
+
 @pytest.mark.parametrize("n, k, dtype", [
-    (4, 51, np.uint8),        # 255 lookup entries
-    (15, 16, np.uint16),      # 256
-    (14, 4369, np.uint16),    # 65,535
-    (15, 4096, np.uint32),    # 65,536
+    (3, 1, np.uint8),        # last table index 255
+    (3, 2, np.uint16),       # 511
+    (15, 256, np.uint16),    # 65,535
+    (15, 257, np.uint32),    # 65,791
 ])
-def test_product_kernel_at_index_dtype_boundaries(n, k, dtype):
-    """The narrow gather of the product kernel equals an intp ``take`` on
-    both sides of each switch of the offsets' dtype, down to the last
-    lookup entry."""
+def test_product_kernel_at_index_dtype_boundaries(n, k, dtype, monkeypatch):
+    """The byte-table kernel's products equal ``compose`` on both sides of
+    each switch of the gather index's dtype, in one piece and in many, and
+    its gather reaches the last table entry."""
     rng = np.random.default_rng(n * k)
-    rows = rng.integers(0, n + 1, size=(k, n), dtype=np.uint8)
-    lookup, bases = closure_module._lookup(n, rows)
-    assert len(lookup) == k * (n + 1) and bases.dtype == dtype
-    frontier = rng.integers(0, n + 1, size=(n, 300), dtype=np.uint8)
-    frontier[:, -1] = n  # with the last generator, reaches the last entry
-    cols = rng.integers(0, frontier.shape[1], size=2000)
-    gens = rng.integers(0, k, size=len(cols))
-    cols[-1], gens[-1] = frontier.shape[1] - 1, k - 1
-    powers = np.asarray(code_powers(n), dtype=np.int64)
-    images, codes = closure_module._products(
-        lookup, frontier, cols, bases.take(gens), powers)
-    index = frontier.take(cols, axis=1).astype(np.intp) + gens.astype(np.intp) * (n + 1)
-    reference = lookup.take(index)
-    assert index.max() == len(lookup) - 1
-    assert images.dtype == np.uint8 and np.array_equal(images, reference)
-    assert codes.dtype == np.int64
-    assert np.array_equal(codes, powers @ reference.astype(np.int64))
-    # the image of point a under generator g is that generator's row entry
-    points = frontier.take(cols, axis=1).astype(np.intp)
-    expect = np.where(points > 0, rows[gens, np.maximum(points - 1, 0)], 0)
-    assert np.array_equal(images, expect)
+    gens = [random_injection(rng, n) for _ in range(k)]
+    rows = np.array([g.images for g in gens], dtype=np.uint8)
+    table, offsets = closure_module._byte_table(rows)
+    assert len(table) == k * 256 and offsets.dtype == dtype
+    elements = [random_injection(rng, n) for _ in range(300)]
+    frontier = closure_module._pack(
+        np.array([f.images for f in elements], dtype=np.uint8))
+    nodes = rng.integers(0, len(elements), size=2000)
+    which = rng.integers(0, k, size=len(nodes))
+    which[-1] = k - 1
+    expected = [encode(compose(elements[i], gens[j]))
+                for i, j in zip(nodes.tolist(), which.tolist())]
+    tables = closure_module._sum_tables(n)
+    for piece in (None, 64):
+        if piece is not None:
+            monkeypatch.setattr(closure_module, "_PIECE", piece)
+        products = closure_module._times(table, offsets, frontier, nodes, which)
+        assert products.dtype == np.dtype("<u8")
+        assert closure_module._byte_sums(tables, products).tolist() == expected
+    # every nibble 15, which no map packs to, by the last generator: each
+    # byte is table entry k·256 − 1
+    full = np.array([closure_module._NO_WORD], dtype="<u8")
+    last = closure_module._times(table, offsets, full, np.zeros(1, np.int32),
+                                 np.array([k - 1]))
+    assert last.view(np.uint8).tolist() == [int(table[-1])] * 8
+    assert table[-1] == (rows[-1, 14] if n == 15 else 0) * 17
+
+
+def test_packed_words_convert_to_codes(u3, u5, u7, u9):
+    """Packing image rows and converting the words to codes gives back the
+    codes, and the ranks; no packed word is the sentinel."""
+    cases = [(u.n, u.images_matrix, u.codes) for u in (u3, u5, u7, u9)]
+    rng = np.random.default_rng(15)
+    for n in (11, 13, 15):
+        maps = [PartialInjection.empty(n), PartialInjection.identity(n)]
+        maps += [random_injection(rng, n) for _ in range(2000)]
+        assert sum(15 in f.images for f in maps) > 100 or n < 15
+        rows = np.array([f.images for f in maps], dtype=np.uint8)
+        cases.append((n, rows, np.array([encode(f) for f in maps])))
+    for n, rows, codes in cases:
+        words = closure_module._pack(rows)
+        assert not np.any(words == closure_module._NO_WORD), n
+        found = closure_module._byte_sums(closure_module._sum_tables(n), words)
+        assert np.array_equal(found, codes), n
+        ranks = closure_module._byte_sums(closure_module._sum_tables(n, ranks=True), words)
+        assert np.array_equal(ranks, np.count_nonzero(rows, axis=1)), n
 
 
 def test_close_G11_peak_memory():
