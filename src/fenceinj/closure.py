@@ -15,9 +15,9 @@ multiplied only by the generators k that label a child of u (for a seed, u
 is the empty word, whose children are the seeds), and the suffix of x·k is
 that child.  Every other product is either already visited or reached by a
 lexicographically smaller word.  The rule also holds under the ``min_rank``
-floor, since rank(a·w) ≤ rank(w).  The floor is a single mask on seeds and
-products alike, and a generator below it is never a seed, so the suffix rule
-never multiplies by it.  The engine keeps each frontier node's suffix (its
+floor, since rank(a·w) ≤ rank(w).  The floor drops seeds and products
+alike, and a generator below it is never a seed, so the suffix rule never
+multiplies by it.  The engine keeps each frontier node's suffix (its
 index in the level before) and the children of each node of the level
 before, a run of that level's sorted parent column.  Candidates are the
 pairs (x, child of u) in the order (x, k), the order a full frontier ×
@@ -36,20 +36,29 @@ product's bytes from the table.  The offsets take the narrowest unsigned
 dtype that holds the table's last index, and the gather runs in pieces of
 ``_PIECE`` products, so its index and the intp copy that ``take`` makes
 stay small.  Each candidate block is deduped on its words by array
-operations alone: an argsort groups equal words, and the least flat index
-of each group is its first occurrence, which keeps the lexicographic
-tie-break.  The unique words are looked up with ``searchsorted`` in two
-sorted arrays: ``seen``, the words of the levels before, fixed within a
-level, and ``fresh``, the words this level has found so far.  Both end in
-``_NO_WORD``, 2^64 − 1, which no packed word equals; a product below the
-``min_rank`` floor is set to it too (a 256-entry table counts a byte's
-nonzero images), so the lookup drops it.  The new words are merged into
-``fresh`` before the next block, so a later block of the same level sees
-them, and ``fresh`` is folded into ``seen`` once the level ends; a block's
-merge copies only the level's words, not every word.  Merging each block
-straight into ``seen`` copies every word per block: when these arrays held
-the codes, also 8 bytes each, a cold closure of G_13 then peaked at 616 MB
-RSS against 588 MB, in the same time (2-core host, Python 3.11, numpy 2.4).
+operations alone: the least index of each group of equal words is its
+first occurrence, which keeps the lexicographic tie-break.  A word fills
+4n bits, so a block of at most 2^(64 − 4n) candidates, every block of G_n
+for n ≤ 11, sorts the keys word << (64 − 4n) | index in place, and each
+group's first key holds its first index; one sort of (index << 4n) | word
+puts the new words back in index order.  A longer block, such as those of
+G_13, takes an argsort and ``minimum.reduceat`` instead.  The sort is
+preferred because an argsort of 2^20 words took 51–62 ms against 12–14 ms
+for a sort; with it, and the codes written in pieces (``_write_codes``),
+close(G_11) fell from 0.26–0.27 to 0.19 s, the fastest of 12 runs in each
+of three processes (2-core host, Python 3.11, numpy 2.4).  The unique
+words are looked up with ``searchsorted`` in two sorted arrays: ``seen``,
+the words of the levels before, fixed within a level, and ``fresh``, the
+words this level has found so far.  Both end in ``_NO_WORD``, 2^64 − 1,
+which no packed word equals.  A unique word below the ``min_rank`` floor
+(a 256-entry table counts a byte's nonzero images) is never new.  The new
+words are merged into ``fresh`` before the next block, so a later block of
+the same level sees them, and ``fresh`` is folded into ``seen`` once the
+level ends; a block's merge copies only the level's words, not every word.
+Merging each block straight into ``seen`` copies every word per block:
+when these arrays held the codes, also 8 bytes each, a cold closure of
+G_13 then peaked at 616 MB RSS against 588 MB, in the same time, on the
+same host.
 A new node's product is its frontier word, and its code is formed once,
 one table gather per byte (``_byte_sums``).  At the end ``seen`` becomes
 the sorted ``member_codes`` in place.
@@ -70,10 +79,13 @@ Witnesses are kept as the BFS tree itself (Froidure & Pin, 1997): each node
 stores its parent node and last generator (int32 each), and a word is read
 off by walking to the root.  ``witness_items`` walks a block of nodes at a
 time, grouped by word length, one vector gather per letter, and zips each
-group's per-letter label columns into words of exactly that length.  ``ClosureResult.save`` writes that tree, with a sidecar
+group's per-letter label columns into words of exactly that length, each
+a ``Word``, a tuple subclass, made by ``tuple.__new__``; the blocks'
+iterators are chained, so no Python frame runs per word.
+``ClosureResult.save`` writes that tree, with a sidecar
 holding a SHA-256 of the sorted codes.  ``load`` replays the tree over the
-generators in one walk of its levels, which rebuilds the codes in blocks
-of ``_BLOCK_ENTRIES`` nodes, checks that every node's suffix is a node and
+generators in one walk of its levels, which rebuilds the codes
+``_PIECE`` nodes at a time, checks that every node's suffix is a node and
 counts the products the engine formed; it accepts the tree only if the
 rebuilt codes match that digest.
 """
@@ -85,6 +97,7 @@ import json
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -106,12 +119,12 @@ from .oracle import (
 # candidate's temporaries are a few 8-byte scalars
 _BLOCK_ENTRIES = 1 << 20
 
-# the products one gather forms; its index holds eight entries per product
+# the products one gather forms, and the codes one table sum writes; a
+# gather's index holds eight entries per product
 _PIECE = 1 << 13
 
 # no packed word has a nonzero top nibble, so this one ends the sorted word
-# arrays ``seen`` and ``fresh``, above every word, and marks a product below
-# the ``min_rank`` floor, which the dedupe then finds in ``seen``
+# arrays ``seen`` and ``fresh``, above every word
 _NO_WORD = np.uint64(2 ** 64 - 1)
 
 # magic of the witness-tree file: parent indices, then generator indices
@@ -132,25 +145,42 @@ class NotGeneratedError(Exception):
             f"element with code {code} is not in the generated subsemigroup")
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
-    """A non-empty sequence of generator labels, composed left to right."""
+class Word(tuple):
+    """A non-empty sequence of generator labels, composed left to right.
 
-    labels: tuple[str, ...]
+    A tuple of its labels, so it iterates and indexes like one, but equal
+    only to a ``Word`` with the same labels, never to a bare tuple.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.labels:
+    __slots__ = ()
+
+    def __new__(cls, labels: Iterable[str]) -> Word:
+        word = super().__new__(cls, labels)
+        if not word:
             raise ValueError("witness words are products of length >= 1")
+        return word
 
-    def __len__(self) -> int:
-        return len(self.labels)
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(self)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        return f"Word(labels={self.labels!r})"
 
     def __str__(self) -> str:
-        return "·".join(self.labels)
+        return "·".join(self)
 
     @classmethod
     def parse(cls, text: str) -> Word:
-        return cls(tuple(text.split("·")))
+        return cls(text.split("·"))
 
 
 def evaluate_word(word: Word, gens: GeneratorSet) -> PartialInjection:
@@ -202,9 +232,16 @@ class ClosureResult:
 
     @cached_property
     def _code_order(self) -> np.ndarray:
-        """Node indices in ascending code order; only ``witness_items``
-        needs them."""
-        return np.argsort(self._order_codes)
+        """Node indices in ascending code order; only ``_witness_blocks``
+        needs them.  Where a code and a node index fit one int64, a sort of
+        code << b | index gives them: 8 ms against 20 ms for an argsort of
+        the codes of G_11."""
+        shift = len(self).bit_length()
+        if (self.n + 1) ** self.n > 1 << (63 - shift):
+            return np.argsort(self._order_codes)
+        keys = _sort_indexed(self._order_codes.copy(), shift)
+        keys &= (1 << shift) - 1
+        return keys
 
     def _node(self, target: int | PartialInjection) -> tuple[int, int]:
         """The target's code and its node index, or -1 if not a member.
@@ -243,19 +280,27 @@ class ClosureResult:
         while k >= 0:
             labels.append(self.labels[self._genidx[k]])
             k = self._parents[k]
-        return Word(tuple(reversed(labels)))
+        return tuple.__new__(Word, reversed(labels))
 
     def witness_items(self) -> Iterator[tuple[int, Word]]:
         """(code, word) pairs in ascending code order.
 
-        Nodes are taken in blocks of that order.  A word's length is its
-        level's number, so a block's nodes are grouped by length, and each
-        group's words are read off together, one letter per step from the
-        last back to the first: a vector gather of the nodes' generators,
-        then of their parents, for exactly that many steps.  Zipping a
-        group's label columns yields its words as tuples of that length,
-        and ``map(next, ...)`` over the block's lengths puts them back into
-        code order.  Each ``Word`` is made as it is yielded.  Memory is
+        The pairs of each block of ``_witness_blocks`` are chained, so no
+        Python frame runs per pair.
+        """
+        return chain.from_iterable(self._witness_blocks())
+
+    def _witness_blocks(self) -> Iterator[Iterator[tuple[int, Word]]]:
+        """The (code, word) pairs of ``witness_items``, an iterator per block.
+
+        Nodes are taken in blocks of ascending code order.  A word's length is
+        its level's number, so a block's nodes are grouped by length, and each
+        group's words are read off together, one letter per step from the last
+        back to the first: a vector gather of the nodes' generators, then of
+        their parents, for exactly that many steps.  Zipping a group's label
+        columns yields its words, made ``Word``s by ``tuple.__new__``, which
+        skips the empty-word check a tree word never fails; ``map(next, ...)``
+        over the block's lengths puts them back into code order.  Memory is
         bounded by the block.
         """
         width = self.max_word_length
@@ -264,8 +309,6 @@ class ClosureResult:
         # a block of words holds as many letters as a candidate block holds
         # candidates, each letter a Python object slot
         step = max(1, _BLOCK_ENTRIES // max(width, 1))
-        # a tree word is never empty, so it skips ``Word``'s check
-        new_word, set_labels = object.__new__, Word.labels.__set__
         for start in range(0, len(self), step):
             k = self._code_order[start:start + step]
             codes = self.member_codes[start:start + step].tolist()
@@ -280,14 +323,10 @@ class ClosureResult:
                 nodes = k[bounds[length - 1]:bounds[length]]
                 columns = []
                 for _ in range(length):
-                    columns.append(names[self._genidx[nodes]].tolist())
-                    nodes = self._parents[nodes]
-                groups.append(zip(*reversed(columns)))
-            words = map(next, map(groups.__getitem__, lengths.tolist()))
-            for code, word in zip(codes, words):
-                item = new_word(Word)
-                set_labels(item, word)
-                yield code, item
+                    columns.append(names.take(self._genidx.take(nodes)).tolist())
+                    nodes = self._parents.take(nodes)
+                groups.append(map(tuple.__new__, repeat(Word), zip(*reversed(columns))))
+            yield zip(codes, map(next, map(groups.__getitem__, lengths.tolist())))
 
     def save(self, tree_path: str | Path) -> None:
         """The BFS tree, with a JSON sidecar holding a digest of the codes."""
@@ -465,13 +504,19 @@ def _byte_sums(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _write_codes(tables: np.ndarray, words: np.ndarray, out: np.ndarray) -> None:
-    """The codes of packed words written into ``out``, by ``_byte_sums``
-    over ``tables``, a block at a time, so that the temporaries stay
-    block-sized; ``out`` may be the words' own memory."""
-    for lo in range(0, len(words), _BLOCK_ENTRIES):
-        hi = lo + _BLOCK_ENTRIES
+def _write_codes(tables: np.ndarray, words: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The codes of packed words written into ``out``, or a new int64
+    array, by ``_byte_sums`` over ``tables``, ``_PIECE`` words at a time;
+    ``out`` may be the words' own memory.  Pieces of 2^20 words took twice
+    as long over 3.7 M words, and their temporaries left close-g11's peak
+    RSS 5 MB higher."""
+    if out is None:
+        out = np.empty(len(words), dtype=np.int64)
+    for lo in range(0, len(words), _PIECE):
+        hi = lo + _PIECE
         out[lo:hi] = _byte_sums(tables, words[lo:hi])
+    return out
 
 
 def _sorted_rows(gens: GeneratorSet) -> tuple[tuple[str, ...], np.ndarray]:
@@ -482,38 +527,82 @@ def _sorted_rows(gens: GeneratorSet) -> tuple[tuple[str, ...], np.ndarray]:
     return labels, rows
 
 
-def _first_new(flat: np.ndarray, seen: np.ndarray,
-               fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending flat indices of the first occurrence of each new word.
+def _first_new(words: np.ndarray, seen: np.ndarray, fresh: np.ndarray, n: int,
+               min_rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The new words of a block of packed words and the indices of their
+    first occurrences, both in ascending index order, and ``fresh`` with
+    the new words merged in; ``words`` may be overwritten.
 
-    A word is new unless it lies in ``seen``, the words of the levels
-    before, or in ``fresh``, the words this level has found so far; both
-    are sorted and end in ``_NO_WORD``, so a floor mark is never new.  Also
-    returns ``fresh`` with the new words merged in.
-
-    The least index of each group of equal words is its first occurrence.
-    ``np.unique(..., return_index=True)``, or a stable argsort and the
-    index at each group's start, give the same indices, but took 0.26-0.33 s
-    over close(G_11)'s 1.67 M candidates against 0.11-0.17 s for this.
+    A word is new unless its rank is below ``min_rank`` or it lies in
+    ``seen``, the words of the levels before, or in ``fresh``, the words
+    this level has found so far; both are sorted and end in ``_NO_WORD``.
     """
-    # each block-sized array is freed once it is used
-    perm = flat.argsort()
-    ordered = flat[perm]
-    head = np.empty(len(ordered), dtype=bool)
-    head[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-    starts = head.nonzero()[0]
-    del head
-    unique = ordered[starts]
-    del ordered
-    first = np.minimum.reduceat(perm, starts)
-    del perm
+    bits = 4 * n
+    by_sort = len(words) <= 1 << (64 - bits)
+    unique, first = (_groups_by_sort(words, bits) if by_sort
+                     else _groups_by_argsort(words))
     new = ((seen[seen.searchsorted(unique)] != unique)
            & (fresh[fresh.searchsorted(unique)] != unique))
-    unique = unique[new]
-    first = first[new]
+    if min_rank > 0:
+        new &= _byte_sums(_sum_tables(n, ranks=True), unique) >= min_rank
+    unique, first = unique[new], first[new]
+    fresh = _merged(fresh, unique)
+    if not by_sort:
+        first.sort()
+        return words[first], first, fresh
+    # a (first, word) pair fits one u64, so one sort puts both in index order
+    first <<= bits
+    first |= unique
     first.sort()
-    return first, _merged(fresh, unique)
+    unique = first & np.uint64(2 ** bits - 1)
+    first >>= bits
+    return unique, first, fresh
+
+
+def _groups_by_sort(keys: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct words among at most 2^(64 − bits) words of ``bits``
+    bits, ascending, and the least index of each, by one sort of the keys
+    word << (64 − bits) | index, built in place: of equal words, the least
+    index sorts first."""
+    spare = 64 - bits
+    _sort_indexed(keys, spare)
+    first = keys[_group_starts(keys, spare)]
+    return first >> spare, first & np.uint64(2 ** spare - 1)
+
+
+def _sort_indexed(keys: np.ndarray, shift: int) -> np.ndarray:
+    """``keys``, non-negative integers, sorted in place as key << shift |
+    index, with the index of each in the ``shift`` bits it frees; the
+    caller makes sure that both fit."""
+    keys <<= shift
+    for lo in range(0, len(keys), _PIECE):
+        piece = keys[lo:lo + _PIECE]
+        piece |= np.arange(lo, lo + len(piece), dtype=keys.dtype)
+    keys.sort()
+    return keys
+
+
+def _groups_by_argsort(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct words, ascending, and the least index of each, by an
+    argsort and ``minimum.reduceat``; ``words`` is kept."""
+    perm = words.argsort()
+    ordered = words[perm]
+    starts = _group_starts(ordered, 0)
+    unique = ordered[starts]
+    del ordered
+    return unique, np.minimum.reduceat(perm, starts)
+
+
+def _group_starts(ordered: np.ndarray, shift: int) -> np.ndarray:
+    """Where the runs of equal values ``ordered >> shift`` start, compared
+    a piece at a time, so that no shifted copy of ``ordered`` is made."""
+    head = np.empty(len(ordered), dtype=bool)
+    head[0] = True
+    for lo in range(1, len(ordered), _PIECE):
+        hi = min(lo + _PIECE, len(ordered))
+        np.not_equal(ordered[lo:hi] >> shift, ordered[lo - 1:hi - 1] >> shift,
+                     out=head[lo:hi])
+    return head.nonzero()[0]
 
 
 def _merged(words: np.ndarray, more: np.ndarray) -> np.ndarray:
@@ -535,7 +624,7 @@ def _drained(parts: list[np.ndarray]) -> np.ndarray:
 def _run_rows(
     table: np.ndarray,
     offsets: np.ndarray,
-    rank_tables: np.ndarray,
+    n: int,
     min_rank: int,
     frontier: np.ndarray,
     lo: int,
@@ -549,10 +638,9 @@ def _run_rows(
     Node lo + i of the run is multiplied by the generators of ``count[i]``
     frontier children, from ``first_child[i]`` on; ``offsets`` holds each
     child's generator offset into ``table``.  Products of rank below
-    ``min_rank``, by ``rank_tables``, are marked ``_NO_WORD``.  Returns the
-    new rows' words, nodes and suffixes (their children), in candidate
-    order, and ``fresh`` with their words merged in.  Every other array of
-    the run is freed on return.
+    ``min_rank`` are never new.  Returns the new rows' words, nodes and
+    suffixes (their children), in candidate order, and ``fresh`` with their
+    words merged in.  Every other array of the run is freed on return.
     """
     x = np.repeat(np.arange(lo, lo + len(count), dtype=np.int32), count)
     # candidate p of the run multiplies x[p] by the generator of child[p],
@@ -560,10 +648,8 @@ def _run_rows(
     child = np.repeat(first_child - (count.cumsum(dtype=np.int32) - count), count)
     child += np.arange(len(child), dtype=np.int32)
     words = _times(table, offsets, frontier, x, child)
-    if min_rank > 0:
-        words[_byte_sums(rank_tables, words) < min_rank] = _NO_WORD
-    first, fresh = _first_new(words, seen, fresh)
-    return words[first], x[first], child[first], fresh
+    words, first, fresh = _first_new(words, seen, fresh, n, min_rank)
+    return words, x[first], child[first], fresh
 
 
 def _close_rows(
@@ -574,22 +660,17 @@ def _close_rows(
 ) -> ClosureResult:
     """BFS closure over image-row matrices.  ``labels`` must be sorted.
 
-    Seeds and products of rank below ``min_rank`` are marked ``_NO_WORD``
-    and dropped.  A generator below it is then no seed, so the suffix rule
-    never multiplies by it.
+    Seeds and products of rank below ``min_rank`` are dropped.  A
+    generator below it is then no seed, so the suffix rule never
+    multiplies by it.
     """
     started = time.perf_counter()
     table, gen_offsets = _byte_table(rows)
     code_tables = _sum_tables(n)
-    rank_tables = _sum_tables(n, ranks=True)
 
     empty = np.array([_NO_WORD])  # no words: the sentinel alone
-    seed_words = _pack(rows)
-    if min_rank > 0:
-        seed_words[np.count_nonzero(rows, axis=1) < min_rank] = _NO_WORD
-    first, seen = _first_new(seed_words, empty, empty)
-    frontier = seed_words[first]
-    order_codes = [_byte_sums(code_tables, frontier)]
+    frontier, first, seen = _first_new(_pack(rows), empty, empty, n, min_rank)
+    order_codes = [_write_codes(code_tables, frontier)]
     frontier_gens = first.astype(np.int32)
     parents = [np.full(len(first), -1, dtype=np.int32)]
     genidx = [frontier_gens]
@@ -624,10 +705,10 @@ def _close_rows(
         offsets = gen_offsets.take(frontier_gens)
         for lo, hi in zip(edges, edges[1:]):
             words, nodes, children, fresh = _run_rows(
-                table, offsets, rank_tables, min_rank, frontier, lo,
+                table, offsets, n, min_rank, frontier, lo,
                 count[lo:hi], child_start[suffix[lo:hi]], seen, fresh)
             # a new node's code is formed once, from its word
-            order_codes.append(_byte_sums(code_tables, words))
+            order_codes.append(_write_codes(code_tables, words))
             new_words.append(words)
             new_parents.append(nodes)
             new_suffix.append(children)

@@ -1,6 +1,9 @@
 """Closure BFS: membership, witnesses, determinism, persistence."""
 
+import copy
+import itertools
 import json
+import pickle
 import random
 import tracemalloc
 from collections import deque
@@ -40,16 +43,17 @@ from fenceinj.oracle import (
 )
 
 
-def brute_force_words(gens):
-    """Reference BFS: for each reachable code, the lexicographically least
-    minimum-length word.  Quadratic and tiny-n only."""
+def brute_force_words(gens, min_rank=0):
+    """Reference BFS: for each reachable code of rank at least ``min_rank``,
+    the lexicographically least minimum-length word.  The floor is exact,
+    since rank never rises along a word.  Quadratic and tiny-n only."""
     n = gens.n
     by_label = gens.mapping()
     best = {}
     frontier = []
     for label in sorted(gens.labels):
         code = encode(by_label[label])
-        if code not in best:
+        if code not in best and by_label[label].rank >= min_rank:
             best[code] = (label,)
             frontier.append(code)
     while frontier:
@@ -57,8 +61,9 @@ def brute_force_words(gens):
         for code in frontier:
             f = decode(n, code)
             for label in sorted(gens.labels):
-                product = encode(compose(f, by_label[label]))
-                if product in best:
+                g = compose(f, by_label[label])
+                product = encode(g)
+                if product in best or g.rank < min_rank:
                     continue
                 word = best[code] + (label,)
                 if product not in candidates or word < candidates[product]:
@@ -84,10 +89,23 @@ def test_canonical_words_are_suffix_closed(n):
 def test_word_basics():
     w = Word(("gamma", "alpha_1"))
     assert str(w) == "gamma·alpha_1"
+    assert repr(w) == "Word(labels=('gamma', 'alpha_1'))"
     assert Word.parse("gamma·alpha_1") == w
+    assert Word.parse("gamma") == Word(labels=("gamma",))
     assert len(w) == 2
+    assert type(w.labels) is tuple and w.labels == ("gamma", "alpha_1")
     with pytest.raises(ValueError):
         Word(())
+    same, other = Word(["gamma", "alpha_1"]), Word(("alpha_1", "gamma"))
+    assert w == same and not w != same and hash(w) == hash(same)
+    assert w != other and not w == other
+    assert len({w, same, other}) == 2
+    # never equal to a bare tuple of the same labels, from either side
+    for labels in (w.labels, tuple(w)):
+        assert w != labels and labels != w
+        assert not w == labels and not labels == w
+    for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+        assert type(twin) is Word and twin == w and hash(twin) == hash(w)
 
 
 def test_stream_words_behave_like_constructed_words(g5_closure):
@@ -347,6 +365,94 @@ def test_packed_words_convert_to_codes(u3, u5, u7, u9):
         assert np.array_equal(found, codes), n
         ranks = closure_module._byte_sums(closure_module._sum_tables(n, ranks=True), words)
         assert np.array_equal(ranks, np.count_nonzero(rows, axis=1)), n
+
+
+def spy_groupings(monkeypatch):
+    """The names of the dedupe groupings that ``_first_new`` runs, in call
+    order, filled in as it runs them."""
+    ran = []
+    for name in ("_groups_by_sort", "_groups_by_argsort"):
+        def spy(*args, real=getattr(closure_module, name), name=name):
+            ran.append(name)
+            return real(*args)
+        monkeypatch.setattr(closure_module, name, spy)
+    return ran
+
+
+def first_new_reference(words, seen, fresh, n, min_rank):
+    """``_first_new`` by a scan in index order: the new words, their first
+    indices and ``fresh`` with them merged in, still ended by the sentinel."""
+    known = set(seen.tolist()) | set(fresh.tolist())
+    firsts = {}
+    for i, word in enumerate(words.tolist()):
+        rank = sum((word >> 4 * k) & 15 != 0 for k in range(n))
+        if word not in known and word not in firsts and rank >= min_rank:
+            firsts[word] = i
+    merged = sorted(set(fresh.tolist()) | set(firsts))
+    return list(firsts), list(firsts.values()), merged
+
+
+def sentinel_ended(words):
+    return np.append(np.unique(words), closure_module._NO_WORD)
+
+
+@pytest.mark.parametrize("n", [5, 9, 11, 13])
+def test_dedupe_paths_agree(n, monkeypatch):
+    """The sort and the argsort dedupe of one block give the first indices,
+    words and merged ``fresh`` of a scan in index order, with words already
+    in ``seen`` or ``fresh`` and words below the floor.  A block of at most
+    2^(64 − 4n) words takes the sort, so at n = 13 blocks of 2^12 and 2^12 + 1
+    words fall on the two sides of the switch.  A block of more than 16
+    words also takes the argsort when read as words of FI_15, whose ranks
+    are the same; a one-entry block always takes the sort.  Both run with
+    the default ``_PIECE`` and with 64, so keys and group starts are built
+    across many pieces."""
+    rng = np.random.default_rng(n)
+    rows = rng.integers(0, n + 1, size=(60, n), dtype=np.uint8)
+    rows[rng.random(rows.shape) < 0.3] = 0
+    pool = closure_module._pack(rows)
+    blocks = [pool[rng.integers(0, len(pool), size=size)] for size in (700, 40)]
+    blocks.append(pool[:1])
+    if n == 13:
+        blocks += [pool[rng.integers(0, len(pool), size=size)]
+                   for size in (1 << 12, (1 << 12) + 1)]
+    ran = spy_groupings(monkeypatch)
+    for words in blocks:
+        for seen, fresh in [(pool[:0], pool[:0]), (pool[:10], pool[10:20]),
+                            (words[:1], pool[:0])]:
+            seen, fresh = sentinel_ended(seen), sentinel_ended(fresh)
+            for floor in (0, n // 2, n + 1):
+                expected = first_new_reference(words, seen, fresh, n, floor)
+                sort = len(words) <= 1 << (64 - 4 * n)
+                paths = [(n, sort)] + [(15, False)] * (len(words) > 16)
+                for (width, by_sort), piece in itertools.product(
+                        paths, (closure_module._PIECE, 64)):
+                    monkeypatch.setattr(closure_module, "_PIECE", piece)
+                    ran.clear()
+                    block = words.copy()
+                    found, first, merged = closure_module._first_new(
+                        block, seen, fresh, width, floor)
+                    assert ran == ["_groups_by_sort" if by_sort
+                                   else "_groups_by_argsort"]
+                    assert (found.tolist(), first.tolist(), merged.tolist()) \
+                        == expected, (len(words), width, floor, piece)
+
+
+@pytest.mark.parametrize("n, r, grouping", [
+    (13, 11, "_groups_by_sort"),
+    (15, 13, "_groups_by_argsort"),
+])
+def test_floored_closures_match_brute_force(n, r, grouping, monkeypatch):
+    """Past the enumeration cap, the codes and words of a floored closure
+    are those of the floored reference BFS.  Every block of the n = 13 one
+    takes the sort dedupe and every block of the n = 15 one the argsort."""
+    gens = build_G(n)
+    ran = spy_groupings(monkeypatch)
+    result = close(gens, min_rank=r)
+    assert set(ran) == {grouping}
+    expected = [(code, Word(word))
+                for code, word in sorted(brute_force_words(gens, r).items())]
+    assert list(result.witness_items()) == expected
 
 
 def test_close_G11_peak_memory():
