@@ -606,11 +606,13 @@ _PARITY_SAMPLE = 10_000
 
 
 def _run_parity_sweep(n: int, ctx: VerifyContext) -> tuple[str, str]:
-    from .constructions import _parity_mask, _recompose_rows, _reduce_rows
+    from .closure import _pack
+    from .constructions import _changing, _recompose_rows, _reduce_rows
 
     universe = ctx.universe(n)
     mat = universe.images_matrix
-    par = np.flatnonzero(_parity_mask(mat).any(axis=1))
+    words = _pack(mat)
+    par = np.flatnonzero(_changing(words))
     if len(par) <= _PARITY_SAMPLE:
         picked = par
         how = f"all {len(par)}"
@@ -618,10 +620,9 @@ def _run_parity_sweep(n: int, ctx: VerifyContext) -> tuple[str, str]:
         rng = np.random.default_rng(ctx.seed)
         picked = rng.choice(par, size=_PARITY_SAMPLE, replace=False)
         how = f"{_PARITY_SAMPLE} sampled of {len(par)}"
-    rows = mat[picked]
-    cores, steps = _reduce_rows(rows)
-    bad = ((_recompose_rows(cores, steps) != rows).any(axis=1)
-           | _parity_mask(cores).any(axis=1))
+    cores, steps = _reduce_rows(mat[picked])
+    bad = ((_pack(_recompose_rows(cores, steps)) != words[picked])
+           | (_changing(_pack(cores)) != 0))
     if bad.any():
         code = universe.codes[picked[bad.argmax()]]
         return STATUS_FAIL, f"decomposition invalid for code {code}"

@@ -455,10 +455,13 @@ def _byte_table(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _pack(rows: np.ndarray) -> np.ndarray:
     """Packed words of uint8 image rows: the image of point k in bits
-    4(k−1) to 4k−1 of a little-endian u64."""
+    4(k−1) to 4k−1 of a little-endian u64.  A pair of images read as one
+    u16 is v = lo + 256·hi, and the low byte of v | v >> 4 is lo + 16·hi."""
     nibbles = np.zeros((len(rows), 16), dtype=np.uint8)
     nibbles[:, :rows.shape[1]] = rows
-    return (nibbles[:, 0::2] | nibbles[:, 1::2] << 4).view("<u8").ravel()
+    pairs = nibbles.view("<u2")
+    pairs |= pairs >> 4
+    return pairs.astype(np.uint8).view("<u8").ravel()
 
 
 def _times(table: np.ndarray, offsets: np.ndarray, frontier: np.ndarray,

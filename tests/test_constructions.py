@@ -1,6 +1,7 @@
 """Parity reduction and convex one-point extension."""
 
 import hashlib
+import random
 import re
 from functools import reduce
 
@@ -10,12 +11,15 @@ import pytest
 from fenceinj import (
     PartialInjection,
     VerifyContext,
+    Word,
     beta_even,
     beta_odd,
+    build_G,
     compose,
     convex_extend,
     decode,
     encode,
+    evaluate_word,
     is_convex,
     parity_points,
     parity_reduce,
@@ -23,12 +27,16 @@ from fenceinj import (
     run_verification,
 )
 from fenceinj import constructions
+from fenceinj.closure import _pack
 from fenceinj.constructions import (
     _beta_rows,
+    _changing,
     _parity_mask,
     _recompose_rows,
     _reduce_rows,
+    _rows_of,
 )
+from fenceinj.oracle import ElementUniverse, _census_codes
 
 BETA_LABEL = re.compile(r"beta_(\d+)_(odd|even)")
 
@@ -182,6 +190,58 @@ def test_kernel_matches_the_peel_loop_on_the_n9_sample(par9_sample):
     check_kernel(par9_sample)
 
 
+@pytest.fixture(scope="module")
+def par11_sample():
+    """2,000 seeded parity-changers of FI_11, from the census codes."""
+    universe = ElementUniverse(11, np.sort(_census_codes(11)))
+    rows = par_rows(universe)
+    assert len(rows) > 2_000
+    picked = np.random.default_rng(11).choice(len(rows), size=2_000, replace=False)
+    return rows[picked]
+
+
+def word_products(n, count, seed):
+    """``count`` parity-changing products of seeded random words of G_n,
+    1 to 8 generators long, as an image-row matrix."""
+    gens = build_G(n)
+    labels = sorted(label for label, _ in gens)
+    rng = random.Random(seed)
+    rows = []
+    while len(rows) < count:
+        word = Word(rng.choice(labels) for _ in range(rng.randint(1, 8)))
+        product = evaluate_word(word, gens)
+        if parity_points(product):
+            rows.append(product.images)
+    return np.array(rows, dtype=np.uint8)
+
+
+def test_kernel_matches_the_peel_loop_on_an_n11_sample(par11_sample):
+    check_kernel(par11_sample)
+
+
+@pytest.mark.parametrize("n", [13, 15])
+def test_kernel_matches_the_peel_loop_on_word_products(n):
+    """Products of random G_13 and G_15 words fill the top bytes of a packed
+    word; some step's image or point is at least n − 3."""
+    rows = word_products(n, 500, seed=n)
+    check_kernel(rows)
+    _, steps = _reduce_rows(rows)
+    assert np.abs(steps).max() >= n - 3
+
+
+def test_packed_mask_matches_the_row_mask(u3, u5, u7, u9, par11_sample):
+    """Bit 4(x−1) of ``_changing`` is entry x−1 of ``_parity_mask``, row by
+    row, and the words unpack to the rows they were packed from."""
+    samples = [u.images_matrix for u in (u3, u5, u7, u9)]
+    samples += [par11_sample] + [word_products(n, 100, seed=n + 1) for n in (13, 15)]
+    for rows in samples:
+        n = rows.shape[1]
+        words = _pack(rows)
+        assert np.array_equal(_rows_of(words, n), rows)
+        bits = (_changing(words)[:, None] >> (4 * np.arange(n, dtype=np.uint64))) & 1
+        assert np.array_equal(bits.astype(bool), _parity_mask(rows))
+
+
 def test_kernel_leaves_parity_preserving_rows_alone(u5):
     mat = u5.images_matrix
     keep = mat[~_parity_mask(mat).any(axis=1)]
@@ -223,6 +283,17 @@ def test_kernel_refuses_a_step_that_does_not_shrink(monkeypatch):
     with pytest.raises(RuntimeError,
                        match=r"failed to shrink at point 1: 1 -> 1 changing points"):
         parity_reduce(beta_odd(n, 2))
+
+
+def test_kernel_refuses_an_even_step_that_does_not_shrink(monkeypatch):
+    """The even-x twin: β_2^even moves 2 to 1, its only changing point, and
+    the identity β_2^odd on the left leaves it in place."""
+    n = 5
+    identity = np.tile(np.arange(n + 1, dtype=np.uint8), (n + 1, 1))
+    monkeypatch.setattr(constructions, "_beta_rows", lambda n: (identity, identity))
+    with pytest.raises(RuntimeError,
+                       match=r"failed to shrink at point 2: 1 -> 1 changing points"):
+        parity_reduce(beta_even(n, 2))
 
 
 def test_convex_extend_empty_map():
