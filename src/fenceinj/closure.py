@@ -40,8 +40,9 @@ operations alone: the least index of each group of equal words is its
 first occurrence, which keeps the lexicographic tie-break.  A word fills
 4n bits, so a block of at most 2^(64 − 4n) candidates, every block of G_n
 for n ≤ 11, sorts the keys word << (64 − 4n) | index in place, and each
-group's first key holds its first index; one sort of (index << 4n) | word
-puts the new words back in index order.  A longer block, such as those of
+group's first key holds its first index; those keys are moved to the front
+of the block's own array, and one sort of (index << 4n) | word puts the
+new words back in index order.  A longer block, such as those of
 G_13, takes an argsort and ``minimum.reduceat`` instead.  The sort is
 preferred because an argsort of 2^20 words took 51–62 ms against 12–14 ms
 for a sort; with it, and the codes written in pieces (``_write_codes``),
@@ -51,7 +52,8 @@ words are looked up with ``searchsorted`` in two sorted arrays: ``seen``,
 the words of the levels before, fixed within a level, and ``fresh``, the
 words this level has found so far.  Both end in ``_NO_WORD``, 2^64 − 1,
 which no packed word equals.  A unique word below the ``min_rank`` floor
-(a 256-entry table counts a byte's nonzero images) is never new.  The new
+(a 256-entry table counts a byte's nonzero images) is never new.  The
+lookups and the floor fill one mask ``_PIECE`` words at a time.  The new
 words are merged into ``fresh`` before the next block, so a later block of
 the same level sees them, and ``fresh`` is folded into ``seen`` once the
 level ends; a block's merge copies only the level's words, not every word.
@@ -67,13 +69,24 @@ the sorted ``member_codes`` in place.
 The engine runs in the calling thread.  A level's frontier is cut into runs
 of whole nodes, one block each, at the nodes where the running count of
 candidates passes a multiple of ``_BLOCK_ENTRIES``, and blocks are
-deduplicated in order.  A block builds its own candidate index (each
-candidate's node and child) and frees every temporary when it returns its
-new rows: a handful of vectors of four or eight bytes per candidate (the
-candidate index, the words and the arrays that dedupe them).  So the
-engine's memory is one block plus the tree it builds, its per-node int32
-arrays, the codes and the two word arrays, never a level's candidates.
-The tree's columns are joined one at a time at the end.
+deduplicated in order.  A block builds its own candidate index, each
+candidate's node and child (int32 each), and frees each temporary right
+after its last use: the child column once the products exist, since a new
+row's child is formed again from its node's first child; the mask of group
+heads once the heads' keys are moved; the lookup mask and the unique words
+before the last sort.  So a block holds its words (eight bytes per
+candidate), its node column (four) and the dedupe's arrays of its unique
+words, and the engine's memory is one block plus the tree it builds, its
+per-node int32 arrays, the codes and the two word arrays, never a level's
+candidates.  The tree's columns are joined one at a time at the end.
+close(G_11) peaked at 29.8 MB under tracemalloc, against 34.8 MB when a
+block kept its child column and copied its group heads out by an index
+array, and a cold ``closure --n 11`` process at 65.5 MB RSS against
+71.7 MB (2-core host, Python 3.11, numpy 2.4).  Peak RSS follows the allocator's heap
+layout more than the bytes freed, since a freed array stays resident until
+a later one fits in its place; so a step was kept only where the
+process's measured peak fell, and forming the products without whole
+node and child columns was not.
 
 Witnesses are kept as the BFS tree itself (Froidure & Pin, 1997): each node
 stores its parent node and last generator (int32 each), and a word is read
@@ -81,13 +94,17 @@ off by walking to the root.  ``witness_items`` walks a block of nodes at a
 time, grouped by word length, one vector gather per letter, and zips each
 group's per-letter label columns into words of exactly that length, each
 a ``Word``, a tuple subclass, made by ``tuple.__new__``; the blocks'
-iterators are chained, so no Python frame runs per word.
+iterators are chained, so no Python frame runs per word.  A block holds
+2^18 letters, a quarter of ``_BLOCK_ENTRIES``, since each letter is an
+object slot of a label column: streaming G_11 peaked at 7.9 MB under
+tracemalloc, against 17.4 MB with blocks of 2^20 letters, in the same time.
 ``ClosureResult.save`` writes that tree, with a sidecar
 holding a SHA-256 of the sorted codes.  ``load`` replays the tree over the
 generators in one walk of its levels, which rebuilds the codes
-``_PIECE`` nodes at a time, checks that every node's suffix is a node and
-counts the products the engine formed; it accepts the tree only if the
-rebuilt codes match that digest.
+``_PIECE`` nodes at a time, looks up and checks every node's suffix and
+counts the products the engine formed 2^16 nodes at a time, and frees each
+level's keys, suffixes and words once the next level has used them; it
+accepts the tree only if the rebuilt codes match that digest.
 """
 
 from __future__ import annotations
@@ -115,8 +132,8 @@ from .oracle import (
 )
 
 # the candidates of one block, plus at most one node's, since a block is a
-# run of whole frontier nodes (a replay block holds this many nodes); a
-# candidate's temporaries are a few 8-byte scalars
+# run of whole frontier nodes; a candidate's temporaries are a few 4- and
+# 8-byte scalars
 _BLOCK_ENTRIES = 1 << 20
 
 # the products one gather forms, and the codes one table sum writes; a
@@ -306,9 +323,10 @@ class ClosureResult:
         width = self.max_word_length
         names = np.array(self.labels, dtype=object)
         level_ends = np.cumsum(self.stats.level_sizes)
-        # a block of words holds as many letters as a candidate block holds
-        # candidates, each letter a Python object slot
-        step = max(1, _BLOCK_ENTRIES // max(width, 1))
+        # a block of words holds 2^18 letters, a quarter as many as a
+        # candidate block holds candidates: each letter is an object slot
+        # in a label column
+        step = max(1, (_BLOCK_ENTRIES >> 2) // max(width, 1))
         for start in range(0, len(self), step):
             k = self._code_order[start:start + step]
             codes = self.member_codes[start:start + step].tolist()
@@ -345,10 +363,13 @@ class ClosureResult:
         """Read a closure of ``gens`` saved as a tree file and its sidecar.
 
         One walk of the tree's levels, as the sidecar gives them, replays it
-        over ``gens``, checks that every node's suffix is a node, as in every
-        tree the engine builds, and counts ``stats.products``;
-        ``stats.seconds`` is 0.0.  Raises ValueError unless the checks hold
-        and the rebuilt codes match the sidecar's digest of the member codes.
+        over ``gens`` (``_replay_tree``), checks that every node's suffix is
+        a node, as in every tree the engine builds, and counts
+        ``stats.products``; ``stats.seconds`` is 0.0.  Beside the file's
+        payload, the BFS-order codes and their sorted copy, the walk holds
+        two levels' words, keys and suffixes at a time.  Raises ValueError
+        unless the checks hold and the rebuilt codes match the sidecar's
+        digest of the member codes.
         """
         meta = read_sidecar(
             tree_path, ("n", "count", "labels", "level_sizes", "codes_sha256"))
@@ -393,6 +414,13 @@ def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
     Any other node's suffix is the child of its parent's suffix by the
     node's own generator, a node of the level before; raises ValueError if
     it is not in the tree, which no tree of the engine lacks.
+
+    A level's nodes are sorted by their keys (local parent + 1, generator),
+    which end in a sentinel above every key, so a looked-up key past the
+    last one finds the sentinel and is refused.  The lookup, its check and
+    the product count run 2^16 nodes at a time, and the level before's
+    keys, suffixes and words are freed as soon as the level has used them,
+    so that no level-sized index or comparison array is made.
     """
     if any(size < 1 for size in level_sizes) or sum(level_sizes) != len(parents):
         raise ValueError(f"level sizes {level_sizes} do not cover the tree")
@@ -402,12 +430,12 @@ def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
     code_tables = _sum_tables(n)
     order = np.empty(len(parents), dtype=np.int64)
     products = 0
-    start, prev_start, prev = 0, 0, None
+    start = prev_start = 0
     for size in level_sizes:
         stop = start + size
         local = parents[start:stop]
         gen = genidx[start:stop]
-        if prev is None:
+        if not start:
             if np.any(local != -1):
                 raise ValueError("a first-level node has a parent")
             level = _pack(rows).take(gen)
@@ -416,23 +444,39 @@ def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
             found = local
         else:
             # checked on the int32 parents, so that no corrupt one wraps around
-            if np.any((local < prev_start) | (local >= start)):
+            if local.min() < prev_start or local.max() >= start:
                 raise ValueError("a node's parent is not in the level before")
             local = local - prev_start
-            want = np.multiply(suffix[local] + 1, len(rows), dtype=np.int64) + gen
-            found = keys.searchsorted(want).clip(max=len(keys) - 1)
-            if np.any(keys[found] != want):
-                raise ValueError("a node's suffix is not in the tree")
-            del want
-            found = found.astype(np.int32)
             # the children of the level before are this level's nodes
-            products += int(np.bincount(local, minlength=len(keys))[found].sum())
+            children = np.bincount(local, minlength=len(keys) - 1)
+            found = np.empty(size, dtype=np.int32)
+            # suffixes are looked up and checked 2^16 nodes at a time
+            piece = _PIECE << 3
+            for lo in range(0, size, piece):
+                hi = lo + piece
+                want = np.multiply(suffix.take(local[lo:hi]) + 1, len(rows),
+                                   dtype=np.int64)
+                want += gen[lo:hi]
+                # a want above every key finds the sentinel, which it is not
+                at = keys.searchsorted(want)
+                if np.any(keys.take(at) != want):
+                    raise ValueError("a node's suffix is not in the tree")
+                found[lo:hi] = at
+                products += int(children.take(at).sum())
+            # the level before is freed as soon as this one no longer needs
+            # it: its keys and suffixes here, its words once the products exist
+            del children, keys, suffix
             level = _times(table, gen_offsets, prev, local, gen)
+            del prev
         _write_codes(code_tables, level, order[start:stop])
         # suffixes, local to the level before, and the keys the level is
-        # sorted by, (local parent + 1, generator), which can pass int32
-        suffix, keys = found, np.multiply(local + 1, len(rows), dtype=np.int64) + gen
-        prev, prev_start, start = level, start, stop
+        # sorted by, (local parent + 1, generator), which can pass int32,
+        # ended by a sentinel above every key
+        keys = np.empty(size + 1, dtype=np.int64)
+        np.multiply(local + 1, len(rows), out=keys[:size], dtype=np.int64)
+        keys[:size] += gen
+        keys[size] = np.iinfo(np.int64).max
+        suffix, prev, prev_start, start = found, level, start, stop
     return order, products
 
 
@@ -544,33 +588,56 @@ def _first_new(words: np.ndarray, seen: np.ndarray, fresh: np.ndarray, n: int,
     by_sort = len(words) <= 1 << (64 - bits)
     unique, first = (_groups_by_sort(words, bits) if by_sort
                      else _groups_by_argsort(words))
-    new = ((seen[seen.searchsorted(unique)] != unique)
-           & (fresh[fresh.searchsorted(unique)] != unique))
-    if min_rank > 0:
-        new &= _byte_sums(_sum_tables(n, ranks=True), unique) >= min_rank
+    # one mask, filled ``_PIECE`` words at a time, so that the lookups'
+    # indices and comparisons stay piece-sized
+    new = np.empty(len(unique), dtype=bool)
+    ranks = _sum_tables(n, ranks=True) if min_rank > 0 else None
+    for lo in range(0, len(unique), _PIECE):
+        piece, out = unique[lo:lo + _PIECE], new[lo:lo + _PIECE]
+        np.not_equal(seen[seen.searchsorted(piece)], piece, out=out)
+        out &= fresh[fresh.searchsorted(piece)] != piece
+        if ranks is not None:
+            out &= _byte_sums(ranks, piece) >= min_rank
     unique, first = unique[new], first[new]
+    del new
     fresh = _merged(fresh, unique)
     if not by_sort:
+        del unique
         first.sort()
         return words[first], first, fresh
     # a (first, word) pair fits one u64, so one sort puts both in index order
     first <<= bits
     first |= unique
+    del unique
     first.sort()
     unique = first & np.uint64(2 ** bits - 1)
     first >>= bits
-    return unique, first, fresh
+    # signed, as the argsort's indices are: a u64 mixed with int32 makes floats
+    return unique, first.view(np.int64), fresh
 
 
 def _groups_by_sort(keys: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct words among at most 2^(64 − bits) words of ``bits``
     bits, ascending, and the least index of each, by one sort of the keys
     word << (64 − bits) | index, built in place: of equal words, the least
-    index sorts first."""
+    index sorts first.  The indices are a view of the front of ``keys``."""
     spare = 64 - bits
     _sort_indexed(keys, spare)
-    first = keys[_group_starts(keys, spare)]
-    return first >> spare, first & np.uint64(2 ** spare - 1)
+    heads = _group_heads(keys, spare)
+    # the heads' keys moved to the front of ``keys`` a piece at a time, which
+    # never overwrites a key not yet read: a whole-block boolean index is
+    # four times slower, and a whole-block ``compress`` makes an index array
+    at = 0
+    for lo in range(0, len(keys), _PIECE):
+        part = keys[lo:lo + _PIECE].compress(heads[lo:lo + _PIECE])
+        keys[at:at + len(part)] = part
+        at += len(part)
+    del heads
+    first = keys[:at]
+    # split in place: the words go to a new array, the indices stay
+    unique = first >> spare
+    first &= np.uint64(2 ** spare - 1)
+    return unique, first
 
 
 def _sort_indexed(keys: np.ndarray, shift: int) -> np.ndarray:
@@ -590,22 +657,23 @@ def _groups_by_argsort(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     argsort and ``minimum.reduceat``; ``words`` is kept."""
     perm = words.argsort()
     ordered = words[perm]
-    starts = _group_starts(ordered, 0)
+    starts = np.flatnonzero(_group_heads(ordered, 0))
     unique = ordered[starts]
     del ordered
     return unique, np.minimum.reduceat(perm, starts)
 
 
-def _group_starts(ordered: np.ndarray, shift: int) -> np.ndarray:
-    """Where the runs of equal values ``ordered >> shift`` start, compared
-    a piece at a time, so that no shifted copy of ``ordered`` is made."""
+def _group_heads(ordered: np.ndarray, shift: int) -> np.ndarray:
+    """A mask of where the runs of equal values ``ordered >> shift`` start,
+    compared a piece at a time, so that no shifted copy of ``ordered`` is
+    made."""
     head = np.empty(len(ordered), dtype=bool)
     head[0] = True
     for lo in range(1, len(ordered), _PIECE):
         hi = min(lo + _PIECE, len(ordered))
         np.not_equal(ordered[lo:hi] >> shift, ordered[lo - 1:hi - 1] >> shift,
                      out=head[lo:hi])
-    return head.nonzero()[0]
+    return head
 
 
 def _merged(words: np.ndarray, more: np.ndarray) -> np.ndarray:
@@ -647,12 +715,21 @@ def _run_rows(
     """
     x = np.repeat(np.arange(lo, lo + len(count), dtype=np.int32), count)
     # candidate p of the run multiplies x[p] by the generator of child[p],
-    # its owner's first child plus p's place among the owner's candidates
-    child = np.repeat(first_child - (count.cumsum(dtype=np.int32) - count), count)
+    # its owner's first child plus p's place among the owner's candidates:
+    # base[owner] + p, where base is the first child less the owner's
+    # first candidate
+    base = first_child - (count.cumsum(dtype=np.int32) - count)
+    child = np.repeat(base, count)
     child += np.arange(len(child), dtype=np.int32)
     words = _times(table, offsets, frontier, x, child)
+    # the new rows' children are formed again from their owners, so the
+    # block's own column dies before the dedupe's temporaries are made
+    del child
     words, first, fresh = _first_new(words, seen, fresh, n, min_rank)
-    return words, x[first], child[first], fresh
+    nodes = x[first]
+    children = base[nodes - lo]
+    children += first
+    return words, nodes, children, fresh
 
 
 def _close_rows(

@@ -39,7 +39,7 @@ from functools import cache
 
 import numpy as np
 
-from .closure import _pack
+from .closure import _PIECE, _pack
 from .fence import (
     PartialInjection,
     compose,
@@ -178,10 +178,16 @@ def _times(table: np.ndarray, blocks: np.ndarray, words: np.ndarray,
            steps: np.ndarray, half: int) -> np.ndarray:
     """Each packed word times its nonzero step's factor: one gather of the
     shares of its ``half`` = ⌈n/2⌉ low bytes, laid out byte by byte, and
-    their OR."""
-    index = blocks.take(steps) + _BYTE_OFFSETS[:half]
-    index += words.view(np.uint8).reshape(-1, 8)[:, :half].T
-    return np.bitwise_or.reduce(table.take(index), axis=0)
+    their OR.  The words are taken ``_PIECE`` at a time, as in the closure
+    engine, so the gather's intp index and its u64 shares stay piece-sized."""
+    out = np.empty(len(words), dtype=np.uint64)
+    data = words.view(np.uint8).reshape(-1, 8)
+    for lo in range(0, len(words), _PIECE):
+        hi = lo + _PIECE
+        index = blocks.take(steps[lo:hi]) + _BYTE_OFFSETS[:half]
+        index += data[lo:hi, :half].T
+        np.bitwise_or.reduce(table.take(index), axis=0, out=out[lo:hi])
+    return out
 
 
 def _reduce_words(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -455,19 +455,53 @@ def test_floored_closures_match_brute_force(n, r, grouping, monkeypatch):
     assert list(result.witness_items()) == expected
 
 
-def test_close_G11_peak_memory():
-    """No n-wide int64 copy of a candidate block: the product step gathers
-    through a narrow index and sums codes in buffered chunks.  No array
-    grows with a level's candidates, and a block's arrays die with it."""
-    gens = build_G(11)
+def traced_peak(call):
+    """The value of ``call()`` and the peak of memory traced while it ran."""
     tracemalloc.start()
     try:
-        result = close(gens)
+        value = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return value, peak
+
+
+@pytest.fixture(scope="module")
+def g11_closure():
+    return close(build_G(11))
+
+
+def test_close_G11_peak_memory():
+    """No n-wide int64 copy of a candidate block: the product step gathers
+    through a narrow index and sums codes in buffered chunks.  No array
+    grows with a level's candidates, and a block's arrays die with it, the
+    child column before the dedupe starts.  The peak was 29.8 MB on a
+    2-core host (Python 3.11, numpy 2.4), 34.8 MB while a block kept its
+    child column and copied its group heads out by an index array."""
+    result, peak = traced_peak(lambda: close(build_G(11)))
     assert len(result) == 586650
-    assert peak < 55_000_000, peak
+    assert peak < 33_000_000, peak
+
+
+def test_G11_witness_stream_peak_memory(g11_closure):
+    """The stream holds one block of 2^18 letters' words at a time, beside
+    the nodes in code order, which the first block sorts: 7.9 MB of peak
+    on the host above, 17.4 MB with blocks of 2^20 letters."""
+    count, peak = traced_peak(lambda: sum(1 for _ in g11_closure.witness_items()))
+    assert count == 586650
+    assert peak < 8_700_000, peak
+
+
+def test_G11_tree_load_peak_memory(tmp_path, g11_closure):
+    """A load holds the file's 4.7 MB payload, the BFS-order codes and their
+    sorted copy, and two levels' words, keys and suffixes; the replay looks
+    suffixes up 2^16 nodes at a time: 18.6 MB of peak on the host above,
+    19.2 MB with level-sized lookups."""
+    tree_path = tmp_path / "c.tree"
+    g11_closure.save(tree_path)
+    loaded, peak = traced_peak(lambda: ClosureResult.load(tree_path, build_G(11)))
+    assert loaded.stats.products == g11_closure.stats.products
+    assert peak < 20_500_000, peak
 
 
 @settings(max_examples=25, deadline=None)
@@ -604,10 +638,12 @@ def test_loaded_closure_counts_products(tmp_path, g9_closure):
 
 
 @pytest.mark.parametrize("n", [5, 7])
-def test_tree_product_count_matches_engine_at_every_floor(n, u7):
+def test_tree_product_count_matches_engine_at_every_floor(n, u7, monkeypatch):
     """The replay rebuilds the engine's codes and counts its products, at
     every floor and, at n = 7, over J_7 and FI_7 ∖ R_1, whose tree names
-    generator indices that no 8-bit dtype holds."""
+    generator indices that no 8-bit dtype holds.  It does so with the
+    default ``_PIECE`` and with 64, which looks suffixes up 512 nodes at a
+    time, so the levels of G_7 and the wide trees span several pieces."""
     gens = build_G(n)
     cases = [(r, gens, close(gens, min_rank=r)) for r in range(n + 2)]
     if n == 7:
@@ -617,12 +653,14 @@ def test_tree_product_count_matches_engine_at_every_floor(n, u7):
             (label, decode(7, int(label))) for label in wide.labels))
         cases += [("J_7", build_J(7, u7), close(build_J(7, u7))),
                   ("FI_7 - R_1", wide_gens, wide)]
-    for case, gens, result in cases:
+    for (case, gens, result), piece in itertools.product(
+            cases, (closure_module._PIECE, 64)):
+        monkeypatch.setattr(closure_module, "_PIECE", piece)
         rows = closure_module._sorted_rows(gens)[1]
         codes, products = closure_module._replay_tree(
             n, rows, result._parents, result._genidx, result.stats.level_sizes)
-        assert codes.tobytes() == result._order_codes.tobytes(), case
-        assert products == result.stats.products, case
+        assert codes.tobytes() == result._order_codes.tobytes(), (case, piece)
+        assert products == result.stats.products, (case, piece)
 
 
 def test_tree_product_count_refuses_a_missing_suffix(g5_closure):
@@ -641,6 +679,49 @@ def test_tree_product_count_refuses_a_missing_suffix(g5_closure):
             assert "suffix" in str(error)
             refused += 1
     assert 0 < refused < len(g5_closure.labels)
+
+
+def test_tree_replay_refuses_a_missing_suffix_in_a_later_piece(g7_closure, monkeypatch):
+    """With ``_PIECE`` at 64, suffixes are looked up 512 nodes at a time, so
+    a node 700 places into the 803-node fourth level of G_7 lies in the
+    level's second piece; a suffix planted missing there is refused too.
+    The tree is cut after that level, so no later level's lookup can be
+    the one that refuses it."""
+    monkeypatch.setattr(closure_module, "_PIECE", 64)
+    sizes = g7_closure.stats.level_sizes[:4]
+    assert sizes[3] == 803
+    parents = g7_closure._parents[:sum(sizes)]
+    genidx = g7_closure._genidx[:sum(sizes)].copy()
+    rows = closure_module._sorted_rows(build_G(7))[1]
+    closure_module._replay_tree(7, rows, parents, genidx, sizes)
+    node = sum(sizes[:3]) + 700
+    refused = 0
+    for k in range(len(g7_closure.labels)):
+        genidx[node] = k
+        try:
+            closure_module._replay_tree(7, rows, parents, genidx, sizes)
+        except ValueError as error:
+            assert "suffix" in str(error)
+            refused += 1
+    assert 0 < refused < len(g7_closure.labels)
+
+
+def test_tree_replay_refuses_a_suffix_past_the_last_key():
+    """A looked-up suffix key above every key of the level before finds the
+    sentinel that ends them and is refused, rather than read past the end.
+
+    Over generators a, b, c (indices 0, 1, 2), the tree a, b, c | a·a, b·b |
+    b·b·k has level-2 keys (local parent + 1) · 3 + generator = 3 and 7.
+    The suffix of b·b·k is b·k, whose key (1 + 1) · 3 + k is 7 for k = b,
+    the node b·b, and 8 for k = c, above both."""
+    rows = np.array([[1, 2, 3], [2, 1, 3], [0, 1, 2]], dtype=np.uint8)
+    parents = np.array([-1, -1, -1, 0, 1, 4], dtype=np.int32)
+    sizes = (3, 2, 1)
+    genidx = np.array([0, 1, 2, 0, 1, 1], dtype=np.int32)
+    closure_module._replay_tree(3, rows, parents, genidx, sizes)
+    genidx[-1] = 2
+    with pytest.raises(ValueError, match="a node's suffix is not in the tree"):
+        closure_module._replay_tree(3, rows, parents, genidx, sizes)
 
 
 def test_tree_replay_refuses_a_parent_outside_the_level_before(g5_closure):

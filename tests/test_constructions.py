@@ -190,6 +190,18 @@ def test_kernel_matches_the_peel_loop_on_the_n9_sample(par9_sample):
     check_kernel(par9_sample)
 
 
+def test_kernel_in_small_pieces(u7, monkeypatch):
+    """The β gathers take ``_PIECE`` words at a time; with 64, the 1,292
+    rows of Par_7 span 21 pieces, the last one short, and the cores, steps
+    and recomposition are unchanged."""
+    rows = par_rows(u7)
+    expected = _reduce_rows(rows)
+    monkeypatch.setattr(constructions, "_PIECE", 64)
+    found = _reduce_rows(rows)
+    assert all(np.array_equal(a, b) for a, b in zip(found, expected))
+    check_kernel(rows)
+
+
 @pytest.fixture(scope="module")
 def par11_sample():
     """2,000 seeded parity-changers of FI_11, from the census codes."""
