@@ -16,6 +16,14 @@ layer for Lemma 6 and Prop 7 on the classes R_i.  That floor is exact
 because rank(fg) ≤ min(rank f, rank g): a product that lands in R_i has
 every factor at rank ≥ n−1, so only the top layer needs closing.
 
+Three claims run as array kernels over the census's uint8 image rows, with
+no element decoded: ``lemma-bf4`` reads each rank-≥(n−2) row's
+parity-changing points off one mask, ``convex-extend-sweep`` extends every
+convex-domain row of rank ≤ n−3 at once (``constructions._extend_rows``)
+and checks each extension against the census, and ``generates-Jn`` hands
+the rank-≥(n−2) rows to the engine's row entry in the label order that
+``close(build_J(n, universe))`` uses, so it builds the same tree.
+
 Evidence grades distinguish how a value is certified: arithmetic from the
 stated closed form (PAPER-FORMULA), direct exhaustive or closure computation
 performed here (MACHINE-VERIFIED), or reliance on the underlying theorem
@@ -29,7 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -40,7 +48,6 @@ from .fence import (
     _check_int,
     check_fence_size,
     code_powers,
-    decode,
     encode,
 )
 from .generators import (
@@ -49,11 +56,12 @@ from .generators import (
     beta_even,
     beta_odd,
     build_G,
-    build_J,
     gamma,
-    parity_points,
 )
 from .oracle import ElementUniverse, enumerate_FI
+
+if TYPE_CHECKING:
+    from .closure import ClosureResult
 
 GRADE_FORMULA = "PAPER-FORMULA"
 GRADE_MACHINE = "MACHINE-VERIFIED"
@@ -322,21 +330,25 @@ class Bf4Check:
 
 def verify_lemma_bf4(n: int, universe: ElementUniverse) -> Bf4Check:
     """Every δ ∈ J_n ∩ Par_n has exactly one parity-changing point x,
-    located at the boundary: x ∈ {1, n} or xδ ∈ {1, n}."""
+    located at the boundary: x ∈ {1, n} or xδ ∈ {1, n}.
+
+    One pass over the image rows of rank ≥ n−2: ``_parity_mask`` marks
+    each row's parity-changing points, a row with any is checked, and it
+    holds iff it has one and that first point or its image is 1 or n.
+    The failures are the codes of the rows that do not hold, ascending."""
+    from .constructions import _parity_mask
+
     _check_universe(n, universe)
-    checked = 0
-    failures = []
-    for code in universe.codes[universe.ranks >= n - 2].tolist():
-        f = decode(n, code)
-        pts = parity_points(f)
-        if not pts:
-            continue
-        checked += 1
-        ok = len(pts) == 1 and (
-            pts[0] in (1, n) or f.images[pts[0] - 1] in (1, n))
-        if not ok:
-            failures.append(code)
-    return Bf4Check(n, checked, tuple(failures))
+    top = np.flatnonzero(universe.ranks >= n - 2)
+    rows = universe.images_matrix[top]
+    mask = _parity_mask(rows)
+    counts = np.count_nonzero(mask, axis=1)
+    first = mask.argmax(axis=1)  # x − 1 for the first changing point x
+    image = rows[np.arange(len(rows)), first]
+    boundary = (first == 0) | (first == n - 1) | (image == 1) | (image == n)
+    bad = (counts > 1) | (counts == 1) & ~boundary
+    return Bf4Check(n, int(np.count_nonzero(counts)),
+                    tuple(universe.codes[top[bad]].tolist()))
 
 
 def minimal_rank_exhaustive(universe: ElementUniverse) -> int:
@@ -544,17 +556,30 @@ def _run_generates_g(n: int, ctx: VerifyContext) -> tuple[str, str]:
     return STATUS_PASS, f"closure of G_{n} equals all {len(check.closure)} elements"
 
 
+def _close_J(universe: ElementUniverse) -> ClosureResult:
+    """The engine closure of J_n, the census rows of rank ≥ n−2, each
+    labeled by its code in decimal and taken in label order: the labels and
+    rows ``close(build_J(n, universe))`` gets, so the tree is the same.  No
+    row is decoded or validated, since each is a census member."""
+    from .closure import _close_rows
+
+    n = universe.n
+    codes = sorted(universe.codes[universe.ranks >= n - 2].tolist(), key=str)
+    rows = universe.images_matrix[universe.codes.searchsorted(codes)]
+    return _close_rows(n, tuple(map(str, codes)), rows, 0)
+
+
 def _run_generates_j(n: int, ctx: VerifyContext) -> tuple[str, str]:
-    from .closure import verify_generates
+    from .closure import _generation_check
 
     universe = ctx.universe(n)
-    gens = build_J(n, universe)
-    check = verify_generates(gens, universe)
+    result = _close_J(universe)
+    check = _generation_check(result, universe)
     if not check.generates:
         return STATUS_FAIL, (
             f"missing {len(check.missing)}, extra {len(check.extra)} codes")
     return STATUS_PASS, (
-        f"closure of the {len(gens)} rank-≥{n - 2} elements equals FI_{n}")
+        f"closure of the {len(result.labels)} rank-≥{n - 2} elements equals FI_{n}")
 
 
 def _run_lemma6(n: int, ctx: VerifyContext) -> tuple[str, str]:
@@ -639,18 +664,31 @@ def _convex_domain_mask(images: np.ndarray) -> np.ndarray:
 
 
 def _run_convex_sweep(n: int, ctx: VerifyContext) -> tuple[str, str]:
-    from .constructions import convex_extend
+    """Every convex-domain row δ of rank ≤ n−3, extended by ``_extend_rows``
+    to δ ∪ {w↦x}, must give a census member (so a partial automorphism) of
+    rank rank(δ) + 1 that is δ again once w is cleared, i.e.
+    id_{n̄∖{w}} · (δ ∪ {w↦x}) = δ."""
+    from .constructions import _extend_rows
 
     universe = ctx.universe(n)
-    picked = (universe.ranks <= n - 3) & _convex_domain_mask(universe.images_matrix)
-    count = 0
-    for code in universe.codes[picked].tolist():
-        f = decode(n, code)
-        ext = convex_extend(f)
-        if ext.recompose() != f or ext.extended.rank != f.rank + 1:
-            return STATUS_FAIL, f"extension invalid for code {code}"
-        count += 1
-    return STATUS_PASS, f"all {count} convex-domain elements of rank ≤ {n - 3} extend"
+    mat = universe.images_matrix
+    picked = np.flatnonzero((universe.ranks <= n - 3) & _convex_domain_mask(mat))
+    rows = mat[picked]
+    w, x = _extend_rows(rows)
+    at = np.arange(len(rows)), w - 1
+    extended = rows.copy()
+    extended[at] = x
+    codes = extended @ np.array(code_powers(n), dtype=np.int64)
+    found = universe.codes.searchsorted(codes).clip(max=len(universe) - 1)
+    bad = universe.codes[found] != codes
+    bad |= np.count_nonzero(extended, axis=1) != universe.ranks[picked] + 1
+    extended[at] = 0
+    bad |= (extended != rows).any(axis=1)
+    if bad.any():
+        return STATUS_FAIL, (
+            f"extension invalid for code {universe.codes[picked[bad.argmax()]]}")
+    return STATUS_PASS, (
+        f"all {len(picked)} convex-domain elements of rank ≤ {n - 3} extend")
 
 
 _REGISTRY: tuple[ClaimSpec, ...] = (

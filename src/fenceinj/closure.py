@@ -881,13 +881,18 @@ def verify_generates(gens: GeneratorSet, universe: ElementUniverse) -> Generatio
     """Does ⟨gens⟩ equal the universe?  Reports code-level differences."""
     if gens.n != universe.n:
         raise ValueError(f"size mismatch: gens n={gens.n}, universe n={universe.n}")
-    result = close(gens)
+    return _generation_check(close(gens), universe)
+
+
+def _generation_check(result: ClosureResult,
+                      universe: ElementUniverse) -> GenerationCheck:
+    """A closure's members compared with a universe of the same n."""
     codes = universe.codes
     if np.array_equal(codes, result.member_codes):  # both sorted
-        return GenerationCheck(gens.n, True, (), (), result)
+        return GenerationCheck(result.n, True, (), (), result)
     missing = tuple(np.setdiff1d(codes, result.member_codes, assume_unique=True).tolist())
     extra = tuple(np.setdiff1d(result.member_codes, codes, assume_unique=True).tolist())
-    return GenerationCheck(gens.n, not missing and not extra, missing, extra, result)
+    return GenerationCheck(result.n, not missing and not extra, missing, extra, result)
 
 
 def generator_cache_key(gens: GeneratorSet) -> str:

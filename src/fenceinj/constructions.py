@@ -29,7 +29,12 @@ Convex extension grows a convex-domain element of rank ≤ n−3 by one point:
 pick w with w−1, w, w+1 all outside dom δ and x likewise outside im δ (both
 exist because the complement of an interval of length ≤ n−3 inside {0..n+1}
 contains a run of three points centred in {1..n}); then δ ∪ {w↦x} is again
-a partial automorphism and id_{n̄∖{w}} · (δ ∪ {w↦x}) = δ.
+a partial automorphism and id_{n̄∖{w}} · (δ ∪ {w↦x}) = δ.  The smallest
+such w and x of every row of an image matrix are picked at once
+(``_extend_rows``: the first centre of three unused points, one mask of
+the domain and one of the image, widened by 0 and n+1); ``convex_extend``
+runs that rule on δ's one row, so the registry's sweep and the single
+extension share it.
 """
 
 from __future__ import annotations
@@ -337,12 +342,37 @@ class ConvexExtension:
         return compose(self.dropper, self.extended)
 
 
+def _first_free(used: np.ndarray) -> np.ndarray:
+    """Per row of ``used`` (m × (n+2), column p for point p = 0, …, n+1),
+    the smallest p ∈ 1..n with p−1, p and p+1 all unused, or 1 if none is."""
+    free = ~(used[:, :-2] | used[:, 1:-1] | used[:, 2:])
+    return free.argmax(axis=1) + 1
+
+
+def _extend_rows(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The convex extension's new point of every row of an m × n uint8
+    image matrix: the smallest w with w−1, w, w+1 outside the domain and
+    the smallest x with x−1, x, x+1 outside the image, as two int arrays.
+
+    Both exist for a convex-domain row of rank ≤ n−3 (see the module
+    docstring).  On any other row a missing w or x reads 1, which the
+    callers' checks of the extension refuse.
+    """
+    m, n = images.shape
+    in_domain = np.zeros((m, n + 2), dtype=bool)
+    in_domain[:, 1:-1] = images != 0
+    in_image = np.zeros((m, n + 2), dtype=bool)
+    in_image[np.arange(m)[:, None], images] = True
+    in_image[:, 0] = False  # 0 marks an undefined point, not an image
+    return _first_free(in_domain), _first_free(in_image)
+
+
 def convex_extend(delta: PartialInjection) -> ConvexExtension:
     """Extend a convex-domain element of rank ≤ n−3 by one isolated point.
 
-    Chooses the smallest legal w, then the smallest legal x; determinism
-    matters for reproducible witnesses, existence is guaranteed by the rank
-    bound.
+    Chooses the smallest legal w, then the smallest legal x, by the batch
+    rule ``_extend_rows`` on δ's one image row; determinism matters for
+    reproducible witnesses, existence is guaranteed by the rank bound.
     """
     n = delta.n
     dom = delta.domain
@@ -351,12 +381,8 @@ def convex_extend(delta: PartialInjection) -> ConvexExtension:
     if delta.rank > n - 3:
         raise ValueError(
             f"rank {delta.rank} exceeds n-3 = {n - 3}; no room to extend")
-    dom_set = set(dom)
-    im_set = set(delta.image_set)
-    w = next(w for w in range(1, n + 1)
-             if not {w - 1, w, w + 1} & dom_set)
-    x = next(x for x in range(1, n + 1)
-             if not {x - 1, x, x + 1} & im_set)
+    (w,), (x,) = _extend_rows(np.array([delta.images], dtype=np.uint8))
+    w, x = int(w), int(x)
     images = list(delta.images)
     images[w - 1] = x
     extended = PartialInjection(n, tuple(images))

@@ -14,14 +14,18 @@ from fenceinj import (
     PartialInjection,
     VerifyContext,
     build_G,
+    build_J,
     claim_registry,
     close,
     close_excluding,
     compose,
+    convex_extend,
     decode,
     encode,
     gamma,
+    is_convex,
     minimal_rank_exhaustive,
+    parity_points,
     parse_map,
     r_class,
     rank_formula,
@@ -34,6 +38,8 @@ from fenceinj import (
 from fenceinj import analysis
 from fenceinj import closure as closure_module
 from fenceinj import constructions
+from fenceinj import fence as fence_module
+from fenceinj import generators as generators_module
 from fenceinj.analysis import (
     GRADE_FORMULA,
     GRADE_MACHINE,
@@ -147,6 +153,41 @@ def test_bf4_reports_planted_violations(u5):
     assert check.checked == 18
     assert check.failures == tuple(planted)
     assert not check.holds
+
+
+def _bf4_by_parity_points(n, universe):
+    """The unique-boundary-point law, one decoded element at a time."""
+    checked, failures = 0, []
+    for code in universe.codes[universe.ranks >= n - 2].tolist():
+        f = decode(n, code)
+        pts = parity_points(f)
+        if not pts:
+            continue
+        checked += 1
+        if not (len(pts) == 1 and (pts[0] in (1, n) or f.images[pts[0] - 1] in (1, n))):
+            failures.append(code)
+    return checked, tuple(failures)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_bf4_kernel_matches_a_parity_points_loop(n, request):
+    """On the rank-≥(n−2) rows of FI_n, and on those rows with 300 seeded
+    partial injections of rank ≥ n−2 added, which break the law in every
+    way: several changing points, or one away from the boundary."""
+    universe = request.getfixturevalue(f"u{n}")
+    rng = np.random.default_rng(n)
+    extra = set()
+    for _ in range(300):
+        images = [0] * n
+        dom = rng.choice(n, size=rng.integers(n - 2, n + 1), replace=False)
+        for x, y in zip(dom.tolist(), rng.permutation(n)[:len(dom)].tolist()):
+            images[x] = y + 1
+        extra.add(encode(PartialInjection(n, tuple(images))))
+    planted = ElementUniverse(n, np.union1d(universe.codes, sorted(extra)))
+    for u in (universe, planted):
+        check = verify_lemma_bf4(n, u)
+        assert (check.checked, check.failures) == _bf4_by_parity_points(n, u)
+    assert check.failures
 
 
 def test_prop7_vacuous_below_nine(u5, u7):
@@ -485,6 +526,77 @@ def test_parity_sweep_reports_the_first_bad_code(monkeypatch):
     first = encode(PartialInjection(5, tuple(images[10].tolist())))
     assert sweep.status == "fail"
     assert sweep.evidence == f"decomposition invalid for code {first}"
+
+
+def _convex_inputs(universe):
+    n = universe.n
+    return [f for f in universe.members() if f.rank <= n - 3 and is_convex(f.domain)]
+
+
+@pytest.mark.parametrize("pick", [0, 60, 127])
+def test_convex_sweep_names_the_input_of_a_missing_extension(u7, pick):
+    """FI_7 without the extension of one input: the sweep fails and names
+    the least input whose extension is gone."""
+    inputs = _convex_inputs(u7)
+    extensions = [encode(convex_extend(f).extended) for f in inputs]
+    removed = extensions[pick]
+    named = min(encode(f) for f, e in zip(inputs, extensions) if e == removed)
+    ctx = VerifyContext()
+    ctx._universes[7] = ElementUniverse(7, u7.codes[u7.codes != removed])
+    report = run_verification(7, ctx, ("convex-extend-sweep",))
+    sweep = {c.claim_id: c for c in report.checks}["convex-extend-sweep"]
+    assert sweep.status == "fail"
+    assert sweep.evidence == f"extension invalid for code {named}"
+
+
+def test_convex_sweep_refuses_a_point_already_in_the_domain(monkeypatch):
+    """A w moved onto a defined point keeps the rank and changes δ: the
+    sweep names the earliest row so moved."""
+    extend_rows = constructions._extend_rows
+    seen = []
+
+    def wrong(images):
+        w, x = extend_rows(images)
+        for k in (30, 20):
+            w[k] = np.flatnonzero(images[k])[0] + 1
+        seen.append(images)
+        return w, x
+
+    monkeypatch.setattr(constructions, "_extend_rows", wrong)
+    report = run_verification(5, VerifyContext(), ("convex-extend-sweep",))
+    sweep = {c.claim_id: c for c in report.checks}["convex-extend-sweep"]
+    (images,) = seen
+    first = encode(PartialInjection(5, tuple(images[20].tolist())))
+    assert sweep.status == "fail"
+    assert sweep.evidence == f"extension invalid for code {first}"
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_j_row_closure_builds_the_tree_of_close_build_j(n, request):
+    universe = request.getfixturevalue(f"u{n}")
+    rows = analysis._close_J(universe)
+    reference = close(build_J(n, universe))
+    assert rows.labels == reference.labels
+    for name in ("_order_codes", "_parents", "_genidx", "member_codes"):
+        assert np.array_equal(getattr(rows, name), getattr(reference, name)), name
+    assert rows.stats.level_sizes == reference.stats.level_sizes
+    assert rows.stats.products == reference.stats.products
+
+
+def test_census_row_claims_decode_no_element(monkeypatch):
+    """lemma-bf4, convex-extend-sweep and generates-Jn read the census
+    rows: no element is decoded, extended one at a time or closed through
+    ``close``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-element path was called")
+
+    for module, name in [(fence_module, "decode"), (generators_module, "decode"),
+                         (constructions, "convex_extend"), (closure_module, "close")]:
+        monkeypatch.setattr(module, name, refuse)
+    claims = ("generates-Jn", "lemma-bf4", "convex-extend-sweep")
+    report = run_verification(7, VerifyContext(), claims)
+    ran = [c for c in report.checks if c.claim_id in claims]
+    assert all(c.status == "pass" for c in ran), ran
 
 
 def test_report_serialization():

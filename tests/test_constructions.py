@@ -31,6 +31,7 @@ from fenceinj.closure import _pack
 from fenceinj.constructions import (
     _beta_rows,
     _changing,
+    _extend_rows,
     _parity_mask,
     _recompose_rows,
     _reduce_rows,
@@ -355,6 +356,21 @@ def test_convex_extend_sweep_n7(u7):
         assert ext.extended.rank == f.rank + 1
         swept += 1
     assert swept == 128
+
+
+@pytest.mark.parametrize("n,count", [(3, 1), (5, 42), (7, 128), (9, 274)])
+def test_extend_rows_picks_the_least_legal_points(n, count, request):
+    """On every convex-domain element of rank ≤ n−3: w is the least point
+    with w−1, w, w+1 outside the domain, x the least with x−1, x, x+1
+    outside the image."""
+    universe = request.getfixturevalue(f"u{n}")
+    inputs = [f for f in universe.members() if f.rank <= n - 3 and is_convex(f.domain)]
+    assert len(inputs) == count
+    w, x = _extend_rows(np.array([f.images for f in inputs], dtype=np.uint8))
+    for f, picked in zip(inputs, zip(w.tolist(), x.tolist())):
+        least = tuple(min(p for p in range(1, n + 1) if not {p - 1, p, p + 1} & used)
+                      for used in (set(f.domain), set(f.image_set)))
+        assert picked == least, f
 
 
 @pytest.mark.parametrize("n", [5, 7])
