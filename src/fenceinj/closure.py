@@ -27,66 +27,84 @@ and with it every witness, is the one the full sweep picks.
 The hot path is table-driven.  An element (n ≤ 15) is held as one packed
 word, a little-endian u64 with the image of point k, 0 for undefined, in
 nibble k−1; the top nibble is always 0.  A word rises with its base-(n+1)
-code, since both read the images from point n down.  A flat ``uint8``
-table maps byte b of a word, two images, through generator k, 0 sticky, at
-offset k·256 + b.  One product kernel, ``_times``, serves both the closure
-and the replay of a saved tree: it gathers the candidates' frontier words,
-adds each one's generator offset to its eight bytes, and gathers the
-product's bytes from the table.  The offsets take the narrowest unsigned
-dtype that holds the table's last index, and the gather runs in pieces of
-``_PIECE`` products, so its index and the intp copy that ``take`` makes
-stay small.  Each candidate block is deduped on its words by array
-operations alone: the least index of each group of equal words is its
-first occurrence, which keeps the lexicographic tie-break.  A word fills
-4n bits, so a block of at most 2^(64 − 4n) candidates, every block of G_n
-for n ≤ 11, sorts the keys word << (64 − 4n) | index in place, and each
-group's first key holds its first index; those keys are moved to the front
-of the block's own array, and one sort of (index << 4n) | word puts the
-new words back in index order.  A longer block, such as those of
-G_13, takes an argsort and ``minimum.reduceat`` instead.  The sort is
-preferred because an argsort of 2^20 words took 51–62 ms against 12–14 ms
-for a sort; with it, and the codes written in pieces (``_write_codes``),
-close(G_11) fell from 0.26–0.27 to 0.19 s, the fastest of 12 runs in each
-of three processes (2-core host, Python 3.11, numpy 2.4).  The unique
-words are looked up with ``searchsorted`` in two sorted arrays: ``seen``,
-the words of the levels before, fixed within a level, and ``fresh``, the
-words this level has found so far.  Both end in ``_NO_WORD``, 2^64 − 1,
-which no packed word equals.  A unique word below the ``min_rank`` floor
-(a 256-entry table counts a byte's nonzero images) is never new.  The
-lookups and the floor fill one mask ``_PIECE`` words at a time.  The new
-words are merged into ``fresh`` before the next block, so a later block of
-the same level sees them, and ``fresh`` is folded into ``seen`` once the
-level ends; a block's merge copies only the level's words, not every word.
-Merging each block straight into ``seen`` copies every word per block:
-when these arrays held the codes, also 8 bytes each, a cold closure of
-G_13 then peaked at 616 MB RSS against 588 MB, in the same time, on the
-same host.
+code, since both read the images from point n down.  A flat ``uint8`` table
+maps byte b of a word, two images, through generator k, 0 sticky, at offset
+k·256 + b.  One product kernel, ``_times``, serves both the closure and the
+replay of a saved tree: over an array of the candidates' frontier words, it
+adds each one's generator offset to its eight bytes and gathers the
+product's bytes from the table, in place.  The offsets take the narrowest
+unsigned dtype that holds the table's last index, and the gather runs in
+pieces of ``_PIECE`` products, so its index and the intp copy that ``take``
+makes stay small.  Each candidate block is deduped on its words by array
+operations alone: the least index of each group of equal words is its first
+occurrence, which keeps the lexicographic tie-break.  A word fills 4n bits,
+so a block of at most 2^(64 − 4n) candidates, every block of G_n for n ≤
+11, sorts the keys word << (64 − 4n) | index in place, and each group's
+first key holds its first index; those keys are moved to the front of the
+block's own array and split there, the indices out to an array of their own
+and the words shifted down.  The new words and their indices are moved to
+the fronts of the two, a piece at a time, and one sort of (index << 4n) |
+word, packed back into the block's array, puts them in index order.  A
+longer block, such as those of G_13, takes an argsort and
+``minimum.reduceat`` instead.  The sort is preferred because an argsort of
+2^20 words took 51–62 ms against 12–14 ms for a sort; with it, and the
+codes written in pieces (``_write_codes``), close(G_11) fell from 0.26–0.27
+to 0.19 s, the fastest of 12 runs in each of three processes (2-core host,
+Python 3.11, numpy 2.4).  The unique words are looked up with
+``searchsorted`` in two sorted arrays: ``seen``, the words of the levels
+before, fixed within a level, and ``fresh``, the words this level has found
+so far.  Both end in ``_NO_WORD``, 2^64 − 1, which no packed word equals.
+A unique word below the ``min_rank`` floor (a 256-entry table counts a
+byte's nonzero images) is never new.  The lookups and the floor fill a mask
+``_PIECE`` words at a time.  The new words are merged into ``fresh`` before
+the next block, so a later block of the same level sees them, and ``fresh``
+is folded into ``seen`` once the level ends; a block's merge copies only
+the level's words, not every word.  Merging each block straight into
+``seen`` copies every word per block: when these arrays held the codes,
+also 8 bytes each, a cold closure of G_13 then peaked at 616 MB RSS against
+588 MB, in the same time, on the same host.  The fold grows ``seen`` in its
+own memory by a realloc, which the allocator often does in place, and
+merges the two sorted runs there, so no second copy of every word is made.
 A new node's product is its frontier word, and its code is formed once,
-one table gather per byte (``_byte_sums``).  At the end ``seen`` becomes
-the sorted ``member_codes`` in place.
-``stats.products`` counts the candidates formed.
+over that word, one table gather per byte (``_byte_sums``), when the next
+level has formed its products.  At the end ``seen`` becomes the sorted
+``member_codes`` in place.  ``stats.products`` counts the candidates
+formed.
 
 The engine runs in the calling thread.  A level's frontier is cut into runs
 of whole nodes, one block each, at the nodes where the running count of
 candidates passes a multiple of ``_BLOCK_ENTRIES``, and blocks are
-deduplicated in order.  A block builds its own candidate index, each
-candidate's node and child (int32 each), and frees each temporary right
-after its last use: the child column once the products exist, since a new
-row's child is formed again from its node's first child; the mask of group
-heads once the heads' keys are moved; the lookup mask and the unique words
-before the last sort.  So a block holds its words (eight bytes per
-candidate), its node column (four) and the dedupe's arrays of its unique
-words, and the engine's memory is one block plus the tree it builds, its
-per-node int32 arrays, the codes and the two word arrays, never a level's
-candidates.  The tree's columns are joined one at a time at the end.
-close(G_11) peaked at 29.8 MB under tracemalloc, against 34.8 MB when a
-block kept its child column and copied its group heads out by an index
-array, and a cold ``closure --n 11`` process at 65.5 MB RSS against
-71.7 MB (2-core host, Python 3.11, numpy 2.4).  Peak RSS follows the allocator's heap
-layout more than the bytes freed, since a freed array stays resident until
-a later one fits in its place; so a step was kept only where the
-process's measured peak fell, and forming the products without whole
-node and child columns was not.
+deduplicated in order.  A block's candidates are its run's frontier words,
+each repeated by its node's candidate count, and ``_times`` forms the
+products over them in place, so no candidate carries its node: a new row's
+node is found by a search of its first index in the run's cumulative
+counts.  The block's one other column, each candidate's child (int32), dies
+once the products exist, since a new row's child is formed again from its
+node's first child.  The dedupe then works in the block's own memory beside
+one array as long as the block's unique words, with no mask or boolean
+index longer than a piece beyond the one of group heads, and the block dies
+before the new rows' nodes are looked up.  So a block holds its words
+(eight bytes per candidate), its child column (four) only while it forms
+its products, and the mask of group heads (one), and the engine's memory
+is one block plus the tree it builds and the two word arrays, never a
+level's candidates.  Per node the tree holds two int32 columns, a generator
+index in the narrowest unsigned dtype that holds the generators' count
+(one byte for every G_n, widened to int32 once, at the end) and its code,
+which takes the place of its word when the node leaves the frontier; a
+level's child counts die once the next level's candidate counts exist.  The
+tree's columns are joined one at a time at the end.  close(G_11) peaked at
+22.1 MB under tracemalloc, against 29.8 MB with a node column per
+candidate, whole-block selections in the dedupe, int32 generator indices
+and a block's codes formed beside its words (2-core host, Python 3.11,
+numpy 2.4).  Peak RSS follows the allocator's heap layout more than the
+bytes freed, since a freed array stays resident until a later one fits in
+its place, and that layout shifts with the interpreter's own early
+allocations; so a step was kept only where the process's measured peak
+fell under 20 environments of different sizes.  A cold ``closure --n 11``
+process peaked at 59.7–61.4 MB RSS under them, against 65.5–68.4 MB
+before these cuts; with the codes still formed block by block beside the
+words it peaked at either 60.5 or 68.8 MB, by environment, and with a copy
+of ``seen`` made at each level's end, at up to 63.4 MB.
 
 Witnesses are kept as the BFS tree itself (Froidure & Pin, 1997): each node
 stores its parent node and last generator (int32 each), and a word is read
@@ -464,10 +482,14 @@ def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,
                 found[lo:hi] = at
                 products += int(children.take(at).sum())
             # the level before is freed as soon as this one no longer needs
-            # it: its keys and suffixes here, its words once the products exist
+            # it: its keys and suffixes here, its words once they are
+            # gathered, a piece at a time, for the products to be formed over
             del children, keys, suffix
-            level = _times(table, gen_offsets, prev, local, gen)
+            level = np.empty(size, dtype="<u8")
+            for lo in range(0, size, _PIECE):
+                level[lo:lo + _PIECE] = prev.take(local[lo:lo + _PIECE])
             del prev
+            _times(table, gen_offsets, level, gen)
         _write_codes(code_tables, level, order[start:stop])
         # suffixes, local to the level before, and the keys the level is
         # sorted by, (local parent + 1, generator), which can pass int32,
@@ -508,20 +530,19 @@ def _pack(rows: np.ndarray) -> np.ndarray:
     return pairs.astype(np.uint8).view("<u8").ravel()
 
 
-def _times(table: np.ndarray, offsets: np.ndarray, frontier: np.ndarray,
-           nodes: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """Packed products frontier[nodes[j]] · the generator at offset
-    ``offsets[gens[j]]`` into ``table`` (see ``_byte_table``).
+def _times(table: np.ndarray, offsets: np.ndarray, words: np.ndarray,
+           gens: np.ndarray) -> np.ndarray:
+    """The packed products words[j] · the generator at offset
+    ``offsets[gens[j]]`` into ``table`` (see ``_byte_table``), written over
+    ``words`` in place.
 
     The products are formed in pieces of ``_PIECE``, so the gather index,
     eight narrow entries per product, and its intp copy stay piece-sized.
     """
-    words = np.empty(len(nodes), dtype="<u8")
-    out = words.view(np.uint8).reshape(-1, 8)
-    for lo in range(0, len(nodes), _PIECE):
+    data = words.view(np.uint8).reshape(-1, 8)
+    for lo in range(0, len(words), _PIECE):
         hi = lo + _PIECE
-        index = frontier.take(nodes[lo:hi]).view(np.uint8).reshape(-1, 8)
-        out[lo:hi] = table.take(index + offsets.take(gens[lo:hi])[:, None])
+        data[lo:hi] = table.take(data[lo:hi] + offsets.take(gens[lo:hi])[:, None])
     return words
 
 
@@ -577,66 +598,95 @@ def _sorted_rows(gens: GeneratorSet) -> tuple[tuple[str, ...], np.ndarray]:
 def _first_new(words: np.ndarray, seen: np.ndarray, fresh: np.ndarray, n: int,
                min_rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The new words of a block of packed words and the indices of their
-    first occurrences, both in ascending index order, and ``fresh`` with
-    the new words merged in; ``words`` may be overwritten.
+    first occurrences, as signed integers, both in ascending index order,
+    and ``fresh`` with the new words merged in; ``words`` may be
+    overwritten.
 
     A word is new unless its rank is below ``min_rank`` or it lies in
     ``seen``, the words of the levels before, or in ``fresh``, the words
     this level has found so far; both are sorted and end in ``_NO_WORD``.
+    A block of at most 2^(64 − 4n) words is deduped in its own memory
+    (``_groups_by_sort``), which then holds the distinct words beside one
+    array of their indices.  The new words and their indices are moved to
+    the fronts of the two (``_keep_new``), and their (index, word) pairs
+    are packed back into the block's memory for the sort that puts them in
+    index order.  Only the new words and an int32 copy of their indices
+    outlive the call, so the caller frees the block before it uses them.
     """
     bits = 4 * n
-    by_sort = len(words) <= 1 << (64 - bits)
-    unique, first = (_groups_by_sort(words, bits) if by_sort
-                     else _groups_by_argsort(words))
-    # one mask, filled ``_PIECE`` words at a time, so that the lookups'
-    # indices and comparisons stay piece-sized
-    new = np.empty(len(unique), dtype=bool)
-    ranks = _sum_tables(n, ranks=True) if min_rank > 0 else None
-    for lo in range(0, len(unique), _PIECE):
-        piece, out = unique[lo:lo + _PIECE], new[lo:lo + _PIECE]
-        np.not_equal(seen[seen.searchsorted(piece)], piece, out=out)
-        out &= fresh[fresh.searchsorted(piece)] != piece
-        if ranks is not None:
-            out &= _byte_sums(ranks, piece) >= min_rank
-    unique, first = unique[new], first[new]
-    del new
-    fresh = _merged(fresh, unique)
-    if not by_sort:
+    if len(words) > 1 << (64 - bits):
+        unique, first = _groups_by_argsort(words)
+        kept = _keep_new(unique, first, seen, fresh, n, min_rank)
+        fresh = _merged(fresh, unique[:kept])
         del unique
+        first = first[:kept]
         first.sort()
-        return words[first], first, fresh
+        return words.take(first), first, fresh
+    unique, first = _groups_by_sort(words, bits)
+    kept = _keep_new(unique, first, seen, fresh, n, min_rank)
+    fresh = _merged(fresh, unique[:kept])
     # a (first, word) pair fits one u64, so one sort puts both in index order
+    keys = words[:kept]
+    first = first[:kept]
     first <<= bits
-    first |= unique
-    del unique
-    first.sort()
-    unique = first & np.uint64(2 ** bits - 1)
-    first >>= bits
-    # signed, as the argsort's indices are: a u64 mixed with int32 makes floats
-    return unique, first.view(np.int64), fresh
+    keys |= first
+    del unique, first
+    keys.sort()
+    new = keys & np.uint64(2 ** bits - 1)
+    keys >>= bits
+    # signed, as the argsort's indices are, since a u64 mixed with a signed
+    # int makes floats; a block is far shorter than 2^31 candidates
+    return new, keys.astype(np.int32), fresh
+
+
+def _keep_new(unique: np.ndarray, first: np.ndarray, seen: np.ndarray,
+              fresh: np.ndarray, n: int, min_rank: int) -> int:
+    """The number of new words among the distinct words ``unique``, which
+    are moved, with their indices in ``first``, to the fronts of the two
+    arrays, in order (see ``_first_new``).  The lookups, the floor and the
+    move run ``_PIECE`` words at a time, so that no mask or comparison
+    outgrows a piece."""
+    ranks = _sum_tables(n, ranks=True) if min_rank > 0 else None
+    kept = 0
+    for lo in range(0, len(unique), _PIECE):
+        piece = unique[lo:lo + _PIECE]
+        new = seen[seen.searchsorted(piece)] != piece
+        new &= fresh[fresh.searchsorted(piece)] != piece
+        if ranks is not None:
+            new &= _byte_sums(ranks, piece) >= min_rank
+        kept = _to_front(new, lo, kept, unique, first)
+    return kept
+
+
+def _to_front(keep: np.ndarray, lo: int, at: int, *arrays: np.ndarray) -> int:
+    """Moves the entries of each array's piece from ``lo`` on that the
+    piece's mask ``keep`` marks to the array's place ``at``, and returns the
+    place after them.  Moving a piece at a time from the front never
+    overwrites an entry not yet read: a whole-array boolean index took four
+    times as long, and a whole-array ``compress`` makes an index array."""
+    for array in arrays:
+        part = array[lo:lo + len(keep)].compress(keep)
+        array[at:at + len(part)] = part
+    return at + len(part)
 
 
 def _groups_by_sort(keys: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct words among at most 2^(64 − bits) words of ``bits``
     bits, ascending, and the least index of each, by one sort of the keys
     word << (64 − bits) | index, built in place: of equal words, the least
-    index sorts first.  The indices are a view of the front of ``keys``."""
+    index sorts first.  The group heads' keys are moved to the front of
+    ``keys`` and split in place: the indices go to a new array, and the
+    words, shifted down, stay there, as a view."""
     spare = 64 - bits
     _sort_indexed(keys, spare)
     heads = _group_heads(keys, spare)
-    # the heads' keys moved to the front of ``keys`` a piece at a time, which
-    # never overwrites a key not yet read: a whole-block boolean index is
-    # four times slower, and a whole-block ``compress`` makes an index array
     at = 0
     for lo in range(0, len(keys), _PIECE):
-        part = keys[lo:lo + _PIECE].compress(heads[lo:lo + _PIECE])
-        keys[at:at + len(part)] = part
-        at += len(part)
+        at = _to_front(heads[lo:lo + _PIECE], lo, at, keys)
     del heads
-    first = keys[:at]
-    # split in place: the words go to a new array, the indices stay
-    unique = first >> spare
-    first &= np.uint64(2 ** spare - 1)
+    unique = keys[:at]
+    first = unique & np.uint64(2 ** spare - 1)
+    unique >>= spare
     return unique, first
 
 
@@ -708,28 +758,34 @@ def _run_rows(
 
     Node lo + i of the run is multiplied by the generators of ``count[i]``
     frontier children, from ``first_child[i]`` on; ``offsets`` holds each
-    child's generator offset into ``table``.  Products of rank below
+    child's generator offset into ``table``.  The candidates' words are the
+    run's frontier words, each repeated by its count, and ``_times`` forms
+    the products over them in place, so no candidate's node is kept: a new
+    row's node is the one whose candidates span its first index, found by a
+    search of the run's cumulative counts.  Products of rank below
     ``min_rank`` are never new.  Returns the new rows' words, nodes and
     suffixes (their children), in candidate order, and ``fresh`` with their
     words merged in.  Every other array of the run is freed on return.
     """
-    x = np.repeat(np.arange(lo, lo + len(count), dtype=np.int32), count)
-    # candidate p of the run multiplies x[p] by the generator of child[p],
-    # its owner's first child plus p's place among the owner's candidates:
-    # base[owner] + p, where base is the first child less the owner's
-    # first candidate
-    base = first_child - (count.cumsum(dtype=np.int32) - count)
-    child = np.repeat(base, count)
+    ends = count.cumsum(dtype=np.int32)
+    # candidate p of the run multiplies its owner's word by the generator of
+    # child[p], the owner's first child plus p's place among the owner's
+    # candidates: base[owner] + p, where base is the first child less the
+    # owner's first candidate
+    base = first_child + count
+    base -= ends
+    child = base.repeat(count)
     child += np.arange(len(child), dtype=np.int32)
-    words = _times(table, offsets, frontier, x, child)
+    words = frontier[lo:lo + len(count)].repeat(count)
+    _times(table, offsets, words, child)
     # the new rows' children are formed again from their owners, so the
     # block's own column dies before the dedupe's temporaries are made
     del child
     words, first, fresh = _first_new(words, seen, fresh, n, min_rank)
-    nodes = x[first]
-    children = base[nodes - lo]
+    owner = ends.searchsorted(first, side="right")
+    children = base.take(owner)
     children += first
-    return words, nodes, children, fresh
+    return words, np.add(owner, lo, dtype=np.int32), children, fresh
 
 
 def _close_rows(
@@ -750,8 +806,12 @@ def _close_rows(
 
     empty = np.array([_NO_WORD])  # no words: the sentinel alone
     frontier, first, seen = _first_new(_pack(rows), empty, empty, n, min_rank)
-    order_codes = [_write_codes(code_tables, frontier)]
-    frontier_gens = first.astype(np.int32)
+    # a level's codes, formed once, over its words, when it stops being the
+    # frontier
+    order_codes = []
+    # generator indices in the narrowest dtype that holds them, one byte
+    # for every G_n, widened to int32 once the tree is built
+    frontier_gens = first.astype(np.min_scalar_type(len(rows) - 1))
     parents = [np.full(len(first), -1, dtype=np.int32)]
     genidx = [frontier_gens]
     level_sizes = [len(first)] if len(first) else []
@@ -768,6 +828,7 @@ def _close_rows(
         # frontier node x is multiplied by the generators of the children
         # of its suffix, in order: count[x] candidates
         count = child_count[suffix]
+        del child_count
         ends = count.cumsum()
         total = int(ends[-1])
         if not total:
@@ -787,8 +848,6 @@ def _close_rows(
             words, nodes, children, fresh = _run_rows(
                 table, offsets, n, min_rank, frontier, lo,
                 count[lo:hi], child_start[suffix[lo:hi]], seen, fresh)
-            # a new node's code is formed once, from its word
-            order_codes.append(_write_codes(code_tables, words))
             new_words.append(words)
             new_parents.append(nodes)
             new_suffix.append(children)
@@ -808,22 +867,37 @@ def _close_rows(
         child_start -= child_count
         frontier_start += width
         # the next frontier and the words seen are joined last, once this
-        # level's arrays are freed
-        del count, offsets, frontier, words, nodes, children
+        # level's arrays are freed; the frontier's products are all formed,
+        # so its words become its codes in place
+        del count, offsets, words, nodes, children
+        order_codes.append(
+            _write_codes(code_tables, frontier, frontier.view(np.int64)))
         frontier = _drained(new_words)
-        seen, fresh = _merged(seen[:-1], fresh), empty
+        # fresh is folded into seen in seen's own memory, grown by realloc,
+        # often in place, since no view of seen outlives a block; a stable
+        # sort merges the two sorted runs with a buffer as long as the
+        # shorter
+        size = len(seen) - 1
+        seen.resize(size + len(fresh), refcheck=False)
+        seen[size:] = fresh
+        seen.sort(kind="stable")
+        fresh = empty
 
+    order_codes.append(
+        _write_codes(code_tables, frontier, frontier.view(np.int64)))
+    del frontier
     stats = ClosureStats(tuple(level_sizes), products,
                          time.perf_counter() - started)
-    del frontier
     # the sorted words become the sorted codes in place, since a word's code
     # rises with the word
     member_codes = seen[:-1].view(np.int64)
     _write_codes(code_tables, seen[:-1], member_codes)
     member_codes.flags.writeable = False
-    # the tree's columns are joined one at a time
+    # the tree's columns are joined one at a time, the generator indices
+    # widened to int32 as they are
     return ClosureResult(n, labels, stats, _drained(order_codes),
-                         _drained(parents), _drained(genidx), member_codes)
+                         _drained(parents),
+                         np.concatenate(genidx, dtype=np.int32), member_codes)
 
 
 def close(gens: GeneratorSet, workers: int = 1, min_rank: int = 0) -> ClosureResult:

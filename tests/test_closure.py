@@ -34,7 +34,7 @@ from fenceinj import (
 )
 from fenceinj import closure as closure_module
 from fenceinj.analysis import r_class
-from fenceinj.closure import TREE_MAGIC
+from fenceinj.closure import TREE_MAGIC, _generation_check
 from fenceinj.oracle import (
     read_binary_file,
     sidecar_path,
@@ -212,6 +212,27 @@ def test_witness_stream_matches_lookups_on_wide_generator_sets(u7, monkeypatch):
                 assert list(result.witness_items()) == expected, block
 
 
+def test_more_than_255_generators_widen_their_indices(u9, tmp_path):
+    """J_9 has 326 generators, so the engine keeps its generator indices in
+    two bytes, not one, while it runs; the tree still holds int32 indices,
+    replays from its file, and its witnesses evaluate to their codes."""
+    gens = build_J(9, u9)
+    assert len(gens) == 326
+    result = close(gens)
+    assert result._order_codes.dtype == np.int64
+    assert result._parents.dtype == result._genidx.dtype == np.int32
+    assert result._genidx.max() > 255
+    assert _generation_check(result, u9).generates
+    tree_path = tmp_path / "j9.tree"
+    result.save(tree_path)
+    loaded = ClosureResult.load(tree_path, gens)
+    assert_same_tree(result, loaded)
+    assert loaded.stats.products == result.stats.products
+    rng = random.Random(9)
+    for code in rng.sample(result.member_codes.tolist(), 300):
+        assert encode(evaluate_word(loaded.witness(code), gens)) == code
+
+
 def test_lookups_do_not_build_the_member_set(g7_closure):
     result = close(build_G(7))
     code = int(g7_closure.member_codes[100])
@@ -270,20 +291,25 @@ def test_small_blocks_split_rows_identically(n, block, monkeypatch, tmp_path):
     """With small blocks a level's candidates span several blocks, each
     holding the candidates of a run of whole frontier nodes, and must still
     give the arrays and product count of the default block size; so must a
-    replay of the saved tree, whose products are formed in blocks too."""
+    replay of the saved tree, whose products are formed in blocks too.
+    Both run with the default ``_PIECE`` and with 64, so a node's
+    candidates straddle the pieces its products and dedupe are formed in,
+    and a new row's node is still found from its first index alone."""
     gens = build_G(n)
     for floor in (0, n - 1):
         reference = close(gens, min_rank=floor)
         tree_path = tmp_path / f"floor{floor}.tree"
         reference.save(tree_path)
-        with monkeypatch.context() as patch:
-            patch.setattr(closure_module, "_BLOCK_ENTRIES", block)
-            result = close(gens, min_rank=floor)
-            loaded = ClosureResult.load(tree_path, gens)
-        for copy in (reference, result, loaded):
-            assert_same_tree(reference, copy)
-            assert copy.stats.products == reference.stats.products
-            assert_sorted_members(copy)
+        for piece in (closure_module._PIECE, 64):
+            with monkeypatch.context() as patch:
+                patch.setattr(closure_module, "_BLOCK_ENTRIES", block)
+                patch.setattr(closure_module, "_PIECE", piece)
+                result = close(gens, min_rank=floor)
+                loaded = ClosureResult.load(tree_path, gens)
+            for copy in (reference, result, loaded):
+                assert_same_tree(reference, copy)
+                assert copy.stats.products == reference.stats.products
+                assert_sorted_members(copy)
 
 
 def test_blocks_smaller_than_one_node_split_rows_identically(u7, monkeypatch):
@@ -315,9 +341,10 @@ def random_injection(rng, n):
     (15, 257, np.uint32),    # 65,791
 ])
 def test_product_kernel_at_index_dtype_boundaries(n, k, dtype, monkeypatch):
-    """The byte-table kernel's products equal ``compose`` on both sides of
-    each switch of the gather index's dtype, in one piece and in many, and
-    its gather reaches the last table entry."""
+    """The byte-table kernel's products, formed over their factors' words
+    in place, equal ``compose`` on both sides of each switch of the gather
+    index's dtype, in one piece and in many, and its gather reaches the
+    last table entry."""
     rng = np.random.default_rng(n * k)
     gens = [random_injection(rng, n) for _ in range(k)]
     rows = np.array([g.images for g in gens], dtype=np.uint8)
@@ -335,14 +362,14 @@ def test_product_kernel_at_index_dtype_boundaries(n, k, dtype, monkeypatch):
     for piece in (None, 64):
         if piece is not None:
             monkeypatch.setattr(closure_module, "_PIECE", piece)
-        products = closure_module._times(table, offsets, frontier, nodes, which)
-        assert products.dtype == np.dtype("<u8")
+        words = frontier.take(nodes)
+        products = closure_module._times(table, offsets, words, which)
+        assert products is words and products.dtype == np.dtype("<u8")
         assert closure_module._byte_sums(tables, products).tolist() == expected
     # every nibble 15, which no map packs to, by the last generator: each
     # byte is table entry k·256 − 1
     full = np.array([closure_module._NO_WORD], dtype="<u8")
-    last = closure_module._times(table, offsets, full, np.zeros(1, np.int32),
-                                 np.array([k - 1]))
+    last = closure_module._times(table, offsets, full, np.array([k - 1]))
     assert last.view(np.uint8).tolist() == [int(table[-1])] * 8
     assert table[-1] == (rows[-1, 14] if n == 15 else 0) * 17
 
@@ -475,12 +502,15 @@ def test_close_G11_peak_memory():
     """No n-wide int64 copy of a candidate block: the product step gathers
     through a narrow index and sums codes in buffered chunks.  No array
     grows with a level's candidates, and a block's arrays die with it, the
-    child column before the dedupe starts.  The peak was 29.8 MB on a
-    2-core host (Python 3.11, numpy 2.4), 34.8 MB while a block kept its
-    child column and copied its group heads out by an index array."""
+    child column before the dedupe starts; no candidate carries its node,
+    the dedupe splits the block in its own memory, generator indices take
+    one byte, and a level's codes are written over its words.  The peak
+    was 22.1 MB on a 2-core host (Python 3.11, numpy 2.4), 29.8 MB with a
+    node column per candidate, whole-block selections in the dedupe, int32
+    generator indices and a block's codes formed beside its words."""
     result, peak = traced_peak(lambda: close(build_G(11)))
     assert len(result) == 586650
-    assert peak < 33_000_000, peak
+    assert peak < 24_300_000, peak
 
 
 def test_G11_witness_stream_peak_memory(g11_closure):
