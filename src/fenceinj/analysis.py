@@ -332,23 +332,26 @@ def verify_lemma_bf4(n: int, universe: ElementUniverse) -> Bf4Check:
     """Every δ ∈ J_n ∩ Par_n has exactly one parity-changing point x,
     located at the boundary: x ∈ {1, n} or xδ ∈ {1, n}.
 
-    One pass over the image rows of rank ≥ n−2: ``_parity_mask`` marks
-    each row's parity-changing points, a row with any is checked, and it
-    holds iff it has one and that first point or its image is 1 or n.
-    The failures are the codes of the rows that do not hold, ascending."""
-    from .constructions import _parity_mask
+    One pass over the packed words of the census rows of rank ≥ n−2:
+    ``_changing`` marks each word's parity-changing points, a word with
+    any is checked, and it holds iff it has one and that point or its
+    image is 1 or n.  The failures are the codes of the words that do not
+    hold, ascending."""
+    from .closure import _lowest, _nibble_bits, _pack
+    from .constructions import _changing
 
     _check_universe(n, universe)
     top = np.flatnonzero(universe.ranks >= n - 2)
-    rows = universe.images_matrix[top]
-    mask = _parity_mask(rows)
-    counts = np.count_nonzero(mask, axis=1)
-    first = mask.argmax(axis=1)  # x − 1 for the first changing point x
-    image = rows[np.arange(len(rows)), first]
+    words = _pack(universe.images_matrix[top])
+    mask = _changing(words)
+    # only a word with a changing point is checked, or read by _lowest
+    par = np.flatnonzero(mask)
+    mask, words = mask.take(par), words.take(par)
+    first = _lowest(mask)  # x − 1 for the first changing point x
+    image = words >> (first << np.uint64(2)) & np.uint64(15)
     boundary = (first == 0) | (first == n - 1) | (image == 1) | (image == n)
-    bad = (counts > 1) | (counts == 1) & ~boundary
-    return Bf4Check(n, int(np.count_nonzero(counts)),
-                    tuple(universe.codes[top[bad]].tolist()))
+    bad = (_nibble_bits(mask) > 1) | ~boundary
+    return Bf4Check(n, len(par), tuple(universe.codes[top[par[bad]]].tolist()))
 
 
 def minimal_rank_exhaustive(universe: ElementUniverse) -> int:
@@ -383,7 +386,9 @@ def minimal_rank_exhaustive(universe: ElementUniverse) -> int:
 class VerifyContext:
     """Shared resources for claim runners: cached universes and sampling.
 
-    ``workers`` (at least 1) has no effect: closures run in one thread."""
+    ``workers`` (at least 1) has no effect: closures run in one thread.
+    ``workers`` and ``seed`` must be integers: a bool, float or str raises
+    ValueError."""
 
     workers: int = 1
     cache_dir: str | None = None
@@ -391,7 +396,8 @@ class VerifyContext:
     _universes: dict[int, ElementUniverse] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
+        _check_int(self.seed, "seed")
+        if _check_int(self.workers, "workers") < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
 
     def universe(self, n: int) -> ElementUniverse:
@@ -632,11 +638,10 @@ _PARITY_SAMPLE = 10_000
 
 def _run_parity_sweep(n: int, ctx: VerifyContext) -> tuple[str, str]:
     from .closure import _pack
-    from .constructions import _changing, _recompose_rows, _reduce_rows
+    from .constructions import _changing, _recompose_words, _reduce_words
 
     universe = ctx.universe(n)
-    mat = universe.images_matrix
-    words = _pack(mat)
+    words = _pack(universe.images_matrix)
     par = np.flatnonzero(_changing(words))
     if len(par) <= _PARITY_SAMPLE:
         picked = par
@@ -645,9 +650,9 @@ def _run_parity_sweep(n: int, ctx: VerifyContext) -> tuple[str, str]:
         rng = np.random.default_rng(ctx.seed)
         picked = rng.choice(par, size=_PARITY_SAMPLE, replace=False)
         how = f"{_PARITY_SAMPLE} sampled of {len(par)}"
-    cores, steps = _reduce_rows(mat[picked])
-    bad = ((_pack(_recompose_rows(cores, steps)) != words[picked])
-           | (_changing(_pack(cores)) != 0))
+    words = words.take(picked)
+    cores, steps = _reduce_words(words, n)
+    bad = (_recompose_words(cores, steps, n) != words) | (_changing(cores) != 0)
     if bad.any():
         code = universe.codes[picked[bad.argmax()]]
         return STATUS_FAIL, f"decomposition invalid for code {code}"

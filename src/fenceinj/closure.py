@@ -27,46 +27,50 @@ and with it every witness, is the one the full sweep picks.
 The hot path is table-driven.  An element (n ≤ 15) is held as one packed
 word, a little-endian u64 with the image of point k, 0 for undefined, in
 nibble k−1; the top nibble is always 0.  A word rises with its base-(n+1)
-code, since both read the images from point n down.  A flat ``uint8`` table
-maps byte b of a word, two images, through generator k, 0 sticky, at offset
-k·256 + b.  One product kernel, ``_times``, serves both the closure and the
-replay of a saved tree: over an array of the candidates' frontier words, it
-adds each one's generator offset to its eight bytes and gathers the
-product's bytes from the table, in place.  The offsets take the narrowest
-unsigned dtype that holds the table's last index, and the gather runs in
-pieces of ``_PIECE`` products, so its index and the intp copy that ``take``
-makes stay small.  Each candidate block is deduped on its words by array
-operations alone: the least index of each group of equal words is its first
-occurrence, which keeps the lexicographic tie-break.  A word fills 4n bits,
-so a block of at most 2^(64 − 4n) candidates, every block of G_n for n ≤
-11, sorts the keys word << (64 − 4n) | index in place, and each group's
-first key holds its first index; those keys are moved to the front of the
-block's own array and split there, the indices out to an array of their own
-and the words shifted down.  The new words and their indices are moved to
-the fronts of the two, a piece at a time, and one sort of (index << 4n) |
-word, packed back into the block's array, puts them in index order.  A
-longer block, such as those of G_13, takes an argsort and
-``minimum.reduceat`` instead.  The sort is preferred because an argsort of
-2^20 words took 51–62 ms against 12–14 ms for a sort; with it, and the
-codes written in pieces (``_write_codes``), close(G_11) fell from 0.26–0.27
-to 0.19 s, the fastest of 12 runs in each of three processes (2-core host,
-Python 3.11, numpy 2.4).  The unique words are looked up with
-``searchsorted`` in two sorted arrays: ``seen``, the words of the levels
-before, fixed within a level, and ``fresh``, the words this level has found
-so far.  Both end in ``_NO_WORD``, 2^64 − 1, which no packed word equals.
-A unique word below the ``min_rank`` floor (a 256-entry table counts a
-byte's nonzero images) is never new.  The lookups and the floor fill a mask
-``_PIECE`` words at a time.  The new words are merged into ``fresh`` before
-the next block, so a later block of the same level sees them, and ``fresh``
-is folded into ``seen`` once the level ends; a block's merge copies only
-the level's words, not every word.  Merging each block straight into
-``seen`` copies every word per block: when these arrays held the codes,
-also 8 bytes each, a cold closure of G_13 then peaked at 616 MB RSS against
-588 MB, in the same time, on the same host.  The fold grows ``seen`` in its
-own memory by a realloc, which the allocator often does in place, and
-merges the two sorted runs there, so no second copy of every word is made.
-A new node's product is its frontier word, and its code is formed once,
-over that word, one table gather per byte (``_byte_sums``), when the next
+code, since both read the images from point n down.  Only this module knows
+the format; its nibble toolkit (``_defined``, ``_nibble_bits``,
+``_lowest``) also serves the parity kernel and the registry's claims.  A
+flat ``uint8`` table maps byte b of a word, two images, through generator
+k, 0 sticky, at offset k·256 + b.  One product kernel, ``_times``, serves
+both the closure and the replay of a saved tree: over an array of the
+candidates' frontier words, it adds each one's generator offset to its
+eight bytes and gathers the product's bytes from the table, in place.  The
+offsets take the narrowest unsigned dtype that holds the table's last
+index, and the gather runs in pieces of ``_PIECE`` products, so its index
+and the intp copy that ``take`` makes stay small.  Each candidate block is
+deduped on its words by array operations alone: the least index of each
+group of equal words is its first occurrence, which keeps the lexicographic
+tie-break.  A word fills 4n bits, so a block of at most 2^(64 − 4n)
+candidates, every block of G_n for n ≤ 11, sorts the keys word << (64 − 4n)
+| index in place, and each group's first key holds its first index; those
+keys are moved to the front of the block's own array and split there, the
+indices out to an array of their own and the words shifted down.  The new
+words and their indices are moved to the fronts of the two, a piece at a
+time, and one sort of (index << 4n) | word, packed back into the block's
+array, puts them in index order.  A longer block, such as those of G_13,
+takes an argsort and ``minimum.reduceat`` instead.  The sort is preferred
+because an argsort of 2^20 words took 51–62 ms against 12–14 ms for a sort;
+with it, and the codes written in pieces (``_write_codes``), close(G_11)
+fell from 0.26–0.27 to 0.19 s, the fastest of 12 runs in each of three
+processes (2-core host, Python 3.11, numpy 2.4).  The unique words are
+looked up with ``searchsorted`` in two sorted arrays: ``seen``, the words
+of the levels before, fixed within a level, and ``fresh``, the words this
+level has found so far.  Both end in ``_NO_WORD``, 2^64 − 1, which no
+packed word equals.  A unique word below the ``min_rank`` floor (its
+defined points counted by ``_nibble_bits(_defined(...))``) is never new.  The
+lookups and the floor fill a mask ``_PIECE`` words at a time.  One merge,
+``_merge_into``, grows a sorted word array in its own memory by a realloc,
+which the allocator often does in place, writes the sorted new words behind
+it and merges the two sorted runs there by a stable sort, so no second copy
+of the array is made.  Each block's new words are merged into ``fresh``
+before the next block, so a later block of the same level sees them, and
+``fresh`` is merged into ``seen`` the same way once the level ends; a
+block's merge touches only the level's words, not every word.  Merging each
+block straight into ``seen`` touches every word per block: when these
+arrays held the codes, also 8 bytes each, a cold closure of G_13 then
+peaked at 616 MB RSS against 588 MB, in the same time, on the same host.  A
+new node's product is its frontier word, and its code is formed once, over
+that word, one table gather per byte (``_write_codes``), when the next
 level has formed its products.  At the end ``seen`` becomes the sorted
 ``member_codes`` in place.  ``stats.products`` counts the candidates
 formed.
@@ -161,6 +165,12 @@ _PIECE = 1 << 13
 # no packed word has a nonzero top nibble, so this one ends the sorted word
 # arrays ``seen`` and ``fresh``, above every word
 _NO_WORD = np.uint64(2 ** 64 - 1)
+
+# bit 0 of every nibble of a packed word, and of the nibbles of the odd
+# points 1, 3, …, 15 (nibble x−1 holds the image of point x)
+_NIBBLE_LOW = np.uint64(0x1111_1111_1111_1111)
+_ODD_POINTS = np.uint64(0x0101_0101_0101_0101)
+_ONE = np.uint64(1)
 
 # magic of the witness-tree file: parent indices, then generator indices
 TREE_MAGIC = b"FTRE"
@@ -546,44 +556,53 @@ def _times(table: np.ndarray, offsets: np.ndarray, words: np.ndarray,
     return words
 
 
-def _sum_tables(n: int, ranks: bool = False) -> np.ndarray:
-    """Tables for ``_byte_sums``: row p, entry b is the share of byte b, at
-    byte p of a packed word, in the word's code, or with ``ranks`` in its
-    rank.  Bytes from (n+1)//2 on hold no point and get no row."""
+def _defined(words: np.ndarray) -> np.ndarray:
+    """The defined points of packed words: bit 4(x−1) is set iff point x
+    has an image, and no other bit is."""
+    defined = words | words >> np.uint64(2)
+    defined |= defined >> _ONE
+    return defined & _NIBBLE_LOW
+
+
+def _nibble_bits(bits: np.ndarray) -> np.ndarray:
+    """How many bits each word sets, for words that set only bit 0 of
+    nibbles: the product's top nibble sums all 16 nibbles, and no sum of
+    at most 15 of them carries out of its nibble."""
+    return (bits * _NIBBLE_LOW) >> np.uint64(60)
+
+
+def _lowest(mask: np.ndarray) -> np.ndarray:
+    """x − 1, the nibbles below it, for the smallest point x whose bit
+    4(x−1) a mask of nibble-low bits sets.  An empty mask reads 0, as one
+    whose smallest point is 1 does, so it must not be read."""
+    return _nibble_bits((mask - _ONE) & ~mask & _NIBBLE_LOW)
+
+
+def _sum_tables(n: int) -> np.ndarray:
+    """Tables for ``_write_codes``: row p, entry b is the share of byte b,
+    at byte p of a packed word, in the word's code.  Bytes from (n+1)//2
+    on hold no point and get no row."""
     byte = np.arange(256)
-    digit = np.arange(16)
     weights = np.zeros(16, dtype=np.int64)
-    if ranks:
-        digit, weights[:n] = digit > 0, 1
-    else:
-        weights[:n] = code_powers(n)
-    tables = digit[byte & 15] * weights[0::2, None] + digit[byte >> 4] * weights[1::2, None]
+    weights[:n] = code_powers(n)
+    tables = (byte & 15) * weights[0::2, None] + (byte >> 4) * weights[1::2, None]
     return tables[:(n + 1) // 2]
 
 
-def _byte_sums(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Σ_p tables[p][byte p] of each packed word, as int64: with
-    ``_sum_tables`` weighted by the code powers, the words' codes; with
-    unit weights on nonzero images, their ranks."""
-    data = words.view(np.uint8).reshape(-1, 8)
-    sums = tables[0].take(data[:, 0])
-    for p in range(1, len(tables)):
-        sums += tables[p].take(data[:, p])
-    return sums
-
-
 def _write_codes(tables: np.ndarray, words: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """The codes of packed words written into ``out``, or a new int64
-    array, by ``_byte_sums`` over ``tables``, ``_PIECE`` words at a time;
-    ``out`` may be the words' own memory.  Pieces of 2^20 words took twice
-    as long over 3.7 M words, and their temporaries left close-g11's peak
-    RSS 5 MB higher."""
-    if out is None:
-        out = np.empty(len(words), dtype=np.int64)
+                 out: np.ndarray) -> np.ndarray:
+    """The codes of packed words, Σ_p tables[p][byte p] over ``_sum_tables``,
+    written into the int64 array ``out``, which may be the words' own
+    memory, ``_PIECE`` words at a time.  Pieces of 2^20 words took twice as
+    long over 3.7 M words, and their temporaries left close-g11's peak RSS
+    5 MB higher."""
+    data = words.view(np.uint8).reshape(-1, 8)
     for lo in range(0, len(words), _PIECE):
         hi = lo + _PIECE
-        out[lo:hi] = _byte_sums(tables, words[lo:hi])
+        sums = tables[0].take(data[lo:hi, 0])
+        for p in range(1, len(tables)):
+            sums += tables[p].take(data[lo:hi, p])
+        out[lo:hi] = sums
     return out
 
 
@@ -596,10 +615,10 @@ def _sorted_rows(gens: GeneratorSet) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def _first_new(words: np.ndarray, seen: np.ndarray, fresh: np.ndarray, n: int,
-               min_rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               min_rank: int) -> tuple[np.ndarray, np.ndarray]:
     """The new words of a block of packed words and the indices of their
-    first occurrences, as signed integers, both in ascending index order,
-    and ``fresh`` with the new words merged in; ``words`` may be
+    first occurrences, as signed integers, both in ascending index order;
+    the new words are merged into ``fresh``, and ``words`` may be
     overwritten.
 
     A word is new unless its rank is below ``min_rank`` or it lies in
@@ -617,14 +636,14 @@ def _first_new(words: np.ndarray, seen: np.ndarray, fresh: np.ndarray, n: int,
     if len(words) > 1 << (64 - bits):
         unique, first = _groups_by_argsort(words)
         kept = _keep_new(unique, first, seen, fresh, n, min_rank)
-        fresh = _merged(fresh, unique[:kept])
+        _merge_into(fresh, unique[:kept])
         del unique
         first = first[:kept]
         first.sort()
-        return words.take(first), first, fresh
+        return words.take(first), first
     unique, first = _groups_by_sort(words, bits)
     kept = _keep_new(unique, first, seen, fresh, n, min_rank)
-    fresh = _merged(fresh, unique[:kept])
+    _merge_into(fresh, unique[:kept])
     # a (first, word) pair fits one u64, so one sort puts both in index order
     keys = words[:kept]
     first = first[:kept]
@@ -636,24 +655,23 @@ def _first_new(words: np.ndarray, seen: np.ndarray, fresh: np.ndarray, n: int,
     keys >>= bits
     # signed, as the argsort's indices are, since a u64 mixed with a signed
     # int makes floats; a block is far shorter than 2^31 candidates
-    return new, keys.astype(np.int32), fresh
+    return new, keys.astype(np.int32)
 
 
 def _keep_new(unique: np.ndarray, first: np.ndarray, seen: np.ndarray,
               fresh: np.ndarray, n: int, min_rank: int) -> int:
     """The number of new words among the distinct words ``unique``, which
     are moved, with their indices in ``first``, to the fronts of the two
-    arrays, in order (see ``_first_new``).  The lookups, the floor and the
-    move run ``_PIECE`` words at a time, so that no mask or comparison
-    outgrows a piece."""
-    ranks = _sum_tables(n, ranks=True) if min_rank > 0 else None
+    arrays, in order (see ``_first_new``).  A word's rank is the count of
+    its defined points.  The lookups, the floor and the move run ``_PIECE``
+    words at a time, so that no mask or comparison outgrows a piece."""
     kept = 0
     for lo in range(0, len(unique), _PIECE):
         piece = unique[lo:lo + _PIECE]
         new = seen[seen.searchsorted(piece)] != piece
         new &= fresh[fresh.searchsorted(piece)] != piece
-        if ranks is not None:
-            new &= _byte_sums(ranks, piece) >= min_rank
+        if min_rank > 0:
+            new &= _nibble_bits(_defined(piece)) >= min_rank
         kept = _to_front(new, lo, kept, unique, first)
     return kept
 
@@ -726,12 +744,15 @@ def _group_heads(ordered: np.ndarray, shift: int) -> np.ndarray:
     return head
 
 
-def _merged(words: np.ndarray, more: np.ndarray) -> np.ndarray:
-    """A sorted, sentinel-ended word array with the sorted ``more`` merged
-    in; a stable sort of two sorted runs is a linear merge."""
-    merged = np.concatenate((words, more))
-    merged.sort(kind="stable")
-    return merged
+def _merge_into(words: np.ndarray, more: np.ndarray) -> np.ndarray:
+    """``words``, a sorted, sentinel-ended array with no view alive, grown
+    by realloc to take the sorted ``more`` behind it; a stable sort of the
+    two runs is a linear merge and leaves the sentinel last."""
+    size = len(words)
+    words.resize(size + len(more), refcheck=False)
+    words[size:] = more
+    words.sort(kind="stable")
+    return words
 
 
 def _drained(parts: list[np.ndarray]) -> np.ndarray:
@@ -753,7 +774,7 @@ def _run_rows(
     first_child: np.ndarray,
     seen: np.ndarray,
     fresh: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The new rows that a run of whole frontier nodes forms.
 
     Node lo + i of the run is multiplied by the generators of ``count[i]``
@@ -764,8 +785,8 @@ def _run_rows(
     row's node is the one whose candidates span its first index, found by a
     search of the run's cumulative counts.  Products of rank below
     ``min_rank`` are never new.  Returns the new rows' words, nodes and
-    suffixes (their children), in candidate order, and ``fresh`` with their
-    words merged in.  Every other array of the run is freed on return.
+    suffixes (their children), in candidate order, and merges their words
+    into ``fresh``.  Every other array of the run is freed on return.
     """
     ends = count.cumsum(dtype=np.int32)
     # candidate p of the run multiplies its owner's word by the generator of
@@ -781,11 +802,11 @@ def _run_rows(
     # the new rows' children are formed again from their owners, so the
     # block's own column dies before the dedupe's temporaries are made
     del child
-    words, first, fresh = _first_new(words, seen, fresh, n, min_rank)
+    words, first = _first_new(words, seen, fresh, n, min_rank)
     owner = ends.searchsorted(first, side="right")
     children = base.take(owner)
     children += first
-    return words, np.add(owner, lo, dtype=np.int32), children, fresh
+    return words, np.add(owner, lo, dtype=np.int32), children
 
 
 def _close_rows(
@@ -804,8 +825,10 @@ def _close_rows(
     table, gen_offsets = _byte_table(rows)
     code_tables = _sum_tables(n)
 
-    empty = np.array([_NO_WORD])  # no words: the sentinel alone
-    frontier, first, seen = _first_new(_pack(rows), empty, empty, n, min_rank)
+    # no words: the sentinel alone; the seeds are the first words seen
+    seen, fresh = np.array([_NO_WORD]), np.array([_NO_WORD])
+    frontier, first = _first_new(_pack(rows), seen, fresh, n, min_rank)
+    seen, fresh = fresh, seen
     # a level's codes, formed once, over its words, when it stops being the
     # frontier
     order_codes = []
@@ -821,9 +844,8 @@ def _close_rows(
     suffix = np.zeros(len(first), dtype=np.int32)
     child_start = np.zeros(1, dtype=np.int32)
     child_count = np.array([len(first)], dtype=np.int32)
-    # a level's new words, and its new rows block by block, drained as the
-    # level ends
-    fresh, new_words, new_parents, new_suffix = empty, [], [], []
+    # a level's new rows block by block, drained as the level ends
+    new_words, new_parents, new_suffix = [], [], []
     while len(suffix):
         # frontier node x is multiplied by the generators of the children
         # of its suffix, in order: count[x] candidates
@@ -845,7 +867,7 @@ def _close_rows(
         del ends
         offsets = gen_offsets.take(frontier_gens)
         for lo, hi in zip(edges, edges[1:]):
-            words, nodes, children, fresh = _run_rows(
+            words, nodes, children = _run_rows(
                 table, offsets, n, min_rank, frontier, lo,
                 count[lo:hi], child_start[suffix[lo:hi]], seen, fresh)
             new_words.append(words)
@@ -873,15 +895,10 @@ def _close_rows(
         order_codes.append(
             _write_codes(code_tables, frontier, frontier.view(np.int64)))
         frontier = _drained(new_words)
-        # fresh is folded into seen in seen's own memory, grown by realloc,
-        # often in place, since no view of seen outlives a block; a stable
-        # sort merges the two sorted runs with a buffer as long as the
-        # shorter
-        size = len(seen) - 1
-        seen.resize(size + len(fresh), refcheck=False)
-        seen[size:] = fresh
-        seen.sort(kind="stable")
-        fresh = empty
+        # no view of seen outlives a block, so fresh is merged into its
+        # own memory
+        _merge_into(seen, fresh[:-1])
+        fresh = np.array([_NO_WORD])
 
     order_codes.append(
         _write_codes(code_tables, frontier, frontier.view(np.int64)))
@@ -909,13 +926,14 @@ def close(gens: GeneratorSet, workers: int = 1, min_rank: int = 0) -> ClosureRes
     and dropping the other nodes leaves the BFS order of the kept ones.
 
     ``workers`` (at least 1) has no effect: the closure runs in one thread.
+    Both must be integers: a bool, float or str raises ValueError.
     """
     if len(gens) == 0:
         raise ValueError("closure needs a non-empty generator set")
-    if workers < 1:
+    if _check_int(workers, "workers") < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     labels, rows = _sorted_rows(gens)
-    return _close_rows(gens.n, labels, rows, min_rank)
+    return _close_rows(gens.n, labels, rows, _check_int(min_rank, "min_rank"))
 
 
 def close_excluding(

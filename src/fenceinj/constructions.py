@@ -8,22 +8,22 @@ if x is even then x±1 are outside dom δ and δ = β_x^even·(β_x^odd·δ).
 Iterating yields δ = l_1⋯l_p · core · r_1⋯r_p with every l/r factor either
 id_{n̄} or a β-family element and the core parity-preserving.
 
-The reduction runs as one batch kernel over packed words (``_reduce_rows``
-packs an m × n uint8 image matrix with ``closure._pack``: one nibble per
-point, so n ≤ 15).  Each pass takes every live row's smallest
+The reduction runs as one batch kernel, ``_reduce_words``, over the packed
+words of ``closure`` (one nibble per point, so n ≤ 15), whose nibble
+toolkit it shares.  Each pass takes every live word's smallest
 parity-changing point x and records one signed int8 step: +i for an odd x
 with image i, core ← core·β_i^even; −x for an even x, core ← β_x^odd·core.
 Both products are one gather per word through a table of per-byte shares
 (``_product_table``), ORed over its ⌈n/2⌉ bytes: a right product through
 value tables, which map a byte's two images through β, a left product
 through position tables, which move a byte's two nibbles to the points β
-sends onto them.  The changing points, the smallest x and the counts of
-changing points are bit operations on whole words.  A row leaves the batch
-after its last step: of the 10,000 rows of the n = 9 sweep, 5,721 need one
-step and 150 need four.  ``_recompose_rows`` multiplies the recorded
-β_i^odd / β_x^even factors back on, each pass over only the rows with a
-step in it.  ``parity_reduce`` runs the same kernel on δ's one word, its
-steps spelled out as factors and labels.
+sends onto them.  The changing points (``_changing``), the smallest x and
+the counts of changing points are bit operations on whole words.  A word
+leaves the batch after its last step: of the 10,000 words of the n = 9
+sweep, 5,721 need one step and 150 need four.  ``_recompose_words``
+multiplies the recorded β_i^odd / β_x^even factors back on, each pass over
+only the words with a step in it.  ``parity_reduce`` runs the same kernel
+on δ's one word, its steps spelled out as factors and labels.
 
 Convex extension grows a convex-domain element of rank ≤ n−3 by one point:
 pick w with w−1, w, w+1 all outside dom δ and x likewise outside im δ (both
@@ -44,7 +44,7 @@ from functools import cache
 
 import numpy as np
 
-from .closure import _PIECE, _pack
+from .closure import _ODD_POINTS, _ONE, _PIECE, _defined, _lowest, _nibble_bits
 from .fence import (
     PartialInjection,
     compose,
@@ -83,47 +83,15 @@ def _beta_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     return tables[0], tables[1]
 
 
-# bit 0 of every nibble of a packed word, and of the nibbles of the odd
-# points 1, 3, …, 15 (nibble x−1 holds the image of point x)
-_NIBBLE_LOW = np.uint64(0x1111_1111_1111_1111)
-_ODD_POINTS = np.uint64(0x0101_0101_0101_0101)
-_ONE = np.uint64(1)
 # the entry of byte q, value b, in a block of a product table is 256q + b
 _BYTE_OFFSETS = np.arange(0, 8 * 256, 256, dtype=np.intp)[:, None]
 
 
-def _parity_mask(images: np.ndarray) -> np.ndarray:
-    """Entry [r, x−1] is True iff point x of image row r is parity-changing:
-    y = xδ > 0 and x − y odd, i.e. the low bit of x ^ y is set.  The row
-    form of ``_changing``, and the tests' reference for it."""
-    points = np.arange(1, images.shape[1] + 1, dtype=np.uint8)
-    return ((images ^ points) & 1).view(bool) & (images != 0)
-
-
 def _changing(words: np.ndarray) -> np.ndarray:
-    """``_parity_mask`` of packed words: bit 4(x−1) is set iff point x is
-    parity-changing, and no other bit is.  That bit of a word is the low
-    bit of y = xδ, and of ``_ODD_POINTS`` the low bit of x."""
-    defined = words | words >> np.uint64(2)
-    defined |= defined >> _ONE
-    return (words ^ _ODD_POINTS) & defined & _NIBBLE_LOW
-
-
-def _nibble_bits(bits: np.ndarray) -> np.ndarray:
-    """How many bits each word sets, for words that set only bit 0 of
-    nibbles: the product's top nibble sums all 16 nibbles, and no sum of
-    at most 15 of them carries out of its nibble."""
-    return (bits * _NIBBLE_LOW) >> np.uint64(60)
-
-
-def _rows_of(words: np.ndarray, n: int) -> np.ndarray:
-    """The m × n uint8 image rows of packed words, ``closure._pack``'s
-    inverse: byte b becomes the u16 (b | b << 4) & 0x0F0F, whose bytes are
-    its low nibble and its high one."""
-    pairs = words.view(np.uint8).astype("<u2")
-    pairs |= pairs << 4
-    pairs &= 0x0F0F
-    return pairs.view(np.uint8).reshape(-1, 16)[:, :n]
+    """The parity-changing points of packed words: bit 4(x−1) is set iff
+    y = xδ > 0 and x − y is odd, and no other bit is.  That bit of a word
+    is the low bit of y, and of ``_ODD_POINTS`` the low bit of x."""
+    return (words ^ _ODD_POINTS) & _defined(words)
 
 
 def _product_table(right: np.ndarray, left: np.ndarray) -> np.ndarray:
@@ -196,11 +164,20 @@ def _times(table: np.ndarray, blocks: np.ndarray, words: np.ndarray,
 
 
 def _reduce_words(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_reduce_rows`` on packed words: the cores' words and the steps.
-    Only the live rows, those with a changing point left, take a pass."""
+    """Parity-reduce every packed word of FI_n (n ≤ 15) at once.
+
+    Returns the parity-preserving cores' words and the steps (m × p int8,
+    p the largest step count): +i where core ← core·β_i^even, −x where
+    core ← β_x^odd·core, 0 after a word's last step.  Only the live words,
+    those with a changing point left, take a pass.  A pass that fails to
+    shrink a live word's parity-changing set raises RuntimeError.  With
+    the β tables of ``_beta_rows`` every step removes the chosen point and
+    moves no other point across parity, so the check guards the tables and
+    the step rule, and bounds the passes by n.
+    """
     table, _, blocks = _word_tables(n)
     cores = words.copy()
-    # each pass removes at least one of the ≤ n changing points of a row
+    # each pass removes at least one of the ≤ n changing points of a word
     steps = np.zeros((len(words), n), dtype=np.int8)
     mask = _changing(words)
     counts = _nibble_bits(mask)
@@ -209,7 +186,7 @@ def _reduce_words(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     passes = 0
     while len(live):
         # x − 1, the number of nibbles below the lowest changing point
-        below = _nibble_bits((mask - _ONE) & ~mask & _NIBBLE_LOW)
+        below = _lowest(mask)
         image = core >> (below << np.uint64(2)) & np.uint64(15)
         # an odd x has an even image i: step +i; an even x: step −x, which
         # is ~(x − 1) in int8
@@ -225,7 +202,7 @@ def _reduce_words(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
                 f"{counts[r]} -> {remaining[r]} changing points")
         steps[live, passes] = step
         passes += 1
-        # a row that stays live is written again after its last pass
+        # a word that stays live is written again after its last pass
         cores[live] = core
         keep = np.flatnonzero(remaining)
         if not len(keep):
@@ -237,35 +214,18 @@ def _reduce_words(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return cores, steps[:, :passes]
 
 
-def _reduce_rows(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parity-reduce every row of an m × n uint8 image matrix at once.
-
-    Returns the parity-preserving cores (m × n uint8) and the steps
-    (m × p int8, p the largest step count): +i where core ← core·β_i^even,
-    −x where core ← β_x^odd·core, 0 after a row's last step.  The rows
-    run as packed words (``_reduce_words``), so n ≤ 15.  A pass that
-    fails to shrink a live row's parity-changing set raises RuntimeError.
-    With the β tables of ``_beta_rows`` every step removes the chosen point
-    and moves no other point across parity, so the check guards the tables
-    and the step rule, and bounds the passes by n.
-    """
-    n = images.shape[1]
-    cores, steps = _reduce_words(_pack(images), n)
-    return _rows_of(cores, n), steps
-
-
-def _recompose_rows(cores: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Multiply the factors recorded by ``_reduce_rows`` back onto the cores,
-    last step first: ·β_i^odd for a step +i, β_x^even· for a step −x.  Each
-    pass multiplies only the rows whose step in it is nonzero."""
-    n = cores.shape[1]
+def _recompose_words(cores: np.ndarray, steps: np.ndarray, n: int) -> np.ndarray:
+    """Multiply the factors recorded by ``_reduce_words`` back onto copies
+    of the cores' words, last step first: ·β_i^odd for a step +i, β_x^even·
+    for a step −x.  Each pass multiplies only the words whose step in it is
+    nonzero."""
     _, table, blocks = _word_tables(n)
-    words = _pack(cores)
+    words = cores.copy()
     for step in steps.T[::-1]:
         live = np.flatnonzero(step)
         words[live] = _times(table, blocks, words.take(live), step.take(live),
                              (n + 1) // 2)
-    return _rows_of(words, n)
+    return words
 
 
 @dataclass(frozen=True)

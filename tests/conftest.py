@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from fenceinj import build_G, close, enumerate_FI
+from fenceinj import ElementUniverse, build_G, close, enumerate_FI
+from fenceinj.oracle import _census_codes
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +23,13 @@ def u7():
 @pytest.fixture(scope="session")
 def u9():
     return enumerate_FI(9)
+
+
+@pytest.fixture(scope="session")
+def u11():
+    """The census of FI_11, past the enumeration cap; it shares no code
+    with the closure."""
+    return ElementUniverse(11, np.sort(_census_codes(11)))
 
 
 @pytest.fixture(scope="session")

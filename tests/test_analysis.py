@@ -467,6 +467,17 @@ def test_verify_context_workers_must_be_positive():
             VerifyContext(workers=workers)
 
 
+@pytest.mark.parametrize("name", ["workers", "seed"])
+@pytest.mark.parametrize("value", [True, 1.5, 2.0, "2"])
+def test_verify_context_refuses_non_integer_arguments(name, value):
+    """A bool, float or str is refused when the context is made, not when a
+    sampled claim such as ``parity-reduce-sweep`` at n = 9 first uses it."""
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        VerifyContext(**{name: value})
+    ctx = VerifyContext(**{name: np.int64(2)})
+    assert getattr(ctx, name) == 2
+
+
 # SHA-256 of each registry report as JSON, "seconds" removed, keys sorted
 # and compact: every claim's status and evidence string at each size
 REPORT_DIGESTS = {
@@ -508,22 +519,23 @@ def test_run_verification_filter():
 
 
 def test_parity_sweep_reports_the_first_bad_code(monkeypatch):
-    """Drop every step of two sampled rows: their recomposition is the
+    """Drop every step of two sampled words: their recomposition is the
     parity-preserving core, and the sweep names the earlier of the two."""
-    reduce_rows = constructions._reduce_rows
+    reduce_words = constructions._reduce_words
     seen = []
 
-    def wrong(images):
-        cores, steps = reduce_rows(images)
+    def wrong(words, n):
+        cores, steps = reduce_words(words, n)
         steps[[40, 10]] = 0
-        seen.append(images)
+        seen.append(words)
         return cores, steps
 
-    monkeypatch.setattr(constructions, "_reduce_rows", wrong)
+    monkeypatch.setattr(constructions, "_reduce_words", wrong)
     report = run_verification(5, VerifyContext(), ("parity-reduce-sweep",))
     sweep = {c.claim_id: c for c in report.checks}["parity-reduce-sweep"]
-    (images,) = seen
-    first = encode(PartialInjection(5, tuple(images[10].tolist())))
+    (words,) = seen
+    word = int(words[10])
+    first = encode(PartialInjection(5, tuple(word >> 4 * k & 15 for k in range(5))))
     assert sweep.status == "fail"
     assert sweep.evidence == f"decomposition invalid for code {first}"
 

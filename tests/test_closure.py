@@ -365,7 +365,9 @@ def test_product_kernel_at_index_dtype_boundaries(n, k, dtype, monkeypatch):
         words = frontier.take(nodes)
         products = closure_module._times(table, offsets, words, which)
         assert products is words and products.dtype == np.dtype("<u8")
-        assert closure_module._byte_sums(tables, products).tolist() == expected
+        codes = np.empty(len(products), dtype=np.int64)
+        assert closure_module._write_codes(tables, products, codes) is codes
+        assert codes.tolist() == expected
     # every nibble 15, which no map packs to, by the last generator: each
     # byte is table entry k·256 − 1
     full = np.array([closure_module._NO_WORD], dtype="<u8")
@@ -374,24 +376,60 @@ def test_product_kernel_at_index_dtype_boundaries(n, k, dtype, monkeypatch):
     assert table[-1] == (rows[-1, 14] if n == 15 else 0) * 17
 
 
-def test_packed_words_convert_to_codes(u3, u5, u7, u9):
+def test_packed_words_convert_to_codes(u3, u5, u7, u9, u11):
     """Packing image rows and converting the words to codes gives back the
-    codes, and the ranks; no packed word is the sentinel."""
-    cases = [(u.n, u.images_matrix, u.codes) for u in (u3, u5, u7, u9)]
+    codes, in pieces and written over the words themselves, and counting
+    the defined points gives the ranks, ``ElementUniverse.ranks`` on the
+    census rows; no packed word is the sentinel."""
+    cases = [(u.n, u.images_matrix, u.codes, u.ranks)
+             for u in (u3, u5, u7, u9, u11)]
     rng = np.random.default_rng(15)
     for n in (11, 13, 15):
         maps = [PartialInjection.empty(n), PartialInjection.identity(n)]
         maps += [random_injection(rng, n) for _ in range(2000)]
         assert sum(15 in f.images for f in maps) > 100 or n < 15
         rows = np.array([f.images for f in maps], dtype=np.uint8)
-        cases.append((n, rows, np.array([encode(f) for f in maps])))
-    for n, rows, codes in cases:
+        cases.append((n, rows, np.array([encode(f) for f in maps]),
+                      [f.rank for f in maps]))
+    for n, rows, codes, ranks in cases:
         words = closure_module._pack(rows)
         assert not np.any(words == closure_module._NO_WORD), n
-        found = closure_module._byte_sums(closure_module._sum_tables(n), words)
+        found = closure_module._nibble_bits(closure_module._defined(words))
+        assert np.array_equal(found, ranks), n
+        found = closure_module._write_codes(
+            closure_module._sum_tables(n), words, words.view(np.int64))
         assert np.array_equal(found, codes), n
-        ranks = closure_module._byte_sums(closure_module._sum_tables(n, ranks=True), words)
-        assert np.array_equal(ranks, np.count_nonzero(rows, axis=1)), n
+
+
+def test_lowest_counts_the_nibbles_below_the_first_set_point():
+    """``_lowest`` of a mask of nibble-low bits is x − 1 for its smallest
+    point x, whatever points lie above it; an empty mask reads 0."""
+    low = closure_module._NIBBLE_LOW
+    masks, expected = [], []
+    for x in range(1, 16):
+        for above in (0, 1, 7, 2 ** 15 - 1):
+            bits = (1 << (x - 1)) | (above << x) & (2 ** 15 - 1)
+            masks.append(sum(1 << 4 * k for k in range(15) if bits >> k & 1))
+            expected.append(x - 1)
+    masks = np.array(masks, dtype=np.uint64)
+    assert not np.any(masks & ~low)
+    assert closure_module._lowest(masks).tolist() == expected
+    assert closure_module._lowest(np.zeros(1, dtype=np.uint64)).tolist() == [0]
+
+
+def test_merge_into_grows_the_array_in_place():
+    """``_merge_into`` keeps the array object, keeps the sentinel last and
+    equals a sort of the concatenation, with repeats and an empty ``more``."""
+    rng = np.random.default_rng(3)
+    for size, extra in [(0, 0), (0, 5), (7, 0), (300, 40), (40, 300)]:
+        words = np.append(np.sort(rng.integers(0, 50, size=size, dtype=np.uint64)),
+                          closure_module._NO_WORD)
+        more = np.sort(rng.integers(0, 50, size=extra, dtype=np.uint64))
+        expected = np.sort(np.concatenate([words, more]))
+        merged = closure_module._merge_into(words, more)
+        assert merged is words and words.dtype == np.uint64
+        assert words[-1] == closure_module._NO_WORD
+        assert np.array_equal(words, expected), (size, extra)
 
 
 def spy_groupings(monkeypatch):
@@ -408,7 +446,8 @@ def spy_groupings(monkeypatch):
 
 def first_new_reference(words, seen, fresh, n, min_rank):
     """``_first_new`` by a scan in index order: the new words, their first
-    indices and ``fresh`` with them merged in, still ended by the sentinel."""
+    indices and ``fresh`` once they are merged in, still ended by the
+    sentinel."""
     known = set(seen.tolist()) | set(fresh.tolist())
     firsts = {}
     for i, word in enumerate(words.tolist()):
@@ -426,14 +465,14 @@ def sentinel_ended(words):
 @pytest.mark.parametrize("n", [5, 9, 11, 13])
 def test_dedupe_paths_agree(n, monkeypatch):
     """The sort and the argsort dedupe of one block give the first indices,
-    words and merged ``fresh`` of a scan in index order, with words already
-    in ``seen`` or ``fresh`` and words below the floor.  A block of at most
-    2^(64 − 4n) words takes the sort, so at n = 13 blocks of 2^12 and 2^12 + 1
-    words fall on the two sides of the switch.  A block of more than 16
-    words also takes the argsort when read as words of FI_15, whose ranks
-    are the same; a one-entry block always takes the sort.  Both run with
-    the default ``_PIECE`` and with 64, so keys and group starts are built
-    across many pieces."""
+    words and ``fresh``, merged in place, of a scan in index order, with
+    words already in ``seen`` or ``fresh`` and words below the floor.  A
+    block of at most 2^(64 − 4n) words takes the sort, so at n = 13 blocks
+    of 2^12 and 2^12 + 1 words fall on the two sides of the switch.  A block
+    of more than 16 words also takes the argsort when read as words of
+    FI_15, whose ranks are the same; a one-entry block always takes the
+    sort.  Both run with the default ``_PIECE`` and with 64, so keys and
+    group starts are built across many pieces."""
     rng = np.random.default_rng(n)
     rows = rng.integers(0, n + 1, size=(60, n), dtype=np.uint8)
     rows[rng.random(rows.shape) < 0.3] = 0
@@ -456,9 +495,9 @@ def test_dedupe_paths_agree(n, monkeypatch):
                         paths, (closure_module._PIECE, 64)):
                     monkeypatch.setattr(closure_module, "_PIECE", piece)
                     ran.clear()
-                    block = words.copy()
-                    found, first, merged = closure_module._first_new(
-                        block, seen, fresh, width, floor)
+                    block, merged = words.copy(), fresh.copy()
+                    found, first = closure_module._first_new(
+                        block, seen, merged, width, floor)
                     assert ran == ["_groups_by_sort" if by_sort
                                    else "_groups_by_argsort"]
                     assert (found.tolist(), first.tolist(), merged.tolist()) \
@@ -966,6 +1005,17 @@ def test_workers_must_be_positive():
     for workers in (0, -1):
         with pytest.raises(ValueError):
             close(build_G(5), workers=workers)
+
+
+@pytest.mark.parametrize("name", ["workers", "min_rank"])
+@pytest.mark.parametrize("value", [True, 1.5, 2.0, "2"])
+def test_close_refuses_non_integer_arguments(name, value):
+    """A bool, float or str is no count: ``min_rank=1.5`` would floor at 2
+    and ``min_rank=True`` at 1 if they were read as numbers."""
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        close(build_G(5), **{name: value})
+    assert len(close(build_G(5), **{name: np.int64(2)})) == (
+        182 if name == "workers" else 156)
 
 
 def test_generator_cache_key_canonical():

@@ -27,17 +27,14 @@ from fenceinj import (
     run_verification,
 )
 from fenceinj import constructions
-from fenceinj.closure import _pack
+from fenceinj.closure import _lowest, _pack
 from fenceinj.constructions import (
     _beta_rows,
     _changing,
     _extend_rows,
-    _parity_mask,
-    _recompose_rows,
-    _reduce_rows,
-    _rows_of,
+    _recompose_words,
+    _reduce_words,
 )
-from fenceinj.oracle import ElementUniverse, _census_codes
 
 BETA_LABEL = re.compile(r"beta_(\d+)_(odd|even)")
 
@@ -120,7 +117,13 @@ def reference_peel(delta):
 
 def par_rows(universe):
     mat = universe.images_matrix
-    return mat[_parity_mask(mat).any(axis=1)]
+    return mat[_changing(_pack(mat)) != 0]
+
+
+def unpacked(words, n):
+    """The m × n uint8 image rows of packed words, nibble by nibble."""
+    shifts = 4 * np.arange(n, dtype=np.uint64)
+    return (words[:, None] >> shifts & np.uint64(15)).astype(np.uint8)
 
 
 # SHA-256 of the comma-joined sorted codes that the n = 9 sweep samples
@@ -131,20 +134,21 @@ PAR9_SAMPLE_SHA256 = (
 
 @pytest.fixture(scope="module")
 def par9_sample():
-    """The image rows that the registry's n = 9 sweep reduces."""
+    """The image rows of the packed words that the registry's n = 9 sweep
+    reduces."""
     captured = []
 
-    def spy(images):
-        captured.append(images.copy())
-        return _reduce_rows(images)
+    def spy(words, n):
+        captured.append(words.copy())
+        return _reduce_words(words, n)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(constructions, "_reduce_rows", spy)
+        patch.setattr(constructions, "_reduce_words", spy)
         report = run_verification(9, VerifyContext(), ("parity-reduce-sweep",))
     assert {c.claim_id: c.status for c in report.checks}[
         "parity-reduce-sweep"] == "pass"
-    (rows,) = captured
-    return rows
+    (words,) = captured
+    return unpacked(words, 9)
 
 
 def test_par9_sample_is_pinned(par9_sample):
@@ -154,20 +158,17 @@ def test_par9_sample_is_pinned(par9_sample):
     assert digest == PAR9_SAMPLE_SHA256
 
 
-def test_parity_mask_matches_parity_points(u7):
-    mask = _parity_mask(u7.images_matrix)
-    for row, f in zip(mask, u7.members()):
-        assert tuple(np.flatnonzero(row) + 1) == parity_points(f)
-
-
 def check_kernel(rows):
-    """The batch kernel against the scalar peel loop and ``parity_reduce``,
-    row by row, and its recomposition against the input."""
+    """The batch kernel on the rows' packed words against the scalar peel
+    loop and ``parity_reduce``, row by row, and its recomposition against
+    the input words."""
     n = rows.shape[1]
-    cores, steps = _reduce_rows(rows)
-    assert cores.dtype == np.uint8 and steps.dtype == np.int8
+    words = _pack(rows)
+    cores, steps = _reduce_words(words, n)
+    assert cores.dtype == np.uint64 and steps.dtype == np.int8
     longest = 0
-    for images, core, step in zip(rows.tolist(), cores.tolist(), steps.tolist()):
+    core_rows = unpacked(cores, n).tolist()
+    for images, core, step in zip(rows.tolist(), core_rows, steps.tolist()):
         delta = PartialInjection(n, tuple(images))
         ref_core, ref_steps = reference_peel(delta)
         assert tuple(core) == ref_core.images
@@ -176,8 +177,9 @@ def check_kernel(rows):
         assert dec.core == ref_core and dec.steps == len(ref_steps)
         longest = max(longest, len(ref_steps))
     assert steps.shape[1] == longest
-    assert not _parity_mask(cores).any()
-    assert np.array_equal(_recompose_rows(cores, steps), rows)
+    assert not _changing(cores).any()
+    recomposed = _recompose_words(cores, steps, n)
+    assert recomposed is not cores and np.array_equal(recomposed, words)
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -196,18 +198,17 @@ def test_kernel_in_small_pieces(u7, monkeypatch):
     rows of Par_7 span 21 pieces, the last one short, and the cores, steps
     and recomposition are unchanged."""
     rows = par_rows(u7)
-    expected = _reduce_rows(rows)
+    expected = _reduce_words(_pack(rows), 7)
     monkeypatch.setattr(constructions, "_PIECE", 64)
-    found = _reduce_rows(rows)
+    found = _reduce_words(_pack(rows), 7)
     assert all(np.array_equal(a, b) for a, b in zip(found, expected))
     check_kernel(rows)
 
 
 @pytest.fixture(scope="module")
-def par11_sample():
+def par11_sample(u11):
     """2,000 seeded parity-changers of FI_11, from the census codes."""
-    universe = ElementUniverse(11, np.sort(_census_codes(11)))
-    rows = par_rows(universe)
+    rows = par_rows(u11)
     assert len(rows) > 2_000
     picked = np.random.default_rng(11).choice(len(rows), size=2_000, replace=False)
     return rows[picked]
@@ -238,35 +239,67 @@ def test_kernel_matches_the_peel_loop_on_word_products(n):
     word; some step's image or point is at least n − 3."""
     rows = word_products(n, 500, seed=n)
     check_kernel(rows)
-    _, steps = _reduce_rows(rows)
+    _, steps = _reduce_words(_pack(rows), n)
     assert np.abs(steps).max() >= n - 3
 
 
-def test_packed_mask_matches_the_row_mask(u3, u5, u7, u9, par11_sample):
-    """Bit 4(x−1) of ``_changing`` is entry x−1 of ``_parity_mask``, row by
-    row, and the words unpack to the rows they were packed from."""
+@pytest.fixture(scope="module")
+def mask_samples(u3, u5, u7, u9, par11_sample):
+    """Image rows of FI_3…FI_9, the n = 11 sample and G_13/G_15 word
+    products."""
     samples = [u.images_matrix for u in (u3, u5, u7, u9)]
-    samples += [par11_sample] + [word_products(n, 100, seed=n + 1) for n in (13, 15)]
-    for rows in samples:
+    return samples + [par11_sample] + [
+        word_products(n, 100, seed=n + 1) for n in (13, 15)]
+
+
+def row_mask(rows):
+    """Entry [r, x−1] is True iff point x of image row r is parity-changing:
+    y = xδ > 0 and x − y odd.  The row-by-row reference for ``_changing``."""
+    points = np.arange(1, rows.shape[1] + 1, dtype=np.uint8)
+    return ((rows ^ points) & 1).astype(bool) & (rows != 0)
+
+
+def test_parity_mask_matches_parity_points(mask_samples):
+    """Bit 4(x−1) of ``_changing`` is set iff x is a parity point of the
+    packed element, and ``_lowest`` of a word with any reads the first of
+    them, less 1."""
+    for rows in mask_samples:
+        n = rows.shape[1]
+        mask = _changing(_pack(rows))
+        bits = unpacked(mask, n)
+        firsts = _lowest(mask).tolist()
+        for images, row_bits, first in zip(rows.tolist(), bits.tolist(), firsts):
+            points = parity_points(PartialInjection(n, tuple(images)))
+            assert tuple(x + 1 for x, bit in enumerate(row_bits) if bit) == points
+            if points:
+                assert first + 1 == points[0]
+
+
+def test_packed_mask_matches_the_row_mask(mask_samples):
+    """Bit 4(x−1) of ``_changing`` is entry x−1 of the row mask, row by
+    row, no other bit is set, and the words unpack to the rows they were
+    packed from."""
+    for rows in mask_samples:
         n = rows.shape[1]
         words = _pack(rows)
-        assert np.array_equal(_rows_of(words, n), rows)
-        bits = (_changing(words)[:, None] >> (4 * np.arange(n, dtype=np.uint64))) & 1
-        assert np.array_equal(bits.astype(bool), _parity_mask(rows))
+        assert np.array_equal(unpacked(words, n), rows)
+        mask = _changing(words)
+        assert not np.any(mask & ~np.uint64(0x1111_1111_1111_1111))
+        assert np.array_equal(unpacked(mask, n).astype(bool), row_mask(rows))
 
 
 def test_kernel_leaves_parity_preserving_rows_alone(u5):
-    mat = u5.images_matrix
-    keep = mat[~_parity_mask(mat).any(axis=1)]
-    cores, steps = _reduce_rows(keep)
+    words = _pack(u5.images_matrix)
+    keep = words[_changing(words) == 0]
+    cores, steps = _reduce_words(keep, 5)
     assert np.array_equal(cores, keep) and steps.shape == (len(keep), 0)
-    assert np.array_equal(_recompose_rows(cores, steps), keep)
+    assert np.array_equal(_recompose_words(cores, steps, 5), keep)
 
 
 def test_batch_recompose_matches_a_compose_fold(u7):
     rows = par_rows(u7)
-    cores, steps = _reduce_rows(rows)
-    batch = _recompose_rows(cores, steps)
+    cores, steps = _reduce_words(_pack(rows), 7)
+    batch = unpacked(_recompose_words(cores, steps, 7), 7)
     for images, out in zip(rows.tolist(), batch.tolist()):
         dec = parity_reduce(PartialInjection(7, tuple(images)))
         folded = reduce(compose, (*dec.left, dec.core, *dec.right))
