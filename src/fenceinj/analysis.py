@@ -16,13 +16,16 @@ layer for Lemma 6 and Prop 7 on the classes R_i.  That floor is exact
 because rank(fg) ≤ min(rank f, rank g): a product that lands in R_i has
 every factor at rank ≥ n−1, so only the top layer needs closing.
 
-Three claims run as array kernels over the census's uint8 image rows, with
-no element decoded: ``lemma-bf4`` reads each rank-≥(n−2) row's
-parity-changing points off one mask, ``convex-extend-sweep`` extends every
-convex-domain row of rank ≤ n−3 at once (``constructions._extend_rows``)
-and checks each extension against the census, and ``generates-Jn`` hands
-the rank-≥(n−2) rows to the engine's row entry in the label order that
-``close(build_J(n, universe))`` uses, so it builds the same tree.
+Four claims run as array kernels over the census's packed words, with no
+element decoded: ``lemma-bf4`` marks the parity-changing points of each
+rank-≥(n−2) word and reads the first of them and its image,
+``parity-reduce-sweep`` reduces and recomposes the parity-changers' words,
+``convex-extend-sweep`` picks the convex-domain words of rank ≤ n−3,
+extends their image rows at once (``constructions._extend_rows``) and
+looks each extension's word up among the census's, and ``generates-Jn``
+hands the image rows of the rank-≥(n−2) words to the engine's row entry in
+the label order that ``close(build_J(n, universe))`` uses, so it builds
+the same tree.
 
 Evidence grades distinguish how a value is certified: arithmetic from the
 stated closed form (PAPER-FORMULA), direct exhaustive or closure computation
@@ -43,11 +46,18 @@ import numpy as np
 
 from .cache import load_universe
 from .fence import (
+    _NIBBLE_LOW,
     CapacityError,
     PartialInjection,
     _check_int,
+    _decode_codes,
+    _defined,
+    _image_at,
+    _lowest,
+    _nibble_bits,
+    _pack,
+    _unpack,
     check_fence_size,
-    code_powers,
     encode,
 )
 from .generators import (
@@ -115,10 +125,8 @@ def r_class(n: int, i: int, universe: ElementUniverse) -> RClass:
     _check_universe(n, universe)
     if not 1 <= _check_int(i, "class index") <= (n + 1) // 2:
         raise ValueError(f"class index {i} out of range 1..{(n + 1) // 2}")
-    mat = universe.images_matrix
     mask = universe.ranks == n - 1
-    rows = mat[mask]
-    omitted = (rows == 0).argmax(axis=1) + 1
+    omitted = _lowest(~_defined(universe.words[mask]) & _NIBBLE_LOW) + 1
     hit = (omitted == i) | (omitted == n - i + 1)
     # a boolean mask of the sorted codes is sorted
     return RClass(n, i, tuple(universe.codes[mask][hit].tolist()))
@@ -132,22 +140,25 @@ class _CayleyTable:
     ``len(codes)`` when the product falls below the floor.  A product of
     rank ≥ ``floor`` missing from the layer raises ValueError.  The L²
     products are one gather over the uint8 image rows, ``padded[b][rows[a]]``
-    (x ↦ (xa)b, 0 kept), coded by one dot and indexed by one searchsorted.
+    (x ↦ (xa)b, 0 kept), packed and looked up among the layer's words by
+    one searchsorted.  The layer's words and the products' words come from
+    two separate conversions, so a fault in either shows as a missing
+    product.
     """
 
     def __init__(self, n: int, codes: Sequence[int], floor: int = 0) -> None:
         codes = np.asarray(codes, dtype=np.int64)
         self.index = {code: k for k, code in enumerate(codes.tolist())}
         self.below = len(codes)
-        powers = np.array(code_powers(n), dtype=np.int64)
+        words, _ = _decode_codes(codes, n)
         padded = np.zeros((self.below, n + 1), dtype=np.uint8)
-        padded[:, 1:] = codes[:, None] // powers % (n + 1)
+        padded[:, 1:] = _unpack(words, n)
         products = padded[:, padded[:, 1:]].reshape(-1, n)  # row b·L + a: a·b
-        found = products @ powers
-        order = codes.argsort()
-        at = order[codes[order].searchsorted(found).clip(max=self.below - 1)]
+        found = _pack(products)
+        order = words.argsort()
+        at = order[words[order].searchsorted(found).clip(max=self.below - 1)]
         above = np.count_nonzero(products, axis=1) >= floor
-        missing = above & (codes[at] != found)
+        missing = above & (words[at] != found)
         if missing.any():
             f = PartialInjection(n, tuple(products[missing.argmax()].tolist()))
             raise ValueError(f"{f} is missing from the rank-≥{floor} layer")
@@ -332,23 +343,21 @@ def verify_lemma_bf4(n: int, universe: ElementUniverse) -> Bf4Check:
     """Every δ ∈ J_n ∩ Par_n has exactly one parity-changing point x,
     located at the boundary: x ∈ {1, n} or xδ ∈ {1, n}.
 
-    One pass over the packed words of the census rows of rank ≥ n−2:
-    ``_changing`` marks each word's parity-changing points, a word with
-    any is checked, and it holds iff it has one and that point or its
-    image is 1 or n.  The failures are the codes of the words that do not
-    hold, ascending."""
-    from .closure import _lowest, _nibble_bits, _pack
+    One pass over the census words of rank ≥ n−2: ``_changing`` marks
+    each word's parity-changing points, a word with any is checked, and it
+    holds iff it has one and that point or its image is 1 or n.  The
+    failures are the codes of the words that do not hold, ascending."""
     from .constructions import _changing
 
     _check_universe(n, universe)
     top = np.flatnonzero(universe.ranks >= n - 2)
-    words = _pack(universe.images_matrix[top])
+    words = universe.words.take(top)
     mask = _changing(words)
     # only a word with a changing point is checked, or read by _lowest
     par = np.flatnonzero(mask)
     mask, words = mask.take(par), words.take(par)
     first = _lowest(mask)  # x − 1 for the first changing point x
-    image = words >> (first << np.uint64(2)) & np.uint64(15)
+    image = _image_at(words, first)
     boundary = (first == 0) | (first == n - 1) | (image == 1) | (image == n)
     bad = (_nibble_bits(mask) > 1) | ~boundary
     return Bf4Check(n, len(par), tuple(universe.codes[top[par[bad]]].tolist()))
@@ -571,7 +580,7 @@ def _close_J(universe: ElementUniverse) -> ClosureResult:
 
     n = universe.n
     codes = sorted(universe.codes[universe.ranks >= n - 2].tolist(), key=str)
-    rows = universe.images_matrix[universe.codes.searchsorted(codes)]
+    rows = _unpack(universe.words.take(universe.codes.searchsorted(codes)), n)
     return _close_rows(n, tuple(map(str, codes)), rows, 0)
 
 
@@ -637,11 +646,10 @@ _PARITY_SAMPLE = 10_000
 
 
 def _run_parity_sweep(n: int, ctx: VerifyContext) -> tuple[str, str]:
-    from .closure import _pack
     from .constructions import _changing, _recompose_words, _reduce_words
 
     universe = ctx.universe(n)
-    words = _pack(universe.images_matrix)
+    words = universe.words
     par = np.flatnonzero(_changing(words))
     if len(par) <= _PARITY_SAMPLE:
         picked = par
@@ -659,33 +667,26 @@ def _run_parity_sweep(n: int, ctx: VerifyContext) -> tuple[str, str]:
     return STATUS_PASS, f"{how} parity-changers decompose and recompose exactly"
 
 
-def _convex_domain_mask(images: np.ndarray) -> np.ndarray:
-    """True for the image rows whose domain is an interval (or empty): the
-    defined points form at most one run, i.e. at most one defined point
-    follows an undefined one or starts the row."""
-    defined = images != 0
-    starts = np.count_nonzero(defined[:, 1:] > defined[:, :-1], axis=1)
-    return starts + defined[:, 0] <= 1
-
-
 def _run_convex_sweep(n: int, ctx: VerifyContext) -> tuple[str, str]:
     """Every convex-domain row δ of rank ≤ n−3, extended by ``_extend_rows``
     to δ ∪ {w↦x}, must give a census member (so a partial automorphism) of
     rank rank(δ) + 1 that is δ again once w is cleared, i.e.
-    id_{n̄∖{w}} · (δ ∪ {w↦x}) = δ."""
+    id_{n̄∖{w}} · (δ ∪ {w↦x}) = δ.  A domain is convex iff at most one of
+    its points starts a run, a defined point whose predecessor is not."""
     from .constructions import _extend_rows
 
     universe = ctx.universe(n)
-    mat = universe.images_matrix
-    picked = np.flatnonzero((universe.ranks <= n - 3) & _convex_domain_mask(mat))
-    rows = mat[picked]
+    words = universe.words
+    defined = _defined(words)
+    starts = _nibble_bits(defined & ~(defined << np.uint64(4)))
+    picked = np.flatnonzero((universe.ranks <= n - 3) & (starts <= 1))
+    rows = _unpack(words.take(picked), n)
     w, x = _extend_rows(rows)
     at = np.arange(len(rows)), w - 1
     extended = rows.copy()
     extended[at] = x
-    codes = extended @ np.array(code_powers(n), dtype=np.int64)
-    found = universe.codes.searchsorted(codes).clip(max=len(universe) - 1)
-    bad = universe.codes[found] != codes
+    found = _pack(extended)
+    bad = words.take(words.searchsorted(found).clip(max=len(words) - 1)) != found
     bad |= np.count_nonzero(extended, axis=1) != universe.ranks[picked] + 1
     extended[at] = 0
     bad |= (extended != rows).any(axis=1)

@@ -24,12 +24,8 @@ pairs (x, child of u) in the order (x, k), the order a full frontier ×
 generators sweep would visit them in, so the first occurrence of each code,
 and with it every witness, is the one the full sweep picks.
 
-The hot path is table-driven.  An element (n ≤ 15) is held as one packed
-word, a little-endian u64 with the image of point k, 0 for undefined, in
-nibble k−1; the top nibble is always 0.  A word rises with its base-(n+1)
-code, since both read the images from point n down.  Only this module knows
-the format; its nibble toolkit (``_defined``, ``_nibble_bits``,
-``_lowest``) also serves the parity kernel and the registry's claims.  A
+The hot path is table-driven.  An element is held as its packed word (see
+``fence``), whose helpers convert it to and from codes and image rows.  A
 flat ``uint8`` table maps byte b of a word, two images, through generator
 k, 0 sticky, at offset k·256 + b.  One product kernel, ``_times``, serves
 both the closure and the replay of a saved tree: over an array of the
@@ -142,7 +138,18 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .fence import PartialInjection, _check_int, code_powers, compose, encode
+from .fence import (
+    _PIECE,
+    PartialInjection,
+    _check_int,
+    _defined,
+    _nibble_bits,
+    _pack,
+    _sum_tables,
+    _write_codes,
+    compose,
+    encode,
+)
 from .generators import GeneratorSet
 from .oracle import (
     ElementUniverse,
@@ -158,19 +165,9 @@ from .oracle import (
 # 8-byte scalars
 _BLOCK_ENTRIES = 1 << 20
 
-# the products one gather forms, and the codes one table sum writes; a
-# gather's index holds eight entries per product
-_PIECE = 1 << 13
-
 # no packed word has a nonzero top nibble, so this one ends the sorted word
 # arrays ``seen`` and ``fresh``, above every word
 _NO_WORD = np.uint64(2 ** 64 - 1)
-
-# bit 0 of every nibble of a packed word, and of the nibbles of the odd
-# points 1, 3, …, 15 (nibble x−1 holds the image of point x)
-_NIBBLE_LOW = np.uint64(0x1111_1111_1111_1111)
-_ODD_POINTS = np.uint64(0x0101_0101_0101_0101)
-_ONE = np.uint64(1)
 
 # magic of the witness-tree file: parent indices, then generator indices
 TREE_MAGIC = b"FTRE"
@@ -529,17 +526,6 @@ def _byte_table(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table, offsets.astype(np.min_scalar_type(len(table) - 1))
 
 
-def _pack(rows: np.ndarray) -> np.ndarray:
-    """Packed words of uint8 image rows: the image of point k in bits
-    4(k−1) to 4k−1 of a little-endian u64.  A pair of images read as one
-    u16 is v = lo + 256·hi, and the low byte of v | v >> 4 is lo + 16·hi."""
-    nibbles = np.zeros((len(rows), 16), dtype=np.uint8)
-    nibbles[:, :rows.shape[1]] = rows
-    pairs = nibbles.view("<u2")
-    pairs |= pairs >> 4
-    return pairs.astype(np.uint8).view("<u8").ravel()
-
-
 def _times(table: np.ndarray, offsets: np.ndarray, words: np.ndarray,
            gens: np.ndarray) -> np.ndarray:
     """The packed products words[j] · the generator at offset
@@ -554,56 +540,6 @@ def _times(table: np.ndarray, offsets: np.ndarray, words: np.ndarray,
         hi = lo + _PIECE
         data[lo:hi] = table.take(data[lo:hi] + offsets.take(gens[lo:hi])[:, None])
     return words
-
-
-def _defined(words: np.ndarray) -> np.ndarray:
-    """The defined points of packed words: bit 4(x−1) is set iff point x
-    has an image, and no other bit is."""
-    defined = words | words >> np.uint64(2)
-    defined |= defined >> _ONE
-    return defined & _NIBBLE_LOW
-
-
-def _nibble_bits(bits: np.ndarray) -> np.ndarray:
-    """How many bits each word sets, for words that set only bit 0 of
-    nibbles: the product's top nibble sums all 16 nibbles, and no sum of
-    at most 15 of them carries out of its nibble."""
-    return (bits * _NIBBLE_LOW) >> np.uint64(60)
-
-
-def _lowest(mask: np.ndarray) -> np.ndarray:
-    """x − 1, the nibbles below it, for the smallest point x whose bit
-    4(x−1) a mask of nibble-low bits sets.  An empty mask reads 0, as one
-    whose smallest point is 1 does, so it must not be read."""
-    return _nibble_bits((mask - _ONE) & ~mask & _NIBBLE_LOW)
-
-
-def _sum_tables(n: int) -> np.ndarray:
-    """Tables for ``_write_codes``: row p, entry b is the share of byte b,
-    at byte p of a packed word, in the word's code.  Bytes from (n+1)//2
-    on hold no point and get no row."""
-    byte = np.arange(256)
-    weights = np.zeros(16, dtype=np.int64)
-    weights[:n] = code_powers(n)
-    tables = (byte & 15) * weights[0::2, None] + (byte >> 4) * weights[1::2, None]
-    return tables[:(n + 1) // 2]
-
-
-def _write_codes(tables: np.ndarray, words: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
-    """The codes of packed words, Σ_p tables[p][byte p] over ``_sum_tables``,
-    written into the int64 array ``out``, which may be the words' own
-    memory, ``_PIECE`` words at a time.  Pieces of 2^20 words took twice as
-    long over 3.7 M words, and their temporaries left close-g11's peak RSS
-    5 MB higher."""
-    data = words.view(np.uint8).reshape(-1, 8)
-    for lo in range(0, len(words), _PIECE):
-        hi = lo + _PIECE
-        sums = tables[0].take(data[lo:hi, 0])
-        for p in range(1, len(tables)):
-            sums += tables[p].take(data[lo:hi, p])
-        out[lo:hi] = sums
-    return out
 
 
 def _sorted_rows(gens: GeneratorSet) -> tuple[tuple[str, ...], np.ndarray]:

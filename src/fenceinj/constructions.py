@@ -8,9 +8,9 @@ if x is even then x±1 are outside dom δ and δ = β_x^even·(β_x^odd·δ).
 Iterating yields δ = l_1⋯l_p · core · r_1⋯r_p with every l/r factor either
 id_{n̄} or a β-family element and the core parity-preserving.
 
-The reduction runs as one batch kernel, ``_reduce_words``, over the packed
-words of ``closure`` (one nibble per point, so n ≤ 15), whose nibble
-toolkit it shares.  Each pass takes every live word's smallest
+The reduction runs as one batch kernel, ``_reduce_words``, over packed
+words (one nibble per point, so n ≤ 15), which it reads through the nibble
+toolkit of ``fence``.  Each pass takes every live word's smallest
 parity-changing point x and records one signed int8 step: +i for an odd x
 with image i, core ← core·β_i^even; −x for an even x, core ← β_x^odd·core.
 Both products are one gather per word through a table of per-byte shares
@@ -44,9 +44,17 @@ from functools import cache
 
 import numpy as np
 
-from .closure import _ODD_POINTS, _ONE, _PIECE, _defined, _lowest, _nibble_bits
 from .fence import (
+    _ODD_POINTS,
+    _ONE,
+    _PIECE,
     PartialInjection,
+    _defined,
+    _image_at,
+    _lowest,
+    _nibble_bits,
+    _pack,
+    _unpack,
     compose,
     is_convex,
     is_partial_automorphism,
@@ -187,7 +195,7 @@ def _reduce_words(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     while len(live):
         # x − 1, the number of nibbles below the lowest changing point
         below = _lowest(mask)
-        image = core >> (below << np.uint64(2)) & np.uint64(15)
+        image = _image_at(core, below)
         # an odd x has an even image i: step +i; an even x: step −x, which
         # is ~(x − 1) in int8
         step = np.where(below & _ONE, ~below, image).astype(np.int8)
@@ -255,17 +263,16 @@ class ParityDecomposition:
 def parity_reduce(delta: PartialInjection) -> ParityDecomposition:
     """Peel parity-changing points off δ, smallest domain point first.
 
-    The batch kernel ``_reduce_words`` on δ's one packed word, which is
-    packed and unpacked as a Python int; step k becomes the left factor l_k
-    and the right factor r_k, so the right factors run from the last step
-    to the first.  Each step removes at least the chosen
-    point from the parity-changing set; the step count is bounded by
-    |dom δ|.  A step that fails to shrink the set raises RuntimeError.
+    The batch kernel ``_reduce_words`` on δ's one packed word; step k
+    becomes the left factor l_k and the right factor r_k, so the right
+    factors run from the last step to the first.  Each step removes at
+    least the chosen point from the parity-changing set; the step count is
+    bounded by |dom δ|.  A step that fails to shrink the set raises
+    RuntimeError.
     """
     n = delta.n
     ident = _identity(n)
-    word = sum(y << 4 * k for k, y in enumerate(delta.images))
-    cores, steps = _reduce_words(np.array([word], dtype=np.uint64), n)
+    cores, steps = _reduce_words(_pack(np.array([delta.images], dtype=np.uint8)), n)
     left: list[PartialInjection] = []
     right: list[PartialInjection] = []
     left_labels: list[str] = []
@@ -281,8 +288,7 @@ def parity_reduce(delta: PartialInjection) -> ParityDecomposition:
             left_labels.append(f"beta_{-step}_even")
             right.append(ident)
             right_labels.append(IDENTITY_LABEL)
-    word = int(cores[0])
-    core = PartialInjection(n, tuple(word >> 4 * k & 15 for k in range(n)))
+    core = PartialInjection(n, tuple(_unpack(cores, n)[0].tolist()))
     return ParityDecomposition(
         delta, tuple(left), core, tuple(reversed(right)),
         tuple(left_labels), tuple(reversed(right_labels)))

@@ -17,6 +17,22 @@ point.  Each element admits a canonical integer code in base n+1:
 
 which fits in 64 bits for n ≤ 15.
 
+Arrays of elements take a second form, the packed word: a little-endian
+u64 with the image of point k, 0 for undefined, in nibble k−1; the top
+nibble is always 0.  A word rises with its code, since both read the images
+from point n down, so a sorted array of codes and the array of their words
+are in the same order.  This module alone converts element arrays between
+codes, uint8 image rows and words: ``_pack`` and ``_unpack`` between rows
+and words, ``_decode_codes`` from codes to words and ranks, one divmod pass
+over the digits, and ``_write_codes`` from words to codes, one table gather
+per byte (``_sum_tables``).  Both run ``_PIECE`` entries at a time, so
+their temporaries stay piece-sized.  The nibble toolkit reads a word as
+bit sets: ``_defined`` marks the defined points, ``_nibble_bits`` counts
+marked points, ``_lowest`` finds the first and ``_image_at`` reads the
+image there.  The closure engine, the parity kernel and the registry's
+claims all read words through these helpers; only the product kernels of
+the engine and of the parity kernel read a word's bytes themselves.
+
 Every public way to build an element validates it in full:
 ``PartialInjection(...)``, ``from_pairs``, ``restrict_identity``, ``decode``
 and ``parse_map``.  Composites and inverses do not: a composite or inverse
@@ -30,6 +46,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
 from typing import Iterable, Iterator
+
+import numpy as np
 
 MAX_N = 15
 
@@ -93,6 +111,17 @@ def is_convex(points: Iterable[int]) -> bool:
 
 
 _POWERS: dict[int, tuple[int, ...]] = {}
+
+# the entries one conversion of an element array handles at a time, and the
+# products one gather of a product kernel forms; a gather's index holds
+# eight entries per product
+_PIECE = 1 << 13
+
+# bit 0 of every nibble of a packed word, and of the nibbles of the odd
+# points 1, 3, …, 15 (nibble x−1 holds the image of point x)
+_NIBBLE_LOW = np.uint64(0x1111_1111_1111_1111)
+_ODD_POINTS = np.uint64(0x0101_0101_0101_0101)
+_ONE = np.uint64(1)
 
 
 def code_powers(n: int) -> tuple[int, ...]:
@@ -324,3 +353,104 @@ def parse_map(n: int, text: str) -> PartialInjection:
 
 def format_map(f: PartialInjection) -> str:
     return ",".join("_" if v == UNDEF else str(v) for v in f.images)
+
+
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """Packed words of uint8 image rows: the image of point k in bits
+    4(k−1) to 4k−1 of a little-endian u64.  A pair of images read as one
+    u16 is v = lo + 256·hi, and the low byte of v | v >> 4 is lo + 16·hi."""
+    nibbles = np.zeros((len(rows), 16), dtype=np.uint8)
+    nibbles[:, :rows.shape[1]] = rows
+    pairs = nibbles.view("<u2")
+    pairs |= pairs >> 4
+    return pairs.astype(np.uint8).view("<u8").ravel()
+
+
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """The m × n uint8 image rows of packed words: byte q holds the images
+    of points 2q+1 (low nibble) and 2q+2 (high nibble)."""
+    data = words.view(np.uint8).reshape(-1, 8)
+    rows = np.empty((len(words), n), dtype=np.uint8)
+    rows[:, 0::2] = data[:, :(n + 1) // 2] & 15
+    rows[:, 1::2] = data[:, :n // 2] >> 4
+    return rows
+
+
+def _decode_codes(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The packed words and the uint8 ranks of codes of maps on {1..n}.
+
+    One divmod pass per digit, ``_PIECE`` codes at a time, ORs each digit
+    into its nibble and counts the nonzero digits, so a rank does not rest
+    on the nibble toolkit.  A code left nonzero after n digits, one
+    ≥ (n+1)^n or negative, raises ValueError."""
+    words = np.zeros(len(codes), dtype=np.uint64)
+    ranks = np.zeros(len(codes), dtype=np.uint8)
+    for lo in range(0, len(codes), _PIECE):
+        rest = np.array(codes[lo:lo + _PIECE], dtype=np.int64)
+        word, rank = words[lo:lo + _PIECE], ranks[lo:lo + _PIECE]
+        digit = np.empty_like(rest)
+        nibble = digit.view(np.uint64)
+        for k in range(n):
+            np.divmod(rest, n + 1, out=(rest, digit))
+            rank += digit != 0
+            nibble <<= np.uint64(4 * k)
+            word |= nibble
+        if rest.any():
+            code = codes[lo + int(np.flatnonzero(rest)[0])]
+            raise ValueError(f"code {code} is out of range for n={n}")
+    return words, ranks
+
+
+def _defined(words: np.ndarray) -> np.ndarray:
+    """The defined points of packed words: bit 4(x−1) is set iff point x
+    has an image, and no other bit is."""
+    defined = words | words >> np.uint64(2)
+    defined |= defined >> _ONE
+    return defined & _NIBBLE_LOW
+
+
+def _nibble_bits(bits: np.ndarray) -> np.ndarray:
+    """How many bits each word sets, for words that set only bit 0 of
+    nibbles: the product's top nibble sums all 16 nibbles, and no sum of
+    at most 15 of them carries out of its nibble."""
+    return (bits * _NIBBLE_LOW) >> np.uint64(60)
+
+
+def _lowest(mask: np.ndarray) -> np.ndarray:
+    """x − 1, the nibbles below it, for the smallest point x whose bit
+    4(x−1) a mask of nibble-low bits sets.  An empty mask reads 0, as one
+    whose smallest point is 1 does, so it must not be read."""
+    return _nibble_bits((mask - _ONE) & ~mask & _NIBBLE_LOW)
+
+
+def _image_at(words: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """The image of point ``below`` + 1 in each packed word, as u64."""
+    return words >> (below << np.uint64(2)) & np.uint64(15)
+
+
+def _sum_tables(n: int) -> np.ndarray:
+    """Tables for ``_write_codes``: row p, entry b is the share of byte b,
+    at byte p of a packed word, in the word's code.  Bytes from (n+1)//2
+    on hold no point and get no row."""
+    byte = np.arange(256)
+    weights = np.zeros(16, dtype=np.int64)
+    weights[:n] = code_powers(n)
+    tables = (byte & 15) * weights[0::2, None] + (byte >> 4) * weights[1::2, None]
+    return tables[:(n + 1) // 2]
+
+
+def _write_codes(tables: np.ndarray, words: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """The codes of packed words, Σ_p tables[p][byte p] over ``_sum_tables``,
+    written into the int64 array ``out``, which may be the words' own
+    memory, ``_PIECE`` words at a time: pieces of 2^20 words took twice as
+    long over 3.7 M words, and their temporaries left close-g11's peak RSS
+    5 MB higher."""
+    data = words.view(np.uint8).reshape(-1, 8)
+    for lo in range(0, len(words), _PIECE):
+        hi = lo + _PIECE
+        sums = tables[0].take(data[lo:hi, 0])
+        for p in range(1, len(tables)):
+            sums += tables[p].take(data[lo:hi, p])
+        out[lo:hi] = sums
+    return out

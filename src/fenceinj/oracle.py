@@ -10,12 +10,13 @@ bitmask of the images within distance 1 of the images of the earlier,
 non-adjacent points.  The search shares no code with the closure engine.
 
 The census is one sorted, read-only int64 array: ``enumerate_FI`` sorts the
-search's last level in place, and derives the image rows and the ranks
-from it.  Every prefix extends to an element of FI_n, so the cost grows
-with |FI_n|: on one 2-core Xeon host, FI_9 takes about 2.5 ms, the
-586,650 elements of FI_11 about 30 ms and the 11,333,302 of FI_13 about
-0.6 s.  ``enumerate_FI`` is capped at n = 9 and refuses larger n, which the
-closure of G_n covers instead; tests check the uncapped search against it.
+search's last level in place, and the census derives the packed words and
+the ranks from it in one pass (``fence._decode_codes``).  Every prefix
+extends to an element of FI_n, so the cost grows with |FI_n|: on one 2-core
+Xeon host, FI_9 takes about 2.5 ms, the 586,650 elements of FI_11 about
+30 ms and the 11,333,302 of FI_13 about 0.6 s.  ``enumerate_FI`` is capped
+at n = 9 and refuses larger n, which the closure of G_n covers instead;
+tests check the uncapped search against it.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ import numpy as np
 from .fence import (
     CapacityError,
     PartialInjection,
+    _decode_codes,
     check_fence_size,
     code_powers,
     decode,
-    is_partial_automorphism,
 )
 
 ENUMERATION_CAP = 9
@@ -115,23 +116,20 @@ class ElementUniverse:
         return len(self.codes)
 
     @cached_property
-    def images_matrix(self) -> np.ndarray:
-        """Row k = image tuple of codes[k]; shape (count, n), zeros undefined.
+    def _decoded(self) -> tuple[np.ndarray, np.ndarray]:
+        words, ranks = _decode_codes(self.codes, self.n)
+        words.flags.writeable = ranks.flags.writeable = False
+        return words, ranks
 
-        The entries are uint8: an image is at most n ≤ 15.
-        """
-        base = self.n + 1
-        digits = np.empty((len(self.codes), self.n), dtype=np.uint8)
-        c = self.codes.copy()
-        digit = np.empty_like(c)
-        for k in range(self.n):
-            np.divmod(c, base, out=(c, digit))
-            digits[:, k] = digit
-        return digits
+    @property
+    def words(self) -> np.ndarray:
+        """The packed word of each code, read-only; sorted, as the codes are."""
+        return self._decoded[0]
 
-    @cached_property
+    @property
     def ranks(self) -> np.ndarray:
-        return np.count_nonzero(self.images_matrix, axis=1)
+        """The rank of each code, its count of nonzero digits, as uint8."""
+        return self._decoded[1]
 
     @cached_property
     def rank_histogram(self) -> tuple[int, ...]:
@@ -153,12 +151,17 @@ class ElementUniverse:
 
     @classmethod
     def load(cls, path: str | Path) -> ElementUniverse:
-        """Read a saved universe; ValueError unless every field agrees."""
+        """Read a saved universe; ValueError unless every field agrees, n
+        is a fence size and the codes are strictly increasing codes of maps
+        on {1..n}."""
         n, codes = read_code_file(path)
+        check_fence_size(n)
         meta = read_sidecar(path, ("n", "count", "rank_histogram", "mode"))
         if (meta["n"] != n or meta["count"] != len(codes)
                 or meta["mode"] != MODE_EXHAUSTIVE):
             raise ValueError(f"sidecar of {path} disagrees with the binary header")
+        if np.any(codes[1:] <= codes[:-1]):
+            raise ValueError(f"codes of {path} are not strictly increasing")
         codes.flags.writeable = False
         universe = cls(n, codes)
         if sidecar_ints(meta, "rank_histogram") != universe.rank_histogram:
@@ -260,30 +263,3 @@ def enumerate_FI(n: int) -> ElementUniverse:
     codes.sort()
     codes.flags.writeable = False
     return ElementUniverse(n, codes)
-
-
-def enumerate_naive(n: int) -> tuple[int, ...]:
-    """Filter all partial injections by the automorphism predicate.
-
-    One pass over I_n, used to cross-check the pruned search at small n;
-    refuses n > 7 (n = 7 takes about a second).
-    """
-    check_fence_size(n)
-    if n > 7:
-        raise CapacityError(f"naive filter is impractical for n = {n}")
-    from itertools import combinations, permutations
-
-    powers = code_powers(n)
-    codes = []
-    points = range(1, n + 1)
-    for k in range(n + 1):
-        for dom in combinations(points, k):
-            for img in permutations(points, k):
-                images = [0] * n
-                for x, y in zip(dom, img):
-                    images[x - 1] = y
-                f = PartialInjection(n, tuple(images))
-                if is_partial_automorphism(f):
-                    codes.append(sum(v * p for v, p in zip(images, powers)))
-    codes.sort()
-    return tuple(codes)

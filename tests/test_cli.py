@@ -6,11 +6,13 @@ import json
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fenceinj import ClosureResult, build_G, close
+from fenceinj import ClosureResult, build_G, close, enumerate_FI
 from fenceinj.cache import load_closure
 from fenceinj.cli import main
+from fenceinj.oracle import write_code_file, write_sidecar
 
 
 def run_cli(capsys, *argv):
@@ -328,6 +330,47 @@ def test_bad_cache_file_is_rebuilt(tmp_path, capsys, damage):
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("warning:"), err
             assert _snapshot(cache) == clean, (name, command)
+
+
+def _write_census(path, n, codes):
+    """A census file of ``codes`` whose digest and sidecar agree with them:
+    the histogram counts the nonzero digits among each code's first n."""
+    write_code_file(path, n, codes)
+    histogram = [0] * (n + 1)
+    for code in codes.tolist():
+        histogram[sum(code // (n + 1) ** k % (n + 1) != 0 for k in range(n))] += 1
+    write_sidecar(path, {"n": n, "count": len(codes),
+                         "rank_histogram": histogram, "mode": "exhaustive"})
+
+
+def _without_seconds(out):
+    doc = json.loads(out)
+    for check in doc["checks"]:
+        del check["seconds"]
+    return doc
+
+
+@pytest.mark.parametrize("fault", ["unsorted", "duplicate", "out of range"])
+def test_census_file_that_is_no_census_is_rebuilt(tmp_path, capsys, fault):
+    """A census file whose digest and sidecar agree with codes that are not
+    FI_5's census, reversed, with its last code repeated, or with its last
+    code set to 7,779 ≥ 6^5, is a miss: it is rebuilt with one warning
+    line, and ``verify`` reports what it reports on a clean cache."""
+    argv = ("verify", "--n", "5", "--format", "json", "--cache-dir")
+    code, clean, err = run_cli(capsys, *argv, str(tmp_path / "clean"))
+    assert code == 0 and err == ""
+    codes = enumerate_FI(5).codes
+    codes = {"unsorted": codes[::-1],
+             "duplicate": np.append(codes, codes[-1]),
+             "out of range": np.append(codes[:-1], 7779)}[fault]
+    cache = tmp_path / "damaged"
+    cache.mkdir()
+    _write_census(cache / "universe_n5.bin", 5, codes)
+    code, out, err = run_cli(capsys, *argv, str(cache))
+    lines = err.splitlines()
+    assert code == 0 and len(lines) == 1 and lines[0].startswith("warning:"), err
+    assert _without_seconds(out) == _without_seconds(clean)
+    assert _snapshot(cache) == _snapshot(tmp_path / "clean")
 
 
 def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):

@@ -33,6 +33,7 @@ from fenceinj import (
     verify_generates,
 )
 from fenceinj import closure as closure_module
+from fenceinj import fence as fence_module
 from fenceinj.analysis import r_class
 from fenceinj.closure import TREE_MAGIC, _generation_check
 from fenceinj.oracle import (
@@ -292,9 +293,10 @@ def test_small_blocks_split_rows_identically(n, block, monkeypatch, tmp_path):
     holding the candidates of a run of whole frontier nodes, and must still
     give the arrays and product count of the default block size; so must a
     replay of the saved tree, whose products are formed in blocks too.
-    Both run with the default ``_PIECE`` and with 64, so a node's
-    candidates straddle the pieces its products and dedupe are formed in,
-    and a new row's node is still found from its first index alone."""
+    Both run with the default ``_PIECE`` and with 64, in the engine and in
+    ``fence``, so a node's candidates straddle the pieces its products,
+    dedupe and codes are formed in, and a new row's node is still found
+    from its first index alone."""
     gens = build_G(n)
     for floor in (0, n - 1):
         reference = close(gens, min_rank=floor)
@@ -304,6 +306,7 @@ def test_small_blocks_split_rows_identically(n, block, monkeypatch, tmp_path):
             with monkeypatch.context() as patch:
                 patch.setattr(closure_module, "_BLOCK_ENTRIES", block)
                 patch.setattr(closure_module, "_PIECE", piece)
+                patch.setattr(fence_module, "_PIECE", piece)
                 result = close(gens, min_rank=floor)
                 loaded = ClosureResult.load(tree_path, gens)
             for copy in (reference, result, loaded):
@@ -351,22 +354,23 @@ def test_product_kernel_at_index_dtype_boundaries(n, k, dtype, monkeypatch):
     table, offsets = closure_module._byte_table(rows)
     assert len(table) == k * 256 and offsets.dtype == dtype
     elements = [random_injection(rng, n) for _ in range(300)]
-    frontier = closure_module._pack(
+    frontier = fence_module._pack(
         np.array([f.images for f in elements], dtype=np.uint8))
     nodes = rng.integers(0, len(elements), size=2000)
     which = rng.integers(0, k, size=len(nodes))
     which[-1] = k - 1
     expected = [encode(compose(elements[i], gens[j]))
                 for i, j in zip(nodes.tolist(), which.tolist())]
-    tables = closure_module._sum_tables(n)
+    tables = fence_module._sum_tables(n)
     for piece in (None, 64):
         if piece is not None:
             monkeypatch.setattr(closure_module, "_PIECE", piece)
+            monkeypatch.setattr(fence_module, "_PIECE", piece)
         words = frontier.take(nodes)
         products = closure_module._times(table, offsets, words, which)
         assert products is words and products.dtype == np.dtype("<u8")
         codes = np.empty(len(products), dtype=np.int64)
-        assert closure_module._write_codes(tables, products, codes) is codes
+        assert fence_module._write_codes(tables, products, codes) is codes
         assert codes.tolist() == expected
     # every nibble 15, which no map packs to, by the last generator: each
     # byte is table entry k·256 − 1
@@ -377,34 +381,63 @@ def test_product_kernel_at_index_dtype_boundaries(n, k, dtype, monkeypatch):
 
 
 def test_packed_words_convert_to_codes(u3, u5, u7, u9, u11):
-    """Packing image rows and converting the words to codes gives back the
-    codes, in pieces and written over the words themselves, and counting
-    the defined points gives the ranks, ``ElementUniverse.ranks`` on the
-    census rows; no packed word is the sentinel."""
-    cases = [(u.n, u.images_matrix, u.codes, u.ranks)
+    """``_decode_codes`` gives the words ``_pack`` makes of the image rows
+    that ``decode`` gives, and the ranks ``PartialInjection.rank`` gives,
+    on FI_3…FI_9, every 29th code of FI_11 and random maps at n = 11, 13
+    and 15; none of these lengths is a multiple of ``_PIECE``.  The words
+    unpack to the rows, counting their defined points gives the ranks too,
+    and ``_write_codes`` gives back the codes, in pieces and written over
+    the words themselves, also for the census words of the whole of FI_11;
+    no packed word is the sentinel."""
+    cases = [(u.n, u.codes[::29] if u.n == 11 else u.codes)
              for u in (u3, u5, u7, u9, u11)]
+    cases = [(n, codes, [decode(n, c) for c in codes.tolist()])
+             for n, codes in cases]
     rng = np.random.default_rng(15)
     for n in (11, 13, 15):
         maps = [PartialInjection.empty(n), PartialInjection.identity(n)]
         maps += [random_injection(rng, n) for _ in range(2000)]
         assert sum(15 in f.images for f in maps) > 100 or n < 15
+        # image 15 in nibble 14, the last nibble a map fills
+        assert any(f.images[-1] == 15 for f in maps) or n < 15
+        cases.append((n, np.array([encode(f) for f in maps]), maps))
+    for n, codes, maps in cases:
+        assert len(codes) % fence_module._PIECE, n
         rows = np.array([f.images for f in maps], dtype=np.uint8)
-        cases.append((n, rows, np.array([encode(f) for f in maps]),
-                      [f.rank for f in maps]))
-    for n, rows, codes, ranks in cases:
-        words = closure_module._pack(rows)
+        words, ranks = fence_module._decode_codes(codes, n)
+        assert ranks.dtype == np.uint8, n
+        assert ranks.tolist() == [f.rank for f in maps], n
+        assert np.array_equal(words, fence_module._pack(rows)), n
+        assert np.array_equal(fence_module._unpack(words, n), rows), n
         assert not np.any(words == closure_module._NO_WORD), n
-        found = closure_module._nibble_bits(closure_module._defined(words))
+        found = fence_module._nibble_bits(fence_module._defined(words))
         assert np.array_equal(found, ranks), n
-        found = closure_module._write_codes(
-            closure_module._sum_tables(n), words, words.view(np.int64))
+        found = fence_module._write_codes(
+            fence_module._sum_tables(n), words, words.view(np.int64))
         assert np.array_equal(found, codes), n
+    codes = np.empty(len(u11), dtype=np.int64)
+    fence_module._write_codes(fence_module._sum_tables(11), u11.words, codes)
+    assert np.array_equal(codes, u11.codes)
+
+
+@pytest.mark.parametrize("n", [1, 3, 13, 15])
+def test_decode_codes_refuses_codes_out_of_range(n):
+    """A code of n digits, up to (n+1)^n − 1, decodes; one past it, or one
+    below 0, is no code of a map on {1..n}, in any piece."""
+    top = (n + 1) ** n
+    words, _ = fence_module._decode_codes(np.array([0, top - 1]), n)
+    assert words.tolist() == [0, sum(n << 4 * k for k in range(n))]
+    for bad in (top, top + 1, -1, -top):
+        codes = np.zeros(3 * fence_module._PIECE, dtype=np.int64)
+        codes[-1] = bad
+        with pytest.raises(ValueError, match=f"code {bad} is out of range"):
+            fence_module._decode_codes(codes, n)
 
 
 def test_lowest_counts_the_nibbles_below_the_first_set_point():
     """``_lowest`` of a mask of nibble-low bits is x − 1 for its smallest
     point x, whatever points lie above it; an empty mask reads 0."""
-    low = closure_module._NIBBLE_LOW
+    low = fence_module._NIBBLE_LOW
     masks, expected = [], []
     for x in range(1, 16):
         for above in (0, 1, 7, 2 ** 15 - 1):
@@ -413,8 +446,8 @@ def test_lowest_counts_the_nibbles_below_the_first_set_point():
             expected.append(x - 1)
     masks = np.array(masks, dtype=np.uint64)
     assert not np.any(masks & ~low)
-    assert closure_module._lowest(masks).tolist() == expected
-    assert closure_module._lowest(np.zeros(1, dtype=np.uint64)).tolist() == [0]
+    assert fence_module._lowest(masks).tolist() == expected
+    assert fence_module._lowest(np.zeros(1, dtype=np.uint64)).tolist() == [0]
 
 
 def test_merge_into_grows_the_array_in_place():
@@ -476,7 +509,7 @@ def test_dedupe_paths_agree(n, monkeypatch):
     rng = np.random.default_rng(n)
     rows = rng.integers(0, n + 1, size=(60, n), dtype=np.uint8)
     rows[rng.random(rows.shape) < 0.3] = 0
-    pool = closure_module._pack(rows)
+    pool = fence_module._pack(rows)
     blocks = [pool[rng.integers(0, len(pool), size=size)] for size in (700, 40)]
     blocks.append(pool[:1])
     if n == 13:
@@ -711,8 +744,9 @@ def test_tree_product_count_matches_engine_at_every_floor(n, u7, monkeypatch):
     """The replay rebuilds the engine's codes and counts its products, at
     every floor and, at n = 7, over J_7 and FI_7 ∖ R_1, whose tree names
     generator indices that no 8-bit dtype holds.  It does so with the
-    default ``_PIECE`` and with 64, which looks suffixes up 512 nodes at a
-    time, so the levels of G_7 and the wide trees span several pieces."""
+    default ``_PIECE`` and with 64, in the replay and in ``fence``, which
+    looks suffixes up 512 nodes at a time, so the levels of G_7 and the
+    wide trees span several pieces."""
     gens = build_G(n)
     cases = [(r, gens, close(gens, min_rank=r)) for r in range(n + 2)]
     if n == 7:
@@ -725,6 +759,7 @@ def test_tree_product_count_matches_engine_at_every_floor(n, u7, monkeypatch):
     for (case, gens, result), piece in itertools.product(
             cases, (closure_module._PIECE, 64)):
         monkeypatch.setattr(closure_module, "_PIECE", piece)
+        monkeypatch.setattr(fence_module, "_PIECE", piece)
         rows = closure_module._sorted_rows(gens)[1]
         codes, products = closure_module._replay_tree(
             n, rows, result._parents, result._genidx, result.stats.level_sizes)

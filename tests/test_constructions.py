@@ -27,7 +27,6 @@ from fenceinj import (
     run_verification,
 )
 from fenceinj import constructions
-from fenceinj.closure import _lowest, _pack
 from fenceinj.constructions import (
     _beta_rows,
     _changing,
@@ -35,6 +34,7 @@ from fenceinj.constructions import (
     _recompose_words,
     _reduce_words,
 )
+from fenceinj.fence import _defined, _lowest, _nibble_bits, _pack, _unpack
 
 BETA_LABEL = re.compile(r"beta_(\d+)_(odd|even)")
 
@@ -116,8 +116,8 @@ def reference_peel(delta):
 
 
 def par_rows(universe):
-    mat = universe.images_matrix
-    return mat[_changing(_pack(mat)) != 0]
+    words = universe.words
+    return _unpack(words[_changing(words) != 0], universe.n)
 
 
 def unpacked(words, n):
@@ -247,7 +247,7 @@ def test_kernel_matches_the_peel_loop_on_word_products(n):
 def mask_samples(u3, u5, u7, u9, par11_sample):
     """Image rows of FI_3…FI_9, the n = 11 sample and G_13/G_15 word
     products."""
-    samples = [u.images_matrix for u in (u3, u5, u7, u9)]
+    samples = [_unpack(u.words, u.n) for u in (u3, u5, u7, u9)]
     return samples + [par11_sample] + [
         word_products(n, 100, seed=n + 1) for n in (13, 15)]
 
@@ -278,18 +278,19 @@ def test_parity_mask_matches_parity_points(mask_samples):
 def test_packed_mask_matches_the_row_mask(mask_samples):
     """Bit 4(x−1) of ``_changing`` is entry x−1 of the row mask, row by
     row, no other bit is set, and the words unpack to the rows they were
-    packed from."""
+    packed from, nibble by nibble and by ``_unpack``."""
     for rows in mask_samples:
         n = rows.shape[1]
         words = _pack(rows)
         assert np.array_equal(unpacked(words, n), rows)
+        assert np.array_equal(_unpack(words, n), rows)
         mask = _changing(words)
         assert not np.any(mask & ~np.uint64(0x1111_1111_1111_1111))
         assert np.array_equal(unpacked(mask, n).astype(bool), row_mask(rows))
 
 
 def test_kernel_leaves_parity_preserving_rows_alone(u5):
-    words = _pack(u5.images_matrix)
+    words = u5.words
     keep = words[_changing(words) == 0]
     cores, steps = _reduce_words(keep, 5)
     assert np.array_equal(cores, keep) and steps.shape == (len(keep), 0)
@@ -407,9 +408,23 @@ def test_extend_rows_picks_the_least_legal_points(n, count, request):
 
 
 @pytest.mark.parametrize("n", [5, 7])
-def test_convex_domain_mask_matches_is_convex(n, request):
-    from fenceinj.analysis import _convex_domain_mask
-
+def test_convex_domain_mask_matches_is_convex(n, request, monkeypatch):
+    """The convex sweep's word predicate, at most one point that starts a
+    run of defined points, holds on a census word iff its domain is
+    convex, and the sweep extends exactly the rows of rank ≤ n−3 that it
+    picks."""
     universe = request.getfixturevalue(f"u{n}")
-    mask = _convex_domain_mask(universe.images_matrix)
+    defined = _defined(universe.words)
+    mask = _nibble_bits(defined & ~(defined << np.uint64(4))) <= 1
     assert mask.tolist() == [is_convex(f.domain) for f in universe.members()]
+    seen = []
+
+    def spy(images):
+        seen.append(images.copy())
+        return _extend_rows(images)
+
+    monkeypatch.setattr(constructions, "_extend_rows", spy)
+    run_verification(n, VerifyContext(), ("convex-extend-sweep",))
+    (rows,) = seen
+    assert rows.tolist() == [list(f.images) for f in universe.members()
+                             if f.rank <= n - 3 and is_convex(f.domain)]
