@@ -2,30 +2,30 @@
 
 The registry holds every computationally checkable claim about FI_n that the
 toolkit certifies: the identity table of the generator families, the size
-and composition of G_n, generation of FI_n by G_n and J_n, the complement-
-closure obstruction for the top classes R_i, the adjoin-one-element bound
-behind the minimality count, the unique-parity-point law on J_n ∩ Par_n,
-the exhaustive minimal-rank search at n = 3, and full sweeps of the two
-constructive decompositions.
+and composition of G_n, generation of FI_n by G_n, and by J_n through the
+inclusion G_n ⊆ J_n, the complement-closure obstruction for the top classes
+R_i, the adjoin-one-element bound behind the minimality count, the
+unique-parity-point law on J_n ∩ Par_n, the exhaustive minimal-rank search
+at n = 3, and full sweeps of the two constructive decompositions.
 
-Only ``generates-Gn`` and ``generates-Jn`` run the closure engine.  Every
-other closure is a bitmask fixpoint over the Cayley table of a rank layer,
-one gather over its image rows (``_CayleyTable``), so its verdict does not
-rest on the engine: all of FI_3 for ``minimal-rank-n3``, and the rank-≥(n−1)
-layer for Lemma 6 and Prop 7 on the classes R_i.  That floor is exact
-because rank(fg) ≤ min(rank f, rank g): a product that lands in R_i has
-every factor at rank ≥ n−1, so only the top layer needs closing.
+Only ``close(build_G(n))`` runs the closure engine, once per n in a
+``VerifyContext``, and ``generates-Gn`` and ``generates-Jn`` both read its
+verdict: each generator of G_n is a census member of rank ≥ n−2, so
+⟨J_n⟩ ⊇ ⟨G_n⟩.  Every other closure is a bitmask fixpoint over the Cayley
+table of a rank layer, one gather over its image rows (``_CayleyTable``),
+so its verdict does not rest on the engine: all of FI_3 for
+``minimal-rank-n3``, and the rank-≥(n−1) layer for Lemma 6 and Prop 7 on
+the classes R_i.  That floor is exact because rank(fg) ≤ min(rank f,
+rank g): a product that lands in R_i has every factor at rank ≥ n−1, so
+only the top layer needs closing.
 
-Four claims run as array kernels over the census's packed words, with no
+Three claims run as array kernels over the census's packed words, with no
 element decoded: ``lemma-bf4`` marks the parity-changing points of each
 rank-≥(n−2) word and reads the first of them and its image,
 ``parity-reduce-sweep`` reduces and recomposes the parity-changers' words,
-``convex-extend-sweep`` picks the convex-domain words of rank ≤ n−3,
+and ``convex-extend-sweep`` picks the convex-domain words of rank ≤ n−3,
 extends their image rows at once (``constructions._extend_rows``) and
-looks each extension's word up among the census's, and ``generates-Jn``
-hands the image rows of the rank-≥(n−2) words to the engine's row entry in
-the label order that ``close(build_J(n, universe))`` uses, so it builds
-the same tree.
+looks each extension's word up among the census's.
 
 Evidence grades distinguish how a value is certified: arithmetic from the
 stated closed form (PAPER-FORMULA), direct exhaustive or closure computation
@@ -40,7 +40,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -69,9 +69,6 @@ from .generators import (
     gamma,
 )
 from .oracle import ElementUniverse, enumerate_FI
-
-if TYPE_CHECKING:
-    from .closure import ClosureResult
 
 GRADE_FORMULA = "PAPER-FORMULA"
 GRADE_MACHINE = "MACHINE-VERIFIED"
@@ -393,7 +390,10 @@ def minimal_rank_exhaustive(universe: ElementUniverse) -> int:
 
 @dataclass
 class VerifyContext:
-    """Shared resources for claim runners: cached universes and sampling.
+    """Shared resources for claim runners: cached universes, sampling, and
+    at each n the verdict of the one closure of G_n that ``generates-Gn``
+    and ``generates-Jn`` share, its counts alone, so the tree is freed as
+    soon as they are read off it.
 
     ``workers`` (at least 1) has no effect: closures run in one thread.
     ``workers`` and ``seed`` must be integers: a bool, float or str raises
@@ -403,6 +403,7 @@ class VerifyContext:
     cache_dir: str | None = None
     seed: int = 20240801
     _universes: dict[int, ElementUniverse] = field(default_factory=dict)
+    _g_verdicts: dict[int, tuple[int, int]] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
         _check_int(self.seed, "seed")
@@ -562,39 +563,36 @@ def _run_rank_consistency(n: int, ctx: VerifyContext) -> tuple[str, str]:
 
 
 def _run_generates_g(n: int, ctx: VerifyContext) -> tuple[str, str]:
+    """Closes G_n once per n in ``ctx`` and keeps the counts of the census
+    codes missing from ⟨G_n⟩ and of its codes extra to the census; the
+    closure itself is dropped on return."""
     from .closure import verify_generates
 
-    check = verify_generates(build_G(n), ctx.universe(n))
-    if not check.generates:
-        return STATUS_FAIL, (
-            f"missing {len(check.missing)}, extra {len(check.extra)} codes")
-    return STATUS_PASS, f"closure of G_{n} equals all {len(check.closure)} elements"
-
-
-def _close_J(universe: ElementUniverse) -> ClosureResult:
-    """The engine closure of J_n, the census rows of rank ≥ n−2, each
-    labeled by its code in decimal and taken in label order: the labels and
-    rows ``close(build_J(n, universe))`` gets, so the tree is the same.  No
-    row is decoded or validated, since each is a census member."""
-    from .closure import _close_rows
-
-    n = universe.n
-    codes = sorted(universe.codes[universe.ranks >= n - 2].tolist(), key=str)
-    rows = _unpack(universe.words.take(universe.codes.searchsorted(codes)), n)
-    return _close_rows(n, tuple(map(str, codes)), rows, 0)
+    if n not in ctx._g_verdicts:
+        check = verify_generates(build_G(n), ctx.universe(n))
+        ctx._g_verdicts[n] = len(check.missing), len(check.extra)
+    missing, extra = ctx._g_verdicts[n]
+    if missing or extra:
+        return STATUS_FAIL, f"missing {missing}, extra {extra} codes"
+    return STATUS_PASS, f"closure of G_{n} equals all {len(ctx.universe(n))} elements"
 
 
 def _run_generates_j(n: int, ctx: VerifyContext) -> tuple[str, str]:
-    from .closure import _generation_check
-
+    """⟨J_n⟩ ⊇ ⟨G_n⟩ = FI_n: each generator's code is looked up, none
+    decoded, and must be a census member of rank ≥ n−2."""
     universe = ctx.universe(n)
-    result = _close_J(universe)
-    check = _generation_check(result, universe)
-    if not check.generates:
-        return STATUS_FAIL, (
-            f"missing {len(check.missing)}, extra {len(check.extra)} codes")
-    return STATUS_PASS, (
-        f"closure of the {len(result.labels)} rank-≥{n - 2} elements equals FI_{n}")
+    labels, codes = zip(*((label, encode(g)) for label, g in build_G(n)))
+    at = universe.codes.searchsorted(codes).clip(max=len(universe) - 1)
+    for label, code, k in zip(labels, codes, at):
+        if universe.codes[k] != code:
+            return STATUS_FAIL, f"generator {label} is not in the census of FI_{n}"
+        if universe.ranks[k] < n - 2:
+            return STATUS_FAIL, f"generator {label} has rank {universe.ranks[k]} < {n - 2}"
+    status, evidence = _run_generates_g(n, ctx)
+    if status != STATUS_PASS:
+        return status, f"inclusion does not apply: {evidence}"
+    return status, (f"all {len(labels)} generators of G_{n} have rank ≥ {n - 2}, "
+                    f"and the {evidence}")
 
 
 def _run_lemma6(n: int, ctx: VerifyContext) -> tuple[str, str]:
@@ -721,7 +719,7 @@ _REGISTRY: tuple[ClaimSpec, ...] = (
     ClaimSpec(
         "generates-Jn",
         "the closure of J_n (rank ≥ n−2) is all of FI_n",
-        GRADE_MACHINE, (3, 5, 7), _run_generates_j),
+        GRADE_MACHINE, (3, 5, 7, 9), _run_generates_j),
     ClaimSpec(
         "lemma6",
         "no product of elements outside R_i lands in R_i",

@@ -398,7 +398,7 @@ class ClosureResult:
         """
         meta = read_sidecar(
             tree_path, ("n", "count", "labels", "level_sizes", "codes_sha256"))
-        n, count, payload = read_binary_file(tree_path, TREE_MAGIC, 8)
+        n, count, payload, _ = read_binary_file(tree_path, TREE_MAGIC, 8)
         labels, rows = _sorted_rows(gens)
         if (meta["n"] != n or gens.n != n or meta["count"] != count
                 or meta["labels"] != list(labels)):
@@ -906,15 +906,12 @@ class GenerationCheck:
 
 
 def verify_generates(gens: GeneratorSet, universe: ElementUniverse) -> GenerationCheck:
-    """Does ⟨gens⟩ equal the universe?  Reports code-level differences."""
+    """Does ⟨gens⟩ equal the universe?  Reports code-level differences,
+    from one ``close(gens)``, whose result rides along in ``closure``: a
+    caller that keeps only the counts lets the tree go."""
     if gens.n != universe.n:
         raise ValueError(f"size mismatch: gens n={gens.n}, universe n={universe.n}")
-    return _generation_check(close(gens), universe)
-
-
-def _generation_check(result: ClosureResult,
-                      universe: ElementUniverse) -> GenerationCheck:
-    """A closure's members compared with a universe of the same n."""
+    result = close(gens)
     codes = universe.codes
     if np.array_equal(codes, result.member_codes):  # both sorted
         return GenerationCheck(result.n, True, (), (), result)

@@ -46,6 +46,13 @@ CACHE_MAGIC = b"FENC"
 CACHE_VERSION = 2
 # magic, version, n, item count, SHA-256 of the payload
 _HEADER = struct.Struct("<4sIIQ32s")
+# SHA-256 of the census payload, its codes as little-endian u64, for each n
+# that ``enumerate_FI`` reaches: a census file of any other payload is refused
+_CENSUS_SHA256 = {1: "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
+                  3: "8ead819777f5171f22fd4ae75bb98685e3edb8039581391ecb17105491c34900",
+                  5: "5587a23fe425a4ca417083ecd291b1741b3f2761178dae0b6a7d4d332592d7c0",
+                  7: "7175886b08ee6ec1fa295c5f584c8ad50077a8fbdcaab5142661aa2792307067",
+                  9: "2555e03ce4f5c57ac1581ef0d06a03f5d430a7660f478a01d40732a4d9e618d9"}
 
 MODE_EXHAUSTIVE = "exhaustive"
 
@@ -151,17 +158,17 @@ class ElementUniverse:
 
     @classmethod
     def load(cls, path: str | Path) -> ElementUniverse:
-        """Read a saved universe; ValueError unless every field agrees, n
-        is a fence size and the codes are strictly increasing codes of maps
-        on {1..n}."""
-        n, codes = read_code_file(path)
-        check_fence_size(n)
+        """Read a saved universe; ValueError unless every field agrees and
+        the payload's SHA-256, which the read computes anyway, is the pinned
+        digest of the census of FI_n.  So no n past ``ENUMERATION_CAP`` loads,
+        and a file of the wrong codes is refused without enumerating FI_n."""
+        n, codes, digest = read_code_file(path)
+        if digest.hex() != _CENSUS_SHA256.get(n):
+            raise ValueError(f"{path} does not hold the census of FI_{n}")
         meta = read_sidecar(path, ("n", "count", "rank_histogram", "mode"))
         if (meta["n"] != n or meta["count"] != len(codes)
                 or meta["mode"] != MODE_EXHAUSTIVE):
             raise ValueError(f"sidecar of {path} disagrees with the binary header")
-        if np.any(codes[1:] <= codes[:-1]):
-            raise ValueError(f"codes of {path} are not strictly increasing")
         codes.flags.writeable = False
         universe = cls(n, codes)
         if sidecar_ints(meta, "rank_histogram") != universe.rank_histogram:
@@ -216,8 +223,9 @@ def write_binary_file(path: str | Path, magic: bytes, n: int, count: int,
 
 
 def read_binary_file(path: str | Path, magic: bytes,
-                     item_bytes: int) -> tuple[int, int, memoryview]:
-    """(n, count, payload) of a file written by ``write_binary_file``.
+                     item_bytes: int) -> tuple[int, int, memoryview, bytes]:
+    """(n, count, payload, SHA-256 of the payload) of a file written by
+    ``write_binary_file``.
 
     The payload is a view into the file's bytes, not a copy of them.  Raises
     ValueError unless the header is intact, the payload holds exactly
@@ -237,7 +245,7 @@ def read_binary_file(path: str | Path, magic: bytes,
                          f"expected {item_bytes * count}")
     if hashlib.sha256(payload).digest() != digest:
         raise ValueError(f"{path}: payload digest mismatch")
-    return n, count, payload
+    return n, count, payload, digest
 
 
 def write_code_file(path: str | Path, n: int, codes: np.ndarray) -> None:
@@ -246,9 +254,9 @@ def write_code_file(path: str | Path, n: int, codes: np.ndarray) -> None:
     write_binary_file(path, CACHE_MAGIC, n, len(arr), arr)
 
 
-def read_code_file(path: str | Path) -> tuple[int, np.ndarray]:
-    n, _, payload = read_binary_file(path, CACHE_MAGIC, 8)
-    return n, np.frombuffer(payload, dtype="<u8").astype(np.int64)
+def read_code_file(path: str | Path) -> tuple[int, np.ndarray, bytes]:
+    n, _, payload, digest = read_binary_file(path, CACHE_MAGIC, 8)
+    return n, np.frombuffer(payload, dtype="<u8").astype(np.int64), digest
 
 
 def enumerate_FI(n: int) -> ElementUniverse:

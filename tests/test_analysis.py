@@ -1,7 +1,9 @@
 """Rank values, R_i classes, lemma checks, and the claim registry."""
 
+import gc
 import hashlib
 import json
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -481,12 +483,12 @@ def test_verify_context_refuses_non_integer_arguments(name, value):
 # SHA-256 of each registry report as JSON, "seconds" removed, keys sorted
 # and compact: every claim's status and evidence string at each size
 REPORT_DIGESTS = {
-    3: "d992b4bd39d8c797845ecd43e6bc1d8987338f3f9e2fd1b6d741fde0ca3024a4",
-    5: "474a6a82e0450ba422a13cc471a6a28a35e5e4b9f28981523e53c214131a72ac",
-    7: "d941509d494afb0b750d19d1620d0f5a9deec59e53a62472f4290913bac2c63a",
-    9: "ab67ca52f1e9c06095c0a6b82234b5f8e755d66e9bef2ce062f1911ef3865bd0",
-    11: "ff127f50b01891e4d489f9cc41bccfae6f75ab0c85f48d2245ffb983b14315db",
-    13: "07f8bbeda238c7f6914951c9333a382aeae5dc23893a3971d678999007de73f7",
+    3: "849a6d3813ae3fbd4eb6e2145761cc6ee45b697cd76da659d3078ac07db0d037",
+    5: "6494c3a70bf93e82e954cfff41f7955cadbff17da10eeb6708ee6ac551f31076",
+    7: "0c86900422226028106ce0026d69c8ac5a192a83dd8f7fc06349352c447ac07f",
+    9: "ee329e9e1f308b016af367bab3811e3cb8f0ad9992edfdb7efe04308c0bfe90b",
+    11: "14385e5cef2a3a278fd6c9c1a4cfd9785d18bc8c9726e63ba52a33a8d70006dd",
+    13: "c41c0d0e388e5f2a6289b34938c5e2e7c16363a83e2b5ef6b16c445b7c6334a2",
 }
 
 
@@ -548,17 +550,71 @@ def _convex_inputs(universe):
 @pytest.mark.parametrize("pick", [0, 60, 127])
 def test_convex_sweep_names_the_input_of_a_missing_extension(u7, pick):
     """FI_7 without the extension of one input: the sweep fails and names
-    the least input whose extension is gone."""
+    the least input whose extension is gone, and both generation claims
+    fail with the count of the closure's codes the census lacks."""
     inputs = _convex_inputs(u7)
     extensions = [encode(convex_extend(f).extended) for f in inputs]
     removed = extensions[pick]
     named = min(encode(f) for f, e in zip(inputs, extensions) if e == removed)
     ctx = VerifyContext()
     ctx._universes[7] = ElementUniverse(7, u7.codes[u7.codes != removed])
-    report = run_verification(7, ctx, ("convex-extend-sweep",))
-    sweep = {c.claim_id: c for c in report.checks}["convex-extend-sweep"]
-    assert sweep.status == "fail"
-    assert sweep.evidence == f"extension invalid for code {named}"
+    claims = ("generates-Gn", "generates-Jn", "convex-extend-sweep")
+    report = run_verification(7, ctx, claims)
+    evidence = {c.claim_id: (c.status, c.evidence) for c in report.checks}
+    assert evidence["convex-extend-sweep"] == (
+        "fail", f"extension invalid for code {named}")
+    assert evidence["generates-Gn"] == ("fail", "missing 0, extra 1 codes")
+    assert evidence["generates-Jn"] == (
+        "fail", "inclusion does not apply: missing 0, extra 1 codes")
+
+
+@pytest.mark.parametrize("fault", ["below J_7", "outside the census"])
+def test_generates_jn_names_a_generator_outside_j(u7, monkeypatch, fault):
+    """A rank-1 generator planted in G_7, or a census without the code of
+    β_2^odd, fails ``generates-Jn`` before any closure, naming the generator."""
+    ctx = VerifyContext()
+    if fault == "below J_7":
+        planted = PartialInjection(7, (0, 0, 3, 0, 0, 0, 0))
+        gens = GeneratorSet(7, build_G(7).entries + (("planted", planted),))
+        monkeypatch.setattr(analysis, "build_G", lambda n: gens)
+        expected = "generator planted has rank 1 < 5"
+    else:
+        gone = encode(build_G(7).mapping()["beta_2_odd"])
+        ctx._universes[7] = ElementUniverse(7, u7.codes[u7.codes != gone])
+        expected = "generator beta_2_odd is not in the census of FI_7"
+    monkeypatch.setattr(closure_module, "close", None)  # no closure runs
+    report = run_verification(7, ctx, ("generates-Jn",))
+    check = {c.claim_id: c for c in report.checks}["generates-Jn"]
+    assert (check.status, check.evidence) == ("fail", expected)
+
+
+@pytest.mark.parametrize("claims", [("generates-Gn", "generates-Jn"), ("generates-Jn",)])
+def test_generation_claims_close_g_once_per_n(monkeypatch, claims):
+    """In one context ``generates-Gn`` and ``generates-Jn`` close G_7 once,
+    through ``close``, whichever runs first; the context keeps the counts
+    alone, so the closure is freed.  The inclusion check decodes nothing."""
+    results = []
+
+    def spy(gens, *args, **kwargs):
+        result = real_close(gens, *args, **kwargs)
+        results.append((gens.labels, weakref.ref(result)))
+        return result
+
+    real_close = closure_module.close
+    monkeypatch.setattr(closure_module, "close", spy)
+    for module in (fence_module, generators_module):
+        monkeypatch.setattr(module, "decode", None)
+    ctx = VerifyContext()
+    for claim_id in claims:
+        check = run_verification(7, ctx, (claim_id,)).checks[
+            EXPECTED_IDS.index(claim_id)]
+        assert check.status == "pass", check.evidence
+    gc.collect()
+    ((labels, ref),) = results
+    assert labels == build_G(7).labels and ref() is None
+    assert ctx._g_verdicts == {7: (0, 0)}
+    assert check.evidence == ("all 10 generators of G_7 have rank ≥ 5, and the "
+                              "closure of G_7 equals all 2288 elements")
 
 
 def test_convex_sweep_refuses_a_point_already_in_the_domain(monkeypatch):
@@ -583,29 +639,16 @@ def test_convex_sweep_refuses_a_point_already_in_the_domain(monkeypatch):
     assert sweep.evidence == f"extension invalid for code {first}"
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
-def test_j_row_closure_builds_the_tree_of_close_build_j(n, request):
-    universe = request.getfixturevalue(f"u{n}")
-    rows = analysis._close_J(universe)
-    reference = close(build_J(n, universe))
-    assert rows.labels == reference.labels
-    for name in ("_order_codes", "_parents", "_genidx", "member_codes"):
-        assert np.array_equal(getattr(rows, name), getattr(reference, name)), name
-    assert rows.stats.level_sizes == reference.stats.level_sizes
-    assert rows.stats.products == reference.stats.products
-
-
 def test_census_row_claims_decode_no_element(monkeypatch):
-    """lemma-bf4, convex-extend-sweep and generates-Jn read the census
-    rows: no element is decoded, extended one at a time or closed through
-    ``close``."""
+    """lemma-bf4 and convex-extend-sweep read the census rows: no element
+    is decoded, extended one at a time or closed through ``close``."""
     def refuse(*args, **kwargs):
         raise AssertionError("a per-element path was called")
 
     for module, name in [(fence_module, "decode"), (generators_module, "decode"),
                          (constructions, "convex_extend"), (closure_module, "close")]:
         monkeypatch.setattr(module, name, refuse)
-    claims = ("generates-Jn", "lemma-bf4", "convex-extend-sweep")
+    claims = ("lemma-bf4", "convex-extend-sweep")
     report = run_verification(7, VerifyContext(), claims)
     ran = [c for c in report.checks if c.claim_id in claims]
     assert all(c.status == "pass" for c in ran), ran

@@ -350,19 +350,23 @@ def _without_seconds(out):
     return doc
 
 
-@pytest.mark.parametrize("fault", ["unsorted", "duplicate", "out of range"])
+@pytest.mark.parametrize(
+    "fault", ["unsorted", "duplicate", "out of range", "no automorphism"])
 def test_census_file_that_is_no_census_is_rebuilt(tmp_path, capsys, fault):
     """A census file whose digest and sidecar agree with codes that are not
-    FI_5's census, reversed, with its last code repeated, or with its last
-    code set to 7,779 ≥ 6^5, is a miss: it is rebuilt with one warning
-    line, and ``verify`` reports what it reports on a clean cache."""
+    FI_5's census, reversed, with its last code repeated, with its last
+    code set to 7,779 ≥ 6^5, or with the rank-2 code 13 replaced by the
+    rank-2 code 73 of 1,_,2,_,_, which is no partial automorphism, is a
+    miss: it is rebuilt with one warning line, and ``verify`` reports what
+    it reports on a clean cache."""
     argv = ("verify", "--n", "5", "--format", "json", "--cache-dir")
     code, clean, err = run_cli(capsys, *argv, str(tmp_path / "clean"))
     assert code == 0 and err == ""
     codes = enumerate_FI(5).codes
     codes = {"unsorted": codes[::-1],
              "duplicate": np.append(codes, codes[-1]),
-             "out of range": np.append(codes[:-1], 7779)}[fault]
+             "out of range": np.append(codes[:-1], 7779),
+             "no automorphism": np.sort(np.where(codes == 13, 73, codes))}[fault]
     cache = tmp_path / "damaged"
     cache.mkdir()
     _write_census(cache / "universe_n5.bin", 5, codes)

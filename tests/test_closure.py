@@ -35,7 +35,7 @@ from fenceinj import (
 from fenceinj import closure as closure_module
 from fenceinj import fence as fence_module
 from fenceinj.analysis import r_class
-from fenceinj.closure import TREE_MAGIC, _generation_check
+from fenceinj.closure import TREE_MAGIC
 from fenceinj.oracle import (
     read_binary_file,
     sidecar_path,
@@ -223,7 +223,7 @@ def test_more_than_255_generators_widen_their_indices(u9, tmp_path):
     assert result._order_codes.dtype == np.int64
     assert result._parents.dtype == result._genidx.dtype == np.int32
     assert result._genidx.max() > 255
-    assert _generation_check(result, u9).generates
+    assert np.array_equal(result.member_codes, u9.codes)
     tree_path = tmp_path / "j9.tree"
     result.save(tree_path)
     loaded = ClosureResult.load(tree_path, gens)
@@ -870,7 +870,7 @@ def test_tree_read_holds_one_copy(tmp_path, g9_closure):
 
 def _rewrite_tree(tree_path, edit):
     """Apply ``edit(parents, genidx)`` and write a well-formed tree file."""
-    n, count, payload = read_binary_file(tree_path, TREE_MAGIC, 8)
+    n, count, payload, _ = read_binary_file(tree_path, TREE_MAGIC, 8)
     tree = np.frombuffer(payload, dtype="<i4").copy()
     edit(tree[:count], tree[count:])
     write_binary_file(tree_path, TREE_MAGIC, n, count, tree.tobytes())
@@ -880,7 +880,7 @@ def _resize_tree(tree_path, keep, level_sizes):
     """Keep the nodes ``keep`` (an index array) and write a well-formed tree
     file with a sidecar that agrees with it on ``count`` and ``level_sizes``
     but keeps the old digest of the codes."""
-    n, count, payload = read_binary_file(tree_path, TREE_MAGIC, 8)
+    n, count, payload, _ = read_binary_file(tree_path, TREE_MAGIC, 8)
     tree = np.frombuffer(payload, dtype="<i4")
     parents, genidx = tree[:count][keep], tree[count:][keep]
     payload = np.concatenate([parents, genidx]).tobytes()

@@ -23,7 +23,7 @@ from fenceinj import (
     is_partial_automorphism,
 )
 from fenceinj.fence import _unpack
-from fenceinj.oracle import _census_codes
+from fenceinj.oracle import _CENSUS_SHA256, _census_codes
 from reference import enumerate_naive
 
 KNOWN_COUNTS = {1: 2, 3: 18, 5: 182, 7: 2288, 9: 34164}
@@ -69,6 +69,20 @@ def test_fi9_codes_digest(u9):
     payload = np.asarray(u9.codes, dtype="<u8").tobytes()
     assert hashlib.sha256(payload).hexdigest() == (
         "2555e03ce4f5c57ac1581ef0d06a03f5d430a7660f478a01d40732a4d9e618d9")
+
+
+def test_census_pins_are_the_digests_of_the_enumeration(tmp_path):
+    """Each pinned census digest is the SHA-256 of the enumerated codes as
+    little-endian u64, at every odd n up to the cap; a census file of any
+    other n is refused."""
+    assert sorted(_CENSUS_SHA256) == [1, 3, 5, 7, 9]
+    for n, pin in _CENSUS_SHA256.items():
+        payload = np.asarray(enumerate_FI(n).codes, dtype="<u8")
+        assert hashlib.sha256(payload).hexdigest() == pin, n
+    path = tmp_path / "u11.bin"
+    ElementUniverse(11, np.array([0, 1], np.int64)).save(path)
+    with pytest.raises(ValueError, match="does not hold the census of FI_11"):
+        ElementUniverse.load(path)
 
 
 def test_all_members_are_automorphisms(u5):
