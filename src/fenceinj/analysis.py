@@ -44,7 +44,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cache import load_universe
 from .fence import (
     _NIBBLE_LOW,
     CapacityError,
@@ -390,19 +389,18 @@ def minimal_rank_exhaustive(universe: ElementUniverse) -> int:
 
 @dataclass
 class VerifyContext:
-    """Shared resources for claim runners: cached universes, sampling, and
-    at each n the verdict of the one closure of G_n that ``generates-Gn``
-    and ``generates-Jn`` share, its counts alone, so the tree is freed as
-    soon as they are read off it.
+    """Shared resources for claim runners: the census of each n, enumerated
+    once by ``enumerate_FI``, sampling, and at each n the verdict of the one
+    closure of G_n that ``generates-Gn`` and ``generates-Jn`` share, its
+    counts alone, so the tree is freed as soon as they are read off it.
 
     ``workers`` (at least 1) has no effect: closures run in one thread.
     ``workers`` and ``seed`` must be integers: a bool, float or str raises
     ValueError."""
 
     workers: int = 1
-    cache_dir: str | None = None
     seed: int = 20240801
-    _universes: dict[int, ElementUniverse] = field(default_factory=dict)
+    _universes: dict[int, ElementUniverse] = field(default_factory=dict, init=False)
     _g_verdicts: dict[int, tuple[int, int]] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
@@ -412,10 +410,7 @@ class VerifyContext:
 
     def universe(self, n: int) -> ElementUniverse:
         if n not in self._universes:
-            if self.cache_dir is None:
-                self._universes[n] = enumerate_FI(n)
-            else:
-                self._universes[n] = load_universe(self.cache_dir, n)
+            self._universes[n] = enumerate_FI(n)
         return self._universes[n]
 
 
@@ -566,6 +561,7 @@ def _run_generates_g(n: int, ctx: VerifyContext) -> tuple[str, str]:
     """Closes G_n once per n in ``ctx`` and keeps the counts of the census
     codes missing from ⟨G_n⟩ and of its codes extra to the census; the
     closure itself is dropped on return."""
+    # looked up at call time, so a patched ``closure.verify_generates`` is seen
     from .closure import verify_generates
 
     if n not in ctx._g_verdicts:

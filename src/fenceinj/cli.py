@@ -2,7 +2,7 @@
 
 Five subcommands over the fence-automorphism toolkit:
 
-* ``enumerate`` — exhaustive element census for small n, cached to disk
+* ``enumerate`` — exhaustive element census for small n
 * ``closure``  — generated subsemigroup with minimal-length witness words
 * ``factor``   — express one partial map as a product of named generators
 * ``verify``   — run the claim registry and report pass/fail per claim
@@ -13,9 +13,11 @@ Exit codes: 0 on success (including a clean "not generated" answer from
 2 on usage errors (bad flags, malformed maps, out-of-range n, or a
 ``verify`` at a size where none of the claims it would run is designated).
 
-Censuses and closures are cached under ``--cache-dir`` (default:
+``closure`` and ``factor`` cache closures under ``--cache-dir`` (default:
 ``$FENCEINJ_CACHE_DIR`` or ``./.fenceinj-cache``); the ``cache`` module names
 the files, writes them atomically and rebuilds any entry it cannot trust.
+The other commands write no file and refuse ``--cache-dir``: a census is
+enumerated on demand.
 ``closure``, ``factor`` and ``verify`` take ``--workers``, which must be at
 least 1 and has no effect: closures run in one thread.
 """
@@ -38,7 +40,7 @@ from .analysis import (
     rank_grade,
     run_verification,
 )
-from .cache import closure_path, load_closure, load_universe, universe_path
+from .cache import closure_path, load_closure
 from .closure import NotGeneratedError, evaluate_word
 from .fence import (
     MapFormatError,
@@ -49,7 +51,7 @@ from .fence import (
     parse_map,
 )
 from .generators import GeneratorSet, build_G, build_J
-from .oracle import ENUMERATION_CAP, MODE_EXHAUSTIVE
+from .oracle import ENUMERATION_CAP, MODE_EXHAUSTIVE, enumerate_FI
 
 USAGE_ERROR = 2
 VERIFY_FAILED = 1
@@ -71,12 +73,17 @@ def _add_common(parser: argparse.ArgumentParser, *, workers: bool = True) -> Non
                         help="fence size (odd)")
     parser.add_argument("--format", choices=("json", "table", "csv"),
                         default="table", help="output format")
-    parser.add_argument("--cache-dir", default=_default_cache_dir(),
-                        help="directory for cached censuses and closures")
     if workers:
         parser.add_argument("--workers", type=worker_count, default=1,
                             help="accepted for compatibility, no effect "
                                  "(must be at least 1)")
+
+
+def _add_closure_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--gens", required=True,
+                        help="generating set: G, J, or file:PATH")
+    parser.add_argument("--cache-dir", default=_default_cache_dir(),
+                        help="directory for cached closures")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,14 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("closure",
                        help="close a generating set, cache its witness tree")
     _add_common(p)
-    p.add_argument("--gens", required=True,
-                   help="generating set: G, J, or file:PATH")
+    _add_closure_args(p)
 
     p = sub.add_parser("factor",
                        help="write a partial map as a product of generators")
     _add_common(p)
-    p.add_argument("--gens", required=True,
-                   help="generating set: G, J, or file:PATH")
+    _add_closure_args(p)
     p.add_argument("--map", required=True, dest="map_text",
                    help='comma-separated images, _ for undefined: "2,_,_,4,5"')
 
@@ -127,11 +132,11 @@ def _emit(fmt: str, doc: dict, table_lines: list[str],
         print("\n".join(table_lines))
 
 
-def _resolve_gens(spec: str, n: int, cache_dir: Path) -> GeneratorSet:
+def _resolve_gens(spec: str, n: int) -> GeneratorSet:
     if spec == "G":
         return build_G(n)
     if spec == "J":
-        return build_J(n, load_universe(cache_dir, n))
+        return build_J(n, enumerate_FI(n))
     if spec.startswith("file:"):
         path = Path(spec[len("file:"):])
         if not path.exists():
@@ -145,21 +150,17 @@ def _resolve_gens(spec: str, n: int, cache_dir: Path) -> GeneratorSet:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    cache_dir = Path(args.cache_dir)
-    universe = load_universe(cache_dir, args.n)
-    path = universe_path(cache_dir, args.n)
+    universe = enumerate_FI(args.n)
     doc = {
         "n": universe.n,
         "count": len(universe),
         "rank_histogram": list(universe.rank_histogram),
         "mode": MODE_EXHAUSTIVE,
-        "cache": str(path),
     }
     lines = [f"FI_{universe.n}: {len(universe)} elements "
              f"({MODE_EXHAUSTIVE})"]
     lines += [f"  rank {r}: {c}"
               for r, c in enumerate(universe.rank_histogram)]
-    lines.append(f"codes cached at {path}")
     rows: list[Sequence[str]] = [("rank", "count")]
     rows += [(str(r), str(c)) for r, c in enumerate(universe.rank_histogram)]
     _emit(args.format, doc, lines, rows)
@@ -168,7 +169,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_closure(args: argparse.Namespace) -> int:
     cache_dir = Path(args.cache_dir)
-    gens = _resolve_gens(args.gens, args.n, cache_dir)
+    gens = _resolve_gens(args.gens, args.n)
     result = load_closure(cache_dir, gens)
     tree_path = closure_path(cache_dir, gens)
     doc = {
@@ -199,7 +200,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 def cmd_factor(args: argparse.Namespace) -> int:
     cache_dir = Path(args.cache_dir)
-    gens = _resolve_gens(args.gens, args.n, cache_dir)
+    gens = _resolve_gens(args.gens, args.n)
     target = parse_map(args.n, args.map_text)
     violated = order_violation(target)
     if violated is not None:
@@ -244,7 +245,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     claim_ids = None
     if args.claims is not None:
         claim_ids = tuple(s.strip() for s in args.claims.split(",") if s.strip())
-    ctx = VerifyContext(workers=args.workers, cache_dir=args.cache_dir)
+    ctx = VerifyContext(workers=args.workers)
     report = run_verification(args.n, ctx, claim_ids)
     if all(c.status == STATUS_SKIPPED for c in report.checks):
         raise ValueError(f"none of the named claims is designated at n={args.n}")

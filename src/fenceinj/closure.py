@@ -116,9 +116,10 @@ iterators are chained, so no Python frame runs per word.  A block holds
 2^18 letters, a quarter of ``_BLOCK_ENTRIES``, since each letter is an
 object slot of a label column: streaming G_11 peaked at 7.9 MB under
 tracemalloc, against 17.4 MB with blocks of 2^20 letters, in the same time.
-``ClosureResult.save`` writes that tree, with a sidecar
-holding a SHA-256 of the sorted codes.  ``load`` replays the tree over the
-generators in one walk of its levels, which rebuilds the codes
+``ClosureResult.save`` writes that tree after a header of magic, version,
+n, node count and payload SHA-256 (``write_binary_file``), with a JSON
+sidecar holding a SHA-256 of the sorted codes.  ``load`` replays the tree
+over the generators in one walk of its levels, which rebuilds the codes
 ``_PIECE`` nodes at a time, looks up and checks every node's suffix and
 counts the products the engine formed 2^16 nodes at a time, and frees each
 level's keys, suffixes and words once the next level has used them; it
@@ -129,6 +130,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -151,14 +153,7 @@ from .fence import (
     encode,
 )
 from .generators import GeneratorSet
-from .oracle import (
-    ElementUniverse,
-    read_binary_file,
-    read_sidecar,
-    sidecar_ints,
-    write_binary_file,
-    write_sidecar,
-)
+from .oracle import ElementUniverse
 
 # the candidates of one block, plus at most one node's, since a block is a
 # run of whole frontier nodes; a candidate's temporaries are a few 4- and
@@ -171,6 +166,9 @@ _NO_WORD = np.uint64(2 ** 64 - 1)
 
 # magic of the witness-tree file: parent indices, then generator indices
 TREE_MAGIC = b"FTRE"
+CACHE_VERSION = 2
+# magic, version, n, item count, SHA-256 of the payload
+_HEADER = struct.Struct("<4sIIQ32s")
 
 
 class NotGeneratedError(Exception):
@@ -398,7 +396,7 @@ class ClosureResult:
         """
         meta = read_sidecar(
             tree_path, ("n", "count", "labels", "level_sizes", "codes_sha256"))
-        n, count, payload, _ = read_binary_file(tree_path, TREE_MAGIC, 8)
+        n, count, payload = read_binary_file(tree_path, TREE_MAGIC, 8)
         labels, rows = _sorted_rows(gens)
         if (meta["n"] != n or gens.n != n or meta["count"] != count
                 or meta["labels"] != list(labels)):
@@ -425,6 +423,77 @@ def _codes_digest(codes: np.ndarray) -> str:
     the digest reads them in place.
     """
     return hashlib.sha256(np.asarray(codes, dtype="<i8").view("<u8")).hexdigest()
+
+
+def sidecar_path(path: str | Path) -> Path:
+    path = Path(path)
+    return path.with_name(path.name + ".json")
+
+
+def _sidecar_text(meta: dict) -> str:
+    return json.dumps(meta, indent=2) + "\n"
+
+
+def write_sidecar(path: str | Path, meta: dict) -> None:
+    """JSON metadata next to the binary file ``path``."""
+    sidecar_path(path).write_text(_sidecar_text(meta))
+
+
+def read_sidecar(path: str | Path, keys: tuple[str, ...]) -> dict:
+    """The sidecar of ``path``; ValueError unless it holds exactly ``keys``
+    in the canonical layout ``write_sidecar`` produces."""
+    side = sidecar_path(path)
+    text = side.read_text()
+    meta = json.loads(text)
+    if not isinstance(meta, dict) or tuple(meta) != keys or text != _sidecar_text(meta):
+        raise ValueError(f"{side}: not a sidecar in the expected layout")
+    return meta
+
+
+def sidecar_ints(meta: dict, key: str) -> tuple[int, ...]:
+    """``meta[key]`` as a tuple; ValueError unless it is a list of ints."""
+    value = meta[key]
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
+        raise ValueError(f"sidecar field {key!r} is not a list of integers")
+    return tuple(value)
+
+
+def write_binary_file(path: str | Path, magic: bytes, n: int, count: int,
+                      payload: bytes | memoryview | np.ndarray) -> None:
+    """Header (magic, version, n, count, SHA-256 of the payload) + payload.
+
+    ``payload`` is any C-contiguous bytes-like object, such as an array; it
+    is hashed and written in place, not copied.
+    """
+    digest = hashlib.sha256(payload).digest()
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(magic, CACHE_VERSION, n, count, digest))
+        fh.write(payload)
+
+
+def read_binary_file(path: str | Path, magic: bytes,
+                     item_bytes: int) -> tuple[int, int, memoryview]:
+    """(n, count, payload) of a file written by ``write_binary_file``.
+
+    The payload is a view into the file's bytes, not a copy of them.  Raises
+    ValueError unless the header is intact, the payload holds exactly
+    ``count`` items of ``item_bytes`` bytes and its digest matches.
+    """
+    data = Path(path).read_bytes()
+    if len(data) < _HEADER.size:
+        raise ValueError(f"{path}: truncated header")
+    found, version, n, count, digest = _HEADER.unpack_from(data)
+    if found != magic:
+        raise ValueError(f"{path}: bad magic {found!r}")
+    if version != CACHE_VERSION:
+        raise ValueError(f"{path}: unsupported version {version}")
+    payload = memoryview(data)[_HEADER.size:]
+    if len(payload) != item_bytes * count:
+        raise ValueError(f"{path}: payload of {len(payload)} bytes, "
+                         f"expected {item_bytes * count}")
+    if hashlib.sha256(payload).digest() != digest:
+        raise ValueError(f"{path}: payload digest mismatch")
+    return n, count, payload
 
 
 def _replay_tree(n: int, rows: np.ndarray, parents: np.ndarray,

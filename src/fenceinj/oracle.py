@@ -16,17 +16,15 @@ extends to an element of FI_n, so the cost grows with |FI_n|: on one 2-core
 Xeon host, FI_9 takes about 2.5 ms, the 586,650 elements of FI_11 about
 30 ms and the 11,333,302 of FI_13 about 0.6 s.  ``enumerate_FI`` is capped
 at n = 9 and refuses larger n, which the closure of G_n covers instead;
-tests check the uncapped search against it.
+tests check the uncapped search against it.  The census is never written
+to disk: each caller enumerates it on demand, which at n = 9 costs a few
+milliseconds, so no stale or damaged census file can stand in for it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -41,18 +39,6 @@ from .fence import (
 )
 
 ENUMERATION_CAP = 9
-
-CACHE_MAGIC = b"FENC"
-CACHE_VERSION = 2
-# magic, version, n, item count, SHA-256 of the payload
-_HEADER = struct.Struct("<4sIIQ32s")
-# SHA-256 of the census payload, its codes as little-endian u64, for each n
-# that ``enumerate_FI`` reaches: a census file of any other payload is refused
-_CENSUS_SHA256 = {1: "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
-                  3: "8ead819777f5171f22fd4ae75bb98685e3edb8039581391ecb17105491c34900",
-                  5: "5587a23fe425a4ca417083ecd291b1741b3f2761178dae0b6a7d4d332592d7c0",
-                  7: "7175886b08ee6ec1fa295c5f584c8ad50077a8fbdcaab5142661aa2792307067",
-                  9: "2555e03ce4f5c57ac1581ef0d06a03f5d430a7660f478a01d40732a4d9e618d9"}
 
 MODE_EXHAUSTIVE = "exhaustive"
 
@@ -146,117 +132,6 @@ class ElementUniverse:
     def members(self) -> Iterator[PartialInjection]:
         for code in self.codes.tolist():
             yield decode(self.n, code)
-
-    def save(self, path: str | Path) -> None:
-        write_code_file(path, self.n, self.codes)
-        write_sidecar(path, {
-            "n": self.n,
-            "count": len(self.codes),
-            "rank_histogram": list(self.rank_histogram),
-            "mode": MODE_EXHAUSTIVE,
-        })
-
-    @classmethod
-    def load(cls, path: str | Path) -> ElementUniverse:
-        """Read a saved universe; ValueError unless every field agrees and
-        the payload's SHA-256, which the read computes anyway, is the pinned
-        digest of the census of FI_n.  So no n past ``ENUMERATION_CAP`` loads,
-        and a file of the wrong codes is refused without enumerating FI_n."""
-        n, codes, digest = read_code_file(path)
-        if digest.hex() != _CENSUS_SHA256.get(n):
-            raise ValueError(f"{path} does not hold the census of FI_{n}")
-        meta = read_sidecar(path, ("n", "count", "rank_histogram", "mode"))
-        if (meta["n"] != n or meta["count"] != len(codes)
-                or meta["mode"] != MODE_EXHAUSTIVE):
-            raise ValueError(f"sidecar of {path} disagrees with the binary header")
-        codes.flags.writeable = False
-        universe = cls(n, codes)
-        if sidecar_ints(meta, "rank_histogram") != universe.rank_histogram:
-            raise ValueError(f"sidecar of {path} has the wrong rank histogram")
-        return universe
-
-
-def sidecar_path(path: str | Path) -> Path:
-    path = Path(path)
-    return path.with_name(path.name + ".json")
-
-
-def _sidecar_text(meta: dict) -> str:
-    return json.dumps(meta, indent=2) + "\n"
-
-
-def write_sidecar(path: str | Path, meta: dict) -> None:
-    """JSON metadata next to the binary file ``path``."""
-    sidecar_path(path).write_text(_sidecar_text(meta))
-
-
-def read_sidecar(path: str | Path, keys: tuple[str, ...]) -> dict:
-    """The sidecar of ``path``; ValueError unless it holds exactly ``keys``
-    in the canonical layout ``write_sidecar`` produces."""
-    side = sidecar_path(path)
-    text = side.read_text()
-    meta = json.loads(text)
-    if not isinstance(meta, dict) or tuple(meta) != keys or text != _sidecar_text(meta):
-        raise ValueError(f"{side}: not a sidecar in the expected layout")
-    return meta
-
-
-def sidecar_ints(meta: dict, key: str) -> tuple[int, ...]:
-    """``meta[key]`` as a tuple; ValueError unless it is a list of ints."""
-    value = meta[key]
-    if not isinstance(value, list) or not all(type(v) is int for v in value):
-        raise ValueError(f"sidecar field {key!r} is not a list of integers")
-    return tuple(value)
-
-
-def write_binary_file(path: str | Path, magic: bytes, n: int, count: int,
-                      payload: bytes | memoryview | np.ndarray) -> None:
-    """Header (magic, version, n, count, SHA-256 of the payload) + payload.
-
-    ``payload`` is any C-contiguous bytes-like object, such as an array; it
-    is hashed and written in place, not copied.
-    """
-    digest = hashlib.sha256(payload).digest()
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(magic, CACHE_VERSION, n, count, digest))
-        fh.write(payload)
-
-
-def read_binary_file(path: str | Path, magic: bytes,
-                     item_bytes: int) -> tuple[int, int, memoryview, bytes]:
-    """(n, count, payload, SHA-256 of the payload) of a file written by
-    ``write_binary_file``.
-
-    The payload is a view into the file's bytes, not a copy of them.  Raises
-    ValueError unless the header is intact, the payload holds exactly
-    ``count`` items of ``item_bytes`` bytes and its digest matches.
-    """
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise ValueError(f"{path}: truncated header")
-    found, version, n, count, digest = _HEADER.unpack_from(data)
-    if found != magic:
-        raise ValueError(f"{path}: bad magic {found!r}")
-    if version != CACHE_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    payload = memoryview(data)[_HEADER.size:]
-    if len(payload) != item_bytes * count:
-        raise ValueError(f"{path}: payload of {len(payload)} bytes, "
-                         f"expected {item_bytes * count}")
-    if hashlib.sha256(payload).digest() != digest:
-        raise ValueError(f"{path}: payload digest mismatch")
-    return n, count, payload, digest
-
-
-def write_code_file(path: str | Path, n: int, codes: np.ndarray) -> None:
-    """Binary code list: the sorted codes as u64 after the common header."""
-    arr = np.asarray(codes, dtype="<u8")
-    write_binary_file(path, CACHE_MAGIC, n, len(arr), arr)
-
-
-def read_code_file(path: str | Path) -> tuple[int, np.ndarray, bytes]:
-    n, _, payload, digest = read_binary_file(path, CACHE_MAGIC, 8)
-    return n, np.frombuffer(payload, dtype="<u8").astype(np.int64), digest
 
 
 def enumerate_FI(n: int) -> ElementUniverse:

@@ -674,10 +674,12 @@ def test_report_failure_semantics():
     assert VerificationReport(5, (good, bad)).failures == (bad,)
 
 
-def test_context_universe_caching(tmp_path):
-    ctx = VerifyContext(cache_dir=str(tmp_path))
+def test_context_universe_caching(tmp_path, monkeypatch):
+    """A context enumerates each census once and keeps it in memory only:
+    it writes no file."""
+    monkeypatch.chdir(tmp_path)
+    ctx = VerifyContext()
     first = ctx.universe(3)
-    assert (tmp_path / "universe_n3.bin").exists()
     assert ctx.universe(3) is first
-    fresh = VerifyContext(cache_dir=str(tmp_path))
-    assert fresh.universe(3).codes.tolist() == first.codes.tolist()
+    assert VerifyContext().universe(3).codes.tolist() == first.codes.tolist()
+    assert list(tmp_path.iterdir()) == []

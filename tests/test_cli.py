@@ -6,13 +6,11 @@ import json
 import threading
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from fenceinj import ClosureResult, build_G, close, enumerate_FI
+from fenceinj import ClosureResult, build_G, close
 from fenceinj.cache import load_closure
 from fenceinj.cli import main
-from fenceinj.oracle import write_code_file, write_sidecar
 
 
 def run_cli(capsys, *argv):
@@ -47,26 +45,21 @@ def test_rank_table_and_csv(capsys):
     assert ["rank", "14"] in rows
 
 
-def test_enumerate(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
-    code, out, _ = run_cli(capsys, "enumerate", "--n", "5", "--format", "json",
-                           "--cache-dir", cache)
+def test_enumerate(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "5", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["count"] == 182
-    assert doc["rank_histogram"] == [1, 25, 88, 52, 14, 2]
-    assert (tmp_path / "cache" / "universe_n5.bin").exists()
-    code, out, _ = run_cli(capsys, "enumerate", "--n", "5", "--format", "csv",
-                           "--cache-dir", cache)
+    assert doc == {"n": 5, "count": 182, "rank_histogram": [1, 25, 88, 52, 14, 2],
+                   "mode": "exhaustive"}
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "5", "--format", "csv")
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["rank", "count"]
     assert rows[1:] == [[str(r), str(c)] for r, c in
                         enumerate([1, 25, 88, 52, 14, 2])]
 
 
-def test_enumerate_over_cap(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "enumerate", "--n", "11",
-                           "--cache-dir", str(tmp_path))
+def test_enumerate_over_cap(capsys):
+    code, _, err = run_cli(capsys, "enumerate", "--n", "11")
     assert code == 2
     assert "closure" in err
 
@@ -121,13 +114,18 @@ def test_closure_from_file(tmp_path, capsys):
 
 
 def test_closure_gens_J(tmp_path, capsys):
+    """J_5 is built from a census enumerated in memory: the cache gets the
+    closure's tree and sidecar and nothing else."""
+    cache = tmp_path / "cache"
     code, out, _ = run_cli(capsys, "closure", "--n", "5", "--gens", "J",
-                           "--format", "json",
-                           "--cache-dir", str(tmp_path / "cache"))
+                           "--format", "json", "--cache-dir", str(cache))
     assert code == 0
     doc = json.loads(out)
     assert doc["count"] == 182
     assert len(doc["generators"]) == 68
+    tree = Path(doc["witness_cache"]).name
+    assert tree.endswith(".tree")
+    assert sorted(p.name for p in cache.iterdir()) == [tree, f"{tree}.json"]
 
 
 def test_factor(tmp_path, capsys):
@@ -188,9 +186,8 @@ def test_factor_bad_map(tmp_path, capsys):
     assert "points 1 and 2" in err
 
 
-def test_verify(tmp_path, capsys):
+def test_verify(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "5", "--format", "json",
-                           "--cache-dir", str(tmp_path / "cache"),
                            "--claims", "G-size-formula,rank-formula-consistency")
     assert code == 0
     doc = json.loads(out)
@@ -200,45 +197,39 @@ def test_verify(tmp_path, capsys):
     assert statuses["lemma6"] == "skipped"
 
 
-def test_verify_table_and_csv(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
-    code, out, _ = run_cli(capsys, "verify", "--n", "3", "--cache-dir", cache)
+def test_verify_table_and_csv(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--n", "3")
     assert code == 0
     assert "overall: PASS" in out
-    code, out, _ = run_cli(capsys, "verify", "--n", "3", "--format", "csv",
-                           "--cache-dir", cache)
+    code, out, _ = run_cli(capsys, "verify", "--n", "3", "--format", "csv")
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["claim", "status", "grade", "seconds", "evidence"]
     assert len(rows) == 13
 
 
-def test_verify_unknown_claim(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "verify", "--n", "5", "--claims", "bogus",
-                           "--cache-dir", str(tmp_path / "cache"))
+def test_verify_unknown_claim(capsys):
+    code, _, err = run_cli(capsys, "verify", "--n", "5", "--claims", "bogus")
     assert code == 2 and "unknown claim" in err
     # a filter that names no claim is refused, not run as "all" or "none"
     for claims in ("", ",", " , "):
-        code, out, err = run_cli(capsys, "verify", "--n", "5", "--claims", claims,
-                                 "--cache-dir", str(tmp_path / "cache"))
+        code, out, err = run_cli(capsys, "verify", "--n", "5", "--claims", claims)
         assert code == 2 and not out, claims
         assert err == "error: the claim filter names no claim\n", claims
 
 
-def test_verify_size_with_no_claim(tmp_path, capsys):
+def test_verify_size_with_no_claim(capsys):
     """A size where no claim is designated is refused, not reported PASS."""
     for n in ("1", "15"):
-        code, out, err = run_cli(capsys, "verify", "--n", n,
-                                 "--cache-dir", str(tmp_path / "cache"))
+        code, out, err = run_cli(capsys, "verify", "--n", n)
         assert code == 2 and not out, n
         assert err == f"error: no claim is designated at n={n}\n", n
 
 
-def test_verify_filter_with_no_designated_claim(tmp_path, capsys):
+def test_verify_filter_with_no_designated_claim(capsys):
     """A filter whose every claim is skipped at n is refused, not reported
     PASS: lemma6 is designated at n = 5, 7, 9 only."""
     for n in ("3", "11"):
-        code, out, err = run_cli(capsys, "verify", "--n", n, "--claims", "lemma6",
-                                 "--cache-dir", str(tmp_path / "cache"))
+        code, out, err = run_cli(capsys, "verify", "--n", n, "--claims", "lemma6")
         assert code == 2 and not out, n
         assert err == f"error: none of the named claims is designated at n={n}\n", n
 
@@ -280,21 +271,22 @@ def test_usage_errors(tmp_path, capsys):
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "--n", "5", "--workers", "1",
-              "--cache-dir", str(tmp_path)])
+        main(["enumerate", "--n", "5", "--workers", "1"])
     assert exc.value.code == 2
+    # only closure and factor keep a cache
+    for command in ("enumerate", "verify", "rank"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "5", "--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
 
 
 # every cache artifact, by name suffix, with the commands that read it
 CACHE_ARTIFACTS = [
-    ("universe_n5.bin", ("enumerate", "verify")),
-    ("universe_n5.bin.json", ("enumerate", "verify")),
     (".tree", ("closure", "factor")),
     (".tree.json", ("closure", "factor")),
 ]
 CACHE_COMMANDS = {
-    "enumerate": ("enumerate", "--n", "5"),
-    "verify": ("verify", "--n", "5", "--claims", "lemma-bf4", "--workers", "1"),
     "closure": ("closure", "--n", "5", "--gens", "G", "--workers", "1"),
     "factor": ("factor", "--n", "5", "--gens", "G", "--map", "2,_,_,4,5",
                "--workers", "1"),
@@ -332,49 +324,15 @@ def test_bad_cache_file_is_rebuilt(tmp_path, capsys, damage):
             assert _snapshot(cache) == clean, (name, command)
 
 
-def _write_census(path, n, codes):
-    """A census file of ``codes`` whose digest and sidecar agree with them:
-    the histogram counts the nonzero digits among each code's first n."""
-    write_code_file(path, n, codes)
-    histogram = [0] * (n + 1)
-    for code in codes.tolist():
-        histogram[sum(code // (n + 1) ** k % (n + 1) != 0 for k in range(n))] += 1
-    write_sidecar(path, {"n": n, "count": len(codes),
-                         "rank_histogram": histogram, "mode": "exhaustive"})
-
-
-def _without_seconds(out):
-    doc = json.loads(out)
-    for check in doc["checks"]:
-        del check["seconds"]
-    return doc
-
-
-@pytest.mark.parametrize(
-    "fault", ["unsorted", "duplicate", "out of range", "no automorphism"])
-def test_census_file_that_is_no_census_is_rebuilt(tmp_path, capsys, fault):
-    """A census file whose digest and sidecar agree with codes that are not
-    FI_5's census, reversed, with its last code repeated, with its last
-    code set to 7,779 ≥ 6^5, or with the rank-2 code 13 replaced by the
-    rank-2 code 73 of 1,_,2,_,_, which is no partial automorphism, is a
-    miss: it is rebuilt with one warning line, and ``verify`` reports what
-    it reports on a clean cache."""
-    argv = ("verify", "--n", "5", "--format", "json", "--cache-dir")
-    code, clean, err = run_cli(capsys, *argv, str(tmp_path / "clean"))
-    assert code == 0 and err == ""
-    codes = enumerate_FI(5).codes
-    codes = {"unsorted": codes[::-1],
-             "duplicate": np.append(codes, codes[-1]),
-             "out of range": np.append(codes[:-1], 7779),
-             "no automorphism": np.sort(np.where(codes == 13, 73, codes))}[fault]
-    cache = tmp_path / "damaged"
-    cache.mkdir()
-    _write_census(cache / "universe_n5.bin", 5, codes)
-    code, out, err = run_cli(capsys, *argv, str(cache))
-    lines = err.splitlines()
-    assert code == 0 and len(lines) == 1 and lines[0].startswith("warning:"), err
-    assert _without_seconds(out) == _without_seconds(clean)
-    assert _snapshot(cache) == _snapshot(tmp_path / "clean")
+def test_census_commands_write_no_file(tmp_path, capsys, monkeypatch):
+    """enumerate and verify enumerate the census in memory: neither the
+    default cache dir nor the working directory gets a file."""
+    monkeypatch.setenv("FENCEINJ_CACHE_DIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    for argv in (("enumerate", "--n", "5"), ("verify", "--n", "5")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):

@@ -35,8 +35,8 @@ from fenceinj import (
 from fenceinj import closure as closure_module
 from fenceinj import fence as fence_module
 from fenceinj.analysis import r_class
-from fenceinj.closure import TREE_MAGIC
-from fenceinj.oracle import (
+from fenceinj.closure import (
+    TREE_MAGIC,
     read_binary_file,
     sidecar_path,
     write_binary_file,
@@ -870,7 +870,7 @@ def test_tree_read_holds_one_copy(tmp_path, g9_closure):
 
 def _rewrite_tree(tree_path, edit):
     """Apply ``edit(parents, genidx)`` and write a well-formed tree file."""
-    n, count, payload, _ = read_binary_file(tree_path, TREE_MAGIC, 8)
+    n, count, payload = read_binary_file(tree_path, TREE_MAGIC, 8)
     tree = np.frombuffer(payload, dtype="<i4").copy()
     edit(tree[:count], tree[count:])
     write_binary_file(tree_path, TREE_MAGIC, n, count, tree.tobytes())
@@ -880,7 +880,7 @@ def _resize_tree(tree_path, keep, level_sizes):
     """Keep the nodes ``keep`` (an index array) and write a well-formed tree
     file with a sidecar that agrees with it on ``count`` and ``level_sizes``
     but keeps the old digest of the codes."""
-    n, count, payload, _ = read_binary_file(tree_path, TREE_MAGIC, 8)
+    n, count, payload = read_binary_file(tree_path, TREE_MAGIC, 8)
     tree = np.frombuffer(payload, dtype="<i4")
     parents, genidx = tree[:count][keep], tree[count:][keep]
     payload = np.concatenate([parents, genidx]).tobytes()
@@ -964,26 +964,20 @@ def test_load_rejects_every_flipped_byte(tmp_path):
     assert len(ClosureResult.load(tree_path, gens)) == 18
 
 
-def test_load_rejects_wrongly_typed_sidecars(tmp_path, g5_closure, u5):
+def test_load_rejects_wrongly_typed_sidecars(tmp_path, g5_closure):
     """Hand-edited sidecars in the canonical layout, with values of the
     wrong JSON type, are refused like any other mismatch."""
     tree_path = tmp_path / "c.tree"
     g5_closure.save(tree_path)
-    u5.save(tmp_path / "u.bin")
-    cases = [(tree_path, "level_sizes", 7), (tree_path, "level_sizes", ["7"]),
-             (tree_path, "labels", 5), (tree_path, "codes_sha256", 0),
-             (tmp_path / "u.bin", "rank_histogram", 2)]
-    for path, key, value in cases:
-        side = sidecar_path(path)
-        raw = side.read_text()
+    side = sidecar_path(tree_path)
+    raw = side.read_text()
+    for key, value in [("level_sizes", 7), ("level_sizes", ["7"]),
+                       ("labels", 5), ("codes_sha256", 0)]:
         meta = json.loads(raw)
         meta[key] = value
-        write_sidecar(path, meta)
+        write_sidecar(tree_path, meta)
         with pytest.raises(ValueError):
-            if path == tree_path:
-                ClosureResult.load(tree_path, build_G(5))
-            else:
-                ElementUniverse.load(path)
+            ClosureResult.load(tree_path, build_G(5))
         side.write_text(raw)
 
 
