@@ -63,6 +63,13 @@ def test_agrees_with_naive_filter():
         assert enumerate_naive(n) == tuple(enumerate_FI(n).codes.tolist())
 
 
+def test_fi9_codes_digest(u9):
+    # beyond the naive filter's reach: the sorted codes as little-endian u64
+    payload = np.asarray(u9.codes, dtype="<u8").tobytes()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "2555e03ce4f5c57ac1581ef0d06a03f5d430a7660f478a01d40732a4d9e618d9")
+
+
 # SHA-256 of the sorted census codes as little-endian u64, for each n that
 # ``enumerate_FI`` reaches
 CENSUS_SHA256 = {
